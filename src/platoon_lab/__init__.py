@@ -4,15 +4,14 @@ minimum time-headway selection, and peak spacing-error bounds."""
 from .channel import (ChannelMode, ChannelState, GilbertParams, LinkSample,
                       channel_step, estimate_gamma, gamma_of, link_streams,
                       platoon_gamma)
-from .control import (Gains, Scheme, SpacingPolicy, acc_input, cacc_input,
-                      cacc_plus_input, first_follower_input, min_headway_acc,
+from .control import (Gains, Scheme, SpacingPolicy, min_headway_acc,
                       min_headway_cacc, min_headway_cacc_plus,
                       min_headway_cacc_plus_mu)
 from .dynamics import Maneuver, TimeGrid, VehicleState, lead_trajectory, step_lag
 from .expectation import (RandomMatrixSpec, check_multilinearity,
                           exact_expected_exponential, exact_expected_power,
                           from_platoon, monte_carlo_expected_exponential)
-from .maps import (EmpiricalVehicle, InversionError, MapFormatError, PedalMap,
+from .maps import (InversionError, MapFormatError, PedalMap, actuate,
                    affine_maps, interp, invert, step_empirical,
                    synthetic_brake_map, synthetic_throttle_map)
 from .sim import (EnsembleStats, PlatoonConfig, SimOutput,

@@ -1,19 +1,18 @@
-"""Spacing controllers (ACC / CACC / CACC+) and minimum-headway selectors.
+"""Spacing-controller parameters (ACC / CACC / CACC+) and minimum-headway
+selectors.
 
 The constant-time-headway policy targets a gap of ``d + h_w * v`` behind the
 predecessor.  Radar terms (relative position and velocity of the immediate
 predecessor) are always available; anything radioed is gated by the packet
 reception indicator of the corresponding link.  ACC is just CACC with the
-radio permanently down, so there is a single code path.
+radio permanently down.  The control law itself is written once, as the
+closed-loop matrix of :func:`platoon_lab.sim.build_system_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-from .channel import LinkSample
-from .dynamics import VehicleState
 
 
 @dataclass(frozen=True)
@@ -53,64 +52,6 @@ class Scheme(Enum):
     @property
     def n_lookback(self) -> int:
         return {Scheme.ACC: 1, Scheme.CACC: 1, Scheme.CACC_PLUS: 2}[self]
-
-
-def _w(value) -> float:
-    if isinstance(value, LinkSample):
-        return value.weight()
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"link weight {v} outside [0, 1]")
-    return v
-
-
-def spacing_error(ego: VehicleState, pred: VehicleState, policy: SpacingPolicy) -> float:
-    """e = x_ego - x_pred + d + h_w * v_ego; zero at the desired gap."""
-    return ego.x - pred.x + policy.d + policy.h_w * ego.v
-
-
-def cacc_input(ego: VehicleState, pred: VehicleState, w_pred, gains: Gains,
-               policy: SpacingPolicy) -> float:
-    """One-predecessor law; the radioed acceleration term is gated by w_pred.
-
-    With w_pred = 0 this reduces exactly to the ACC law.  Passing a float in
-    [0, 1] instead of a LinkSample yields the deterministic gamma-weighted law.
-    """
-    w = _w(w_pred)
-    return (w * gains.k_a * pred.a
-            - gains.k_v * (ego.v - pred.v)
-            - gains.k_p * spacing_error(ego, pred, policy))
-
-
-def cacc_plus_input(ego: VehicleState, pred1: VehicleState, pred2: VehicleState,
-                    w1, w2, gains: Gains, policy: SpacingPolicy) -> float:
-    """Two-predecessor law.
-
-    The first-predecessor bracket is the CACC law (only the acceleration
-    arrives by radio).  The whole second-predecessor bracket is gated by w2:
-    position, velocity and acceleration of the vehicle two ahead are all
-    transmitted wirelessly, since radar cannot see past the car in between.
-    """
-    u = cacc_input(ego, pred1, w1, gains, policy)
-    w = _w(w2)
-    if w != 0.0:
-        second = (gains.k_a * pred2.a
-                  - gains.k_v * (ego.v - pred2.v)
-                  - gains.k_p * (ego.x - pred2.x + 2.0 * policy.d + 2.0 * policy.h_w * ego.v))
-        u += w * second
-    return u
-
-
-def first_follower_input(ego: VehicleState, pred: VehicleState, w_pred, gains: Gains,
-                         policy: SpacingPolicy) -> float:
-    """The first follower has a single predecessor, so it runs the CACC law."""
-    return cacc_input(ego, pred, w_pred, gains, policy)
-
-
-def acc_input(ego: VehicleState, pred: VehicleState, gains: Gains,
-              policy: SpacingPolicy) -> float:
-    """On-board-sensing-only law: CACC with the radio term dropped."""
-    return cacc_input(ego, pred, 0.0, gains, policy)
 
 
 def min_headway_acc(tau: float) -> float:

@@ -12,17 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Position (m), velocity (m/s) and achieved acceleration (m/s^2)."""
+    """Position (m), velocity (m/s) and achieved acceleration (m/s^2).
+
+    The fields are floats for one vehicle, or equal-shape arrays holding one
+    entry per vehicle.
+    """
 
     x: float
     v: float
     a: float
 
     def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.v) and math.isfinite(self.a)
+        return bool(np.all(np.isfinite((self.x, self.v, self.a))))
 
 
 @dataclass(frozen=True)
@@ -89,13 +95,13 @@ class TimeGrid:
         return int(round(self.horizon / self.dt))
 
     def times(self):
-        import numpy as np
-
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def step_lag(state: VehicleState, u: float, tau: float, dt: float) -> VehicleState:
-    """Advance one vehicle by ``dt`` with the command ``u`` held constant.
+def step_lag(state: VehicleState, u, tau: float, dt: float) -> VehicleState:
+    """Advance vehicles by ``dt`` with the commands ``u`` held constant.
+
+    ``state`` and ``u`` are scalars for one vehicle or arrays over vehicles.
 
     Exact discretization of x' = v, v' = a, a' = (u - a)/tau:
 
@@ -105,7 +111,7 @@ def step_lag(state: VehicleState, u: float, tau: float, dt: float) -> VehicleSta
     """
     if tau <= 0 or dt <= 0:
         raise ValueError("tau and dt must be positive")
-    if not (state.is_finite() and math.isfinite(u)):
+    if not (state.is_finite() and np.all(np.isfinite(u))):
         raise ValueError("non-finite state or command")
     decay = math.exp(-dt / tau)
     rem = 1.0 - decay

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 
-from .sim import PlatoonConfig, build_system_matrix
+from .sim import PlatoonConfig, link_decomposition
 
 
 # 2^m assignments are enumerated exactly; refuse beyond this.
@@ -136,15 +136,13 @@ def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
 
     Variables are named w1_i (link i -> i-1) and w2_i (link i -> i-2); their
     probabilities are the long-run reception rates of the corresponding
-    channels.  The affine decomposition is extracted from
-    :func:`platoon_lab.sim.build_system_matrix`, so both views stay in sync
-    by construction.
+    channels.  The affine decomposition is
+    :func:`platoon_lab.sim.link_decomposition`, the one both simulation
+    engines use, so all views stay in sync by construction.
     """
     from .channel import gamma_of
 
-    n_links = config.n_links
-    zero = np.zeros(n_links)
-    base = build_system_matrix(config, zero)
+    base, da, _, _ = link_decomposition(config)
     names = []
     for i in range(1, config.n_followers + 1):
         names.append(f"w1_{i}")
@@ -155,8 +153,6 @@ def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
     gamma2 = gamma_of(config.second_params())
     coeffs, probs = {}, {}
     for li, name in enumerate(names):
-        unit = np.zeros(n_links)
-        unit[li] = 1.0
-        coeffs[name] = build_system_matrix(config, unit) - base
+        coeffs[name] = da[li]
         probs[name] = gamma1 if li < config.n_followers else gamma2
     return RandomMatrixSpec(base=base, coeffs=coeffs, probs=probs)

@@ -2,26 +2,26 @@
 
 A drive-by-wire vehicle exposes throttle/brake pedal fractions; measured maps
 relate pedal and speed to the acceleration actually produced.  The platoon
-controllers command accelerations, so an inverse lookup (monotone search
-along the pedal axis at the current speed) converts the command to a pedal,
-the forward map gives the achieved command, and the actuation lag from the
-dynamics module is applied on top.
+controllers command accelerations, so :func:`actuate` converts each command
+to a pedal by an inverse lookup (monotone search along the pedal axis at the
+current speed), and the forward map gives the achieved command that the
+actuation lag of the dynamics module then follows (:func:`step_empirical`).
+Lookups, the actuator and the step work on arrays over vehicles.
 
-Measured surfaces are loaded from CSV (see ``PedalMap.from_csv``); the
-``synthetic_*`` generators produce smooth saturating stand-ins with the same
-qualitative shape for simulation studies.
+Measured surfaces are loaded from CSV text (see ``PedalMap.from_csv_text``);
+the ``synthetic_*`` generators produce smooth saturating stand-ins with the
+same qualitative shape for simulation studies.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import VehicleState, step_lag
-
 
 class MapFormatError(ValueError):
     pass
@@ -52,23 +52,23 @@ class PedalMap:
             raise MapFormatError("axes must be strictly ascending")
         if len(g) != len(p) or any(len(row) != len(v) for row in g):
             raise MapFormatError("grid shape does not match axes")
+        arrays = tuple(np.array(x) for x in (p, v, g))
+        for arr in arrays:
+            arr.flags.writeable = False
+        object.__setattr__(self, "_arrays", arrays)
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (pedal, velocity) breakpoint arrays."""
+        return self._arrays[0], self._arrays[1]
 
     def grid(self) -> np.ndarray:
-        return np.asarray(self.accel, dtype=float)
-
-    @classmethod
-    def from_csv(cls, path) -> "PedalMap":
-        """CSV layout: header 'pedal,v1,v2,...'; each row 'p,a(p,v1),...'."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            return cls._parse(fh)
+        """Read-only acceleration grid, shape (len(pedal), len(velocity))."""
+        return self._arrays[2]
 
     @classmethod
     def from_csv_text(cls, text: str) -> "PedalMap":
-        return cls._parse(io.StringIO(text))
-
-    @classmethod
-    def _parse(cls, fh) -> "PedalMap":
-        rows = list(csv.reader(fh))
+        """CSV layout: header 'pedal,v1,v2,...'; each row 'p,a(p,v1),...'."""
+        rows = list(csv.reader(io.StringIO(text)))
         if not rows or not rows[0] or rows[0][0].strip().lower() != "pedal":
             raise MapFormatError("first cell of the header must be 'pedal'")
         try:
@@ -81,7 +81,14 @@ class PedalMap:
                 grid.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise MapFormatError(f"non-numeric cell: {exc}") from exc
-        return cls(tuple(pedal), tuple(velocity), tuple(tuple(r) for r in grid))
+        pmap = cls(tuple(pedal), tuple(velocity), tuple(tuple(r) for r in grid))
+        # mixed directions leave some interpolated slice flat, so every
+        # velocity column must rise (or every one fall) strictly in pedal
+        d = np.diff(pmap.grid(), axis=0)
+        if not (np.all(d > 0) or np.all(d < 0)):
+            raise MapFormatError("every velocity column must be strictly monotone "
+                                 "in pedal, all in the same direction")
+        return pmap
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -91,107 +98,109 @@ class PedalMap:
                 w.writerow([repr(p)] + [repr(a) for a in row])
 
 
-def _bracket(axis: tuple[float, ...], q: float) -> tuple[int, float]:
-    """Clamped cell index and interpolation weight along one axis."""
-    if q <= axis[0]:
-        return 0, 0.0
-    if q >= axis[-1]:
-        return len(axis) - 2, 1.0
-    idx = int(np.searchsorted(axis, q, side="right")) - 1
-    idx = min(idx, len(axis) - 2)
-    t = (q - axis[idx]) / (axis[idx + 1] - axis[idx])
+def _bracket(axis: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped cell indices and interpolation weights along one axis."""
+    idx = np.minimum(np.maximum(np.searchsorted(axis, q, side="right") - 1, 0), len(axis) - 2)
+    lo = axis[idx]
+    t = np.minimum(np.maximum((q - lo) / (axis[idx + 1] - lo), 0.0), 1.0)
     return idx, t
 
 
-def interp(pmap: PedalMap, pedal: float, velocity: float) -> float:
-    """Bilinear interpolation with edge clamping on both axes."""
-    i, tp = _bracket(pmap.pedal, pedal)
-    j, tv = _bracket(pmap.velocity, velocity)
-    g = pmap.accel
-    a00, a01 = g[i][j], g[i][j + 1]
-    a10, a11 = g[i + 1][j], g[i + 1][j + 1]
-    low = a00 + tv * (a01 - a00)
-    high = a10 + tv * (a11 - a10)
-    return low + tp * (high - low)
-
-
-def _pedal_slice(pmap: PedalMap, velocity: float) -> np.ndarray:
-    """Map values at every pedal breakpoint for a fixed velocity."""
-    j, tv = _bracket(pmap.velocity, velocity)
+def _slices(pmap: PedalMap, velocity: np.ndarray) -> np.ndarray:
+    """Map values at every pedal breakpoint, one column per velocity."""
+    j, tv = _bracket(pmap.axes()[1], velocity)
     g = pmap.grid()
     return g[:, j] + tv * (g[:, j + 1] - g[:, j])
 
 
-def invert(pmap: PedalMap, accel: float, velocity: float) -> float:
-    """Pedal value achieving ``accel`` at ``velocity``; clamps outside range.
+def _forward(pedal_axis: np.ndarray, s: np.ndarray, pedal: np.ndarray) -> np.ndarray:
+    """Evaluate each slice column of ``s`` at its pedal value (linear, clamped)."""
+    i, tp = _bracket(pedal_axis, pedal)
+    cols = np.arange(s.shape[1])
+    low = s[i, cols]
+    return low + tp * (s[i + 1, cols] - low)
+
+
+def _inverse(pedal_axis: np.ndarray, s: np.ndarray, accel: np.ndarray,
+             velocity: np.ndarray) -> np.ndarray:
+    """Pedal at which each slice column of ``s`` reaches its ``accel``."""
+    d = s[1:] - s[:-1]
+    rising = (d > 0).all(axis=0)
+    flat = ~(rising | (d < 0).all(axis=0))
+    if flat.any():
+        raise InversionError(f"pedal slice at v={velocity[flat][0]} is not monotone")
+    sign = np.where(rising, 1.0, -1.0)
+    s = s * sign
+    accel = accel * sign
+    k = np.minimum(np.maximum((s <= accel).sum(axis=0) - 1, 0), len(pedal_axis) - 2)
+    cols = np.arange(s.shape[1])
+    lo = s[k, cols]
+    frac = (accel - lo) / (s[k + 1, cols] - lo)
+    out = pedal_axis[k] + frac * (pedal_axis[k + 1] - pedal_axis[k])
+    out = np.where(accel >= s[-1], pedal_axis[-1], out)
+    return np.where(accel <= s[0], pedal_axis[0], out)
+
+
+def interp(pmap: PedalMap, pedal, velocity):
+    """Bilinear interpolation with edge clamping on both axes.
+
+    Takes scalars or equal-length 1-D arrays; :func:`actuate` uses the same
+    slice helpers.
+    """
+    s = _slices(pmap, np.atleast_1d(velocity))
+    out = _forward(pmap.axes()[0], s, np.atleast_1d(pedal))
+    return out if np.ndim(pedal) else out[0]
+
+
+def invert(pmap: PedalMap, accel, velocity):
+    """Pedal achieving ``accel`` at ``velocity``; clamps outside the range.
 
     The bilinear surface is piecewise linear along the pedal axis at fixed
-    velocity, so the inversion is exact within the map's authority.  Raises
-    :class:`InversionError` when the slice is not monotone.
+    velocity, so the inversion is exact within the map's authority.  Takes
+    scalars or equal-length 1-D arrays.  Raises :class:`InversionError` when
+    a slice is not monotone.
     """
-    s = _pedal_slice(pmap, velocity)
-    d = np.diff(s)
-    if np.all(d > 0):
-        pass
-    elif np.all(d < 0):
-        s = -s
-        accel = -accel
-    else:
-        raise InversionError(f"pedal slice at v={velocity} is not monotone")
-    if accel <= s[0]:
-        return pmap.pedal[0]
-    if accel >= s[-1]:
-        return pmap.pedal[-1]
-    k = int(np.searchsorted(s, accel, side="right")) - 1
-    k = min(k, len(s) - 2)
-    frac = (accel - s[k]) / (s[k + 1] - s[k])
-    return pmap.pedal[k] + frac * (pmap.pedal[k + 1] - pmap.pedal[k])
+    v = np.atleast_1d(velocity)
+    out = _inverse(pmap.axes()[0], _slices(pmap, v), np.atleast_1d(accel), v)
+    return out if np.ndim(accel) else out[0]
 
 
 # Hysteresis band (m/s^2) around the coast line to prevent branch chattering.
 COAST_HYSTERESIS = 0.05
 
 
-@dataclass(frozen=True)
-class EmpiricalVehicle:
-    """Map-driven vehicle: throttle/brake surfaces plus the actuation lag."""
+def actuate(throttle: PedalMap, brake: PedalMap, u: np.ndarray, v: np.ndarray,
+            braking: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Achieved commands and branch flags for desired accelerations ``u``.
 
-    throttle: PedalMap
-    brake: PedalMap
-    tau: float
-    state: VehicleState
-    braking: bool = False
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-
-
-def coast_accel(veh: EmpiricalVehicle, velocity: float) -> float:
-    """Zero-throttle acceleration at the given speed: the branch threshold."""
-    return interp(veh.throttle, veh.throttle.pedal[0], velocity)
-
-
-def step_empirical(veh: EmpiricalVehicle, u_desired: float, dt: float) -> EmpiricalVehicle:
-    """Advance one map vehicle by dt under a desired-acceleration command.
-
-    Commands above the coast line select the throttle map, below it the brake
-    map, with a small hysteresis band holding the previous branch in between.
-    The achieved command (inverse then forward map) feeds the first-order lag.
+    The 1-D arrays run over vehicles.  Commands above the coast line (the
+    zero-throttle acceleration at the current speed) select the throttle map,
+    below it the brake map, and inside a +-``COAST_HYSTERESIS`` band each
+    vehicle keeps its previous branch ``braking``.  Each command goes through
+    the inverse and then the forward map of its branch at that speed; the
+    result feeds the actuation lag.
     """
-    v = veh.state.v
-    thr = coast_accel(veh, v)
-    if u_desired >= thr + COAST_HYSTERESIS:
-        braking = False
-    elif u_desired < thr - COAST_HYSTERESIS:
-        braking = True
-    else:
-        braking = veh.braking
-    pmap = veh.brake if braking else veh.throttle
-    pedal = invert(pmap, u_desired, v)
-    achieved = interp(pmap, pedal, v)
-    new_state = step_lag(veh.state, achieved, veh.tau, dt)
-    return replace(veh, state=new_state, braking=braking)
+    s_throttle = _slices(throttle, v)
+    coast = s_throttle[0]
+    braking = np.where(u >= coast + COAST_HYSTERESIS, False,
+                       np.where(u < coast - COAST_HYSTERESIS, True, braking))
+    throttling = ~braking
+    achieved = np.empty_like(u)
+    # each map's pedal slices are interpolated once per step, then inverted
+    # and evaluated in place of separate invert / interp lookups
+    for pmap, s, sel in ((throttle, s_throttle[:, throttling], throttling),
+                         (brake, _slices(brake, v[braking]), braking)):
+        pedal_axis = pmap.axes()[0]
+        achieved[sel] = _forward(pedal_axis, s, _inverse(pedal_axis, s, u[sel], v[sel]))
+    return achieved, braking
+
+
+def step_empirical(throttle: PedalMap, brake: PedalMap, state: VehicleState,
+                   u: np.ndarray, braking: np.ndarray, tau: float,
+                   dt: float) -> tuple[VehicleState, np.ndarray]:
+    """Advance every vehicle by ``dt``: :func:`actuate`, then the exact lag."""
+    achieved, braking = actuate(throttle, brake, u, state.v, braking)
+    return step_lag(state, achieved, tau, dt), braking
 
 
 def synthetic_throttle_map(pedal_points: int = 11, velocity_points: int = 8,

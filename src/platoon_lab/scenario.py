@@ -168,6 +168,32 @@ def _getbool(cp, section, key, default=False):
     raise ScenarioError(f"[{section}] {key} = {raw!r} is not a boolean")
 
 
+def _channel(p_gb, q_bg, r_recv_bad, suffix: str) -> GilbertParams:
+    """Gilbert parameters of one link type, validated for simulation."""
+    try:
+        params = GilbertParams(p_gb, q_bg, r_recv_bad)
+    except ValueError as exc:
+        raise ScenarioError(f"[channel] {exc}") from exc
+    if p_gb + q_bg == 0.0:
+        raise ScenarioError(f"[channel] p_gb{suffix} + q_bg{suffix} must be positive: "
+                            "a chain with no transitions has no reception rate")
+    return params
+
+
+def _load_map(cp, key: str, default, digests: list) -> maps_mod.PedalMap:
+    """Pedal map from the CSV file named by ``key``, else the synthetic one."""
+    path = _get(cp, "platoon", key)
+    if path is None:
+        return default()
+    try:
+        data = Path(path).read_bytes()
+        pmap = maps_mod.PedalMap.from_csv_text(data.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, maps_mod.MapFormatError) as exc:
+        raise ScenarioError(f"cannot load pedal map: {exc}") from exc
+    digests.append(f"file.{key}={hashlib.sha256(data).hexdigest()}")
+    return pmap
+
+
 def preset_text(name: str) -> str:
     base = name[:-4] if name.endswith(".ini") else name
     if base not in PRESETS:
@@ -213,14 +239,10 @@ def parse_scenario_text(text: str, name: str = "scenario",
         raise ScenarioError(f"unknown scheme {scheme_raw!r}") from exc
     model = _get(cp, "platoon", "model", "point_mass").lower()
     throttle = brake = None
+    map_digests = []  # the map files' contents enter the config hash
     if model == "empirical":
-        tpath = _get(cp, "platoon", "throttle_map")
-        bpath = _get(cp, "platoon", "brake_map")
-        try:
-            throttle = maps_mod.PedalMap.from_csv(tpath) if tpath else maps_mod.synthetic_throttle_map()
-            brake = maps_mod.PedalMap.from_csv(bpath) if bpath else maps_mod.synthetic_brake_map()
-        except (OSError, maps_mod.MapFormatError) as exc:
-            raise ScenarioError(f"cannot load pedal map: {exc}") from exc
+        throttle = _load_map(cp, "throttle_map", maps_mod.synthetic_throttle_map, map_digests)
+        brake = _load_map(cp, "brake_map", maps_mod.synthetic_brake_map, map_digests)
     u_lo = _getfloat(cp, "platoon", "u_clamp_min")
     u_hi = _getfloat(cp, "platoon", "u_clamp_max")
     if (u_lo is None) != (u_hi is None):
@@ -228,9 +250,9 @@ def parse_scenario_text(text: str, name: str = "scenario",
 
     # --- channel ---
     if cp.has_section("channel"):
-        channel = GilbertParams(_getfloat(cp, "channel", "p_gb", 0.0),
-                                _getfloat(cp, "channel", "q_bg", 1.0),
-                                _getfloat(cp, "channel", "r_recv_bad", 1.0))
+        channel = _channel(_getfloat(cp, "channel", "p_gb", 0.0),
+                           _getfloat(cp, "channel", "q_bg", 1.0),
+                           _getfloat(cp, "channel", "r_recv_bad", 1.0), "")
         p2 = _getfloat(cp, "channel", "p_gb_2")
         q2 = _getfloat(cp, "channel", "q_bg_2")
         r2 = _getfloat(cp, "channel", "r_recv_bad_2")
@@ -238,7 +260,7 @@ def parse_scenario_text(text: str, name: str = "scenario",
         if any(v is not None for v in (p2, q2, r2)):
             if any(v is None for v in (p2, q2, r2)):
                 raise ScenarioError("second-link channel needs all of p_gb_2, q_bg_2, r_recv_bad_2")
-            second = GilbertParams(p2, q2, r2)
+            second = _channel(p2, q2, r2, "_2")
         init_raw = _get(cp, "channel", "init_mode", "stationary").lower()
         if init_raw == "stationary":
             init_mode = None
@@ -330,6 +352,7 @@ def parse_scenario_text(text: str, name: str = "scenario",
     for section in sorted(cp.sections()):
         for key in sorted(cp.options(section)):
             canonical.append(f"{section}.{key}={cp.get(section, key).strip()}")
+    canonical += map_digests
     digest = hashlib.sha256("\n".join(canonical).encode()).hexdigest()[:16]
 
     return Scenario(name=name, config=config, maneuver=maneuver, analysis=analysis,

@@ -1,13 +1,21 @@
 """Full-platoon simulation: stochastic packet losses, deterministic-gamma
 equivalents, and Monte Carlo ensembles.
 
-The platoon state is X = (x_0, v_0, a_0, ..., x_N, v_N, a_N).  The closed loop
-is linear with the link indicators entering the system matrix, so each
-controller step is propagated by the exact zero-order-hold solution of the
-per-step constant system (matrix exponential of an augmented matrix carrying
-the lead input and the standstill-offset constants).  Propagators are
-memoized per link pattern; when the pattern space is too large to cache, the
-same update is computed as a machine-precision Taylor action on the state.
+The platoon state is X = (x_0, v_0, a_0, ..., x_N, v_N, a_N).  The ACC / CACC /
+CACC+ law is written once, as the closed-loop matrix A(w) of
+:func:`build_system_matrix` plus the standstill offset c(w); both are affine
+in the link weights w (:func:`link_decomposition`).  Two engines use them:
+
+* point mass: the closed loop is linear, so each controller step is
+  propagated by the exact zero-order-hold solution of the per-step constant
+  system (matrix exponential of an augmented matrix carrying the lead input
+  and the offset).  Propagators are memoized per link pattern; when the
+  pattern space is too large to cache, the same update is computed as a
+  machine-precision Taylor action on the state.
+* pedal maps: every vehicle's command is read off the acceleration rows of
+  A(w) and c(w) (:func:`cacc_input`), and all vehicles advance together
+  through the pedal maps and the exact lag update
+  (:func:`platoon_lab.maps.step_empirical`).
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from scipy.linalg import expm
 
 from . import maps as maps_mod
 from .channel import ChannelMode, GilbertParams, gamma_of, link_streams
-from .control import Gains, Scheme, SpacingPolicy, cacc_input, cacc_plus_input
+from .control import Gains, Scheme, SpacingPolicy
 from .dynamics import Maneuver, TimeGrid, VehicleState
 
 
@@ -184,6 +192,22 @@ def _offset_vector(config: PlatoonConfig, link_values) -> np.ndarray:
     return c
 
 
+def link_decomposition(config: PlatoonConfig):
+    """Affine split of the closed loop in the link weights.
+
+    Returns (a0, da, c0, dc) with A(w) = a0 + sum_l w_l da[l] and
+    c(w) = c0 + sum_l w_l dc[l], exact because both are affine in w;
+    da has shape (n_links, n, n) and dc (n_links, n).
+    """
+    zeros = np.zeros(config.n_links)
+    a0 = build_system_matrix(config, zeros)
+    c0 = _offset_vector(config, zeros)
+    units = np.eye(config.n_links)
+    da = np.array([build_system_matrix(config, u) - a0 for u in units])
+    dc = np.array([_offset_vector(config, u) - c0 for u in units])
+    return a0, da, c0, dc
+
+
 def _augmented_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
     """[[A, B_lead, c], [0, 0, 0], [0, 0, 0]]: exact ZOH carrier for one step."""
     a = build_system_matrix(config, link_values)
@@ -212,21 +236,15 @@ class _Propagator:
         self.dt = config.grid.dt
         self.cacheable = config.n_links <= _CACHE_LINK_LIMIT
         self.cache: dict[bytes, np.ndarray] = {}
-        self.n = 3 * (config.n_followers + 1)
-        zeros = np.zeros(config.n_links)
-        self._base = _augmented_matrix(config, zeros) * self.dt
-        idx, coef, link_of = [], [], []
-        for li in range(config.n_links):
-            unit = np.zeros(config.n_links)
-            unit[li] = 1.0
-            delta = (_augmented_matrix(config, unit) - _augmented_matrix(config, zeros)) * self.dt
-            flat = np.nonzero(delta.ravel())[0]
-            idx.append(flat)
-            coef.append(delta.ravel()[flat])
-            link_of.append(np.full(flat.shape, li))
-        self._idx = np.concatenate(idx) if idx else np.empty(0, dtype=int)
-        self._coef = np.concatenate(coef) if coef else np.empty(0)
-        self._link_of = np.concatenate(link_of) if link_of else np.empty(0, dtype=int)
+        n = self.n = 3 * (config.n_followers + 1)
+        self._base = _augmented_matrix(config, np.zeros(config.n_links)) * self.dt
+        _, da, _, dc = link_decomposition(config)
+        delta = np.zeros((config.n_links, n + 2, n + 2))
+        delta[:, :n, :n] = da
+        delta[:, :n, n + 1] = dc
+        delta = (delta * self.dt).reshape(config.n_links, -1)
+        self._link_of, self._idx = np.nonzero(delta)
+        self._coef = delta[self._link_of, self._idx]
 
     def _matrix_dt(self, link_values: np.ndarray) -> np.ndarray:
         m = self._base.copy()
@@ -353,57 +371,62 @@ def _run_linear(config: PlatoonConfig, maneuver: Maneuver,
                      scenario_id=config.scenario_id)
 
 
+def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.ndarray:
+    """Every vehicle's command from the closed-loop law, u = gain X + a + offset.
+
+    ``gain`` and ``offset`` are tau times the acceleration rows of A(w) and
+    c(w), so one evaluation serves ACC, CACC and CACC+ alike.
+    """
+    x_vec = np.stack((state.x, state.v, state.a), axis=1).ravel()
+    return gain @ x_vec + state.a + offset
+
+
+# one law for every scheme; the CACC+ name stays a lookup site of the
+# benchmark's span tracer (perfbench/tracing.py)
+cacc_plus_input = cacc_input
+
+
 def _run_empirical(config: PlatoonConfig, maneuver: Maneuver,
                    weight_table: np.ndarray, seed: int) -> SimOutput:
-    """Per-vehicle loop for map-model platoons (control held over each step)."""
+    """Map-model platoon, all vehicles at once (commands held over each step).
+
+    Each step reads every command off the closed loop's acceleration rows,
+    u = tau * A(w)[3i+2, :] X + a_i + tau * c(w)[3i+2], replaces the lead's
+    with the maneuver, and drives all vehicles through the pedal maps.
+    """
     grid = config.grid
     steps = grid.n_steps
-    n_f = config.n_followers
-    policy, gains = config.policy, config.gains
+    n_veh = config.n_followers + 1
+    policy, tau = config.policy, config.tau
+    a0, da, c0, dc = link_decomposition(config)
+    rows = slice(2, None, 3)
+    k0 = tau * a0[rows]
+    dk = tau * da[:, rows].reshape(config.n_links, -1)
     v0 = maneuver.initial_velocity
-    gap = policy.d + policy.h_w * v0
-    mk = lambda i: maps_mod.EmpiricalVehicle(
-        config.throttle_map, config.brake_map, config.tau,
-        VehicleState(-i * gap, v0, 0.0))
-    vehicles = [mk(i) for i in range(n_f + 1)]
-    xs = np.empty((n_f + 1, steps + 1))
+    x = equilibrium_state(config, v0).reshape(n_veh, 3)
+    state = VehicleState(x[:, 0], x[:, 1], x[:, 2])
+    braking = np.zeros(n_veh, dtype=bool)
+    xs = np.empty((n_veh, steps + 1))
     vs = np.empty_like(xs)
     accs = np.empty_like(xs)
-    errs = np.empty((n_f, steps + 1))
-    def record(k):
-        for i, veh in enumerate(vehicles):
-            xs[i, k] = veh.state.x
-            vs[i, k] = veh.state.v
-            accs[i, k] = veh.state.a
-        for i in range(1, n_f + 1):
-            errs[i - 1, k] = (vehicles[i].state.x - vehicles[i - 1].state.x
-                              + policy.d + policy.h_w * vehicles[i].state.v)
-    record(0)
+    xs[:, 0], vs[:, 0], accs[:, 0] = state.x, state.v, state.a
     t = 0.0
     for k in range(steps):
-        states = [veh.state for veh in vehicles]
-        cmds = [maneuver.accel_at(t)]
         w = weight_table[:, k]
-        for i in range(1, n_f + 1):
-            w1 = 0.0 if config.scheme is Scheme.ACC else w[i - 1]
-            if config.scheme is Scheme.CACC_PLUS and i >= 2:
-                u = cacc_plus_input(states[i], states[i - 1], states[i - 2],
-                                    w1, w[n_f + i - 2], gains, policy)
-            else:
-                u = cacc_input(states[i], states[i - 1], w1, gains, policy)
-            if config.u_clamp is not None:
-                u = min(max(u, config.u_clamp[0]), config.u_clamp[1])
-            cmds.append(u)
-        vehicles = [maps_mod.step_empirical(veh, u, grid.dt)
-                    for veh, u in zip(vehicles, cmds)]
+        u = cacc_input(k0 + (w @ dk).reshape(k0.shape), tau * (c0 + w @ dc)[rows], state)
+        u[0] = maneuver.accel_at(t)
+        if config.u_clamp is not None:
+            u[1:] = np.minimum(np.maximum(u[1:], config.u_clamp[0]), config.u_clamp[1])
+        state, braking = maps_mod.step_empirical(config.throttle_map, config.brake_map,
+                                                 state, u, braking, tau, grid.dt)
         if config.velocity_clamp:
-            vehicles = [replace(veh, state=VehicleState(veh.state.x, max(veh.state.v, 0.0), veh.state.a))
-                        if veh.state.v < 0 else veh for veh in vehicles]
-        record(k + 1)
-        top = max(abs(xs[:, k + 1]).max(), abs(vs[:, k + 1]).max())
+            state = VehicleState(state.x, np.where(state.v < 0, 0.0, state.v), state.a)
+        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1] = state.x, state.v, state.a
+        top = max(abs(state.x).max(), abs(state.v).max())
         if not np.isfinite(top) or top > _DIVERGENCE_LIMIT:
             raise SimulationDivergedError(k, top)
         t += grid.dt
+    errs = xs[1:] - xs[:-1] + policy.d + policy.h_w * vs[1:]
     return SimOutput(time=grid.times(), x=xs, v=vs, a=accs, errors=errs,
                      seed=seed, config_hash=config.config_hash(),
                      scenario_id=config.scenario_id)
@@ -414,7 +437,7 @@ def _dispatch(config: PlatoonConfig, maneuver: Maneuver,
     if config.model == "empirical":
         return _run_empirical(config, maneuver, weight_table, seed)
     if config.u_clamp is not None:
-        raise ValueError("u_clamp requires the empirical (per-vehicle) engine")
+        raise ValueError("u_clamp requires the empirical (pedal-map) engine")
     return _run_linear(config, maneuver, weight_table, seed)
 
 

@@ -116,6 +116,23 @@ class TestScenarioParsing:
                                                              "headway = 0.61"), "c.ini"))
         assert changed.config_hash != a.config_hash
 
+    def test_config_hash_tracks_map_files(self, tmp_path):
+        from platoon_lab.maps import synthetic_brake_map, synthetic_throttle_map
+        synthetic_throttle_map().to_csv(tmp_path / "thr.csv")
+        synthetic_brake_map().to_csv(tmp_path / "brk.csv")
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
+                            f"throttle_map = {tmp_path / 'thr.csv'}\n"
+                            f"brake_map = {tmp_path / 'brk.csv'}")
+        a = load_scenario(write(tmp_path, text, "a.ini"))
+        assert load_scenario(write(tmp_path, text, "b.ini")).config_hash == a.config_hash
+        # same INI text, different throttle-map contents
+        synthetic_throttle_map(pedal_points=9).to_csv(tmp_path / "thr.csv")
+        changed = load_scenario(write(tmp_path, text, "c.ini"))
+        assert changed.config.throttle_map != a.config.throttle_map
+        assert changed.config_hash != a.config_hash
+        synthetic_throttle_map().to_csv(tmp_path / "thr.csv")
+        assert load_scenario(write(tmp_path, text, "d.ini")).config_hash == a.config_hash
+
 
 class TestCsvFidelity:
     def test_roundtrip_exact(self, tmp_path):
@@ -154,6 +171,39 @@ class TestCliExitCodes:
         rc = cli.main(["run", "simulate", "--scenario", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["headway", "simulate", "stability",
+                                         "montecarlo", "oracle"])
+    @pytest.mark.parametrize("link", ["first", "second"])
+    def test_channel_without_transitions_exit_2(self, tmp_path, capsys, command, link):
+        # p_gb + q_bg = 0: the Gilbert chain never moves and has no reception rate
+        text = BASE.replace("scheme = cacc", "scheme = cacc_plus")
+        if link == "first":
+            text = text.replace("p_gb = 0.2\nq_bg = 0.1", "p_gb = 0.0\nq_bg = 0.0")
+            key = "p_gb +"
+        else:
+            text = text.replace("r_recv_bad = 0.2", "r_recv_bad = 0.2\n"
+                                "p_gb_2 = 0\nq_bg_2 = 0\nr_recv_bad_2 = 0.5")
+            key = "p_gb_2 +"
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_channel_probability_out_of_range_exit_2(self, tmp_path):
+        text = BASE.replace("p_gb = 0.2", "p_gb = 1.5")
+        rc = cli.main(["run", "headway", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_non_monotone_map_exit_2(self, tmp_path, capsys):
+        (tmp_path / "thr.csv").write_text("pedal,0,35\n0,0,0\n0.5,1,1\n1,0.5,0.5\n")
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
+                            f"throttle_map = {tmp_path / 'thr.csv'}")
+        rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "monotone" in capsys.readouterr().err
 
     def test_divergence_exit_3(self, tmp_path):
         path = write(tmp_path, DIVERGENT)

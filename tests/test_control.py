@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from platoon_lab.channel import LinkSample
-from platoon_lab.control import (Gains, Scheme, SpacingPolicy, acc_input, cacc_input,
-                                 cacc_plus_input, first_follower_input, min_headway_acc,
+from platoon_lab.control import (Gains, Scheme, SpacingPolicy, min_headway_acc,
                                  min_headway_cacc, min_headway_cacc_plus,
                                  min_headway_cacc_plus_mu)
 from platoon_lab.dynamics import VehicleState
+from reference_engine import acc_input, cacc_input, cacc_plus_input, first_follower_input
 
 
 GAINS = Gains(0.5, 1.0, 1.0)

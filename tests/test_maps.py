@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from platoon_lab.dynamics import VehicleState, step_lag
-from platoon_lab.maps import (EmpiricalVehicle, InversionError, MapFormatError,
-                              PedalMap, affine_maps, coast_accel, interp, invert,
-                              step_empirical, synthetic_brake_map,
+from platoon_lab.maps import (InversionError, MapFormatError, PedalMap, affine_maps,
+                              interp, invert, step_empirical, synthetic_brake_map,
                               synthetic_throttle_map)
 
 
@@ -29,7 +29,7 @@ class TestPedalMap:
         m = synthetic_throttle_map()
         path = tmp_path / "throttle.csv"
         m.to_csv(path)
-        back = PedalMap.from_csv(path)
+        back = PedalMap.from_csv_text(path.read_text(encoding="utf-8"))
         assert back.pedal == m.pedal
         assert back.velocity == m.velocity
         np.testing.assert_array_equal(back.grid(), m.grid())
@@ -39,6 +39,28 @@ class TestPedalMap:
             PedalMap.from_csv_text("speed,0,10\n0,1,1\n1,2,2\n")
         with pytest.raises(MapFormatError):
             PedalMap.from_csv_text("pedal,0,ten\n0,1,1\n1,2,2\n")
+
+    def test_csv_columns_must_be_monotone_in_one_direction(self):
+        ok = PedalMap.from_csv_text("pedal,0,10\n0,3,2\n1,-1,-2\n")  # falling, like a brake
+        assert ok.accel == ((3.0, 2.0), (-1.0, -2.0))
+        with pytest.raises(MapFormatError, match="monotone"):
+            PedalMap.from_csv_text("pedal,0,10\n0,0,0\n0.5,1,1\n1,0.5,0.5\n")
+        with pytest.raises(MapFormatError, match="monotone"):
+            PedalMap.from_csv_text("pedal,0,10\n0,0,0\n1,0,1\n")  # flat column
+        # each column strictly monotone, but one rises and one falls: the
+        # interpolated slice in between is flat and cannot be inverted
+        with pytest.raises(MapFormatError, match="same direction"):
+            PedalMap.from_csv_text("pedal,0,10\n0,0,1\n1,1,0\n")
+        m = PedalMap((0.0, 1.0), (0.0, 10.0), ((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(InversionError):
+            invert(m, 0.5, 5.0)
+
+    def test_arrays_are_read_only(self):
+        m = synthetic_throttle_map()
+        with pytest.raises(ValueError):
+            m.grid()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            m.axes()[0][0] = 1.0
 
 
 class TestInterp:
@@ -60,6 +82,17 @@ class TestInterp:
         assert interp(m, 1.5, 10.0) == interp(m, 1.0, 10.0)
         assert interp(m, -0.2, 10.0) == interp(m, 0.0, 10.0)
         assert interp(m, 0.5, 99.0) == interp(m, 0.5, 35.0)
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(9)
+        p, v = rng.uniform(-0.2, 1.2, 500), rng.uniform(-5.0, 40.0, 500)
+        for m in (synthetic_throttle_map(), synthetic_brake_map(), bilinear_exact_map()):
+            arr = interp(m, p, v)
+            assert arr.shape == (500,)
+            scalar = np.array([interp(m, a, b) for a, b in zip(p, v)])
+            oracle = np.array([ref.interp(m, a, b) for a, b in zip(p, v)])
+            np.testing.assert_array_equal(arr, scalar)
+            np.testing.assert_array_equal(arr, oracle)
 
     def test_continuity_across_cell_boundaries(self):
         m = synthetic_throttle_map()
@@ -100,45 +133,90 @@ class TestInvert:
         with pytest.raises(InversionError):
             invert(m, 0.7, 5.0)
 
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(10)
+        a, v = rng.uniform(-12.0, 6.0, 500), rng.uniform(-5.0, 40.0, 500)
+        for m in (synthetic_throttle_map(), synthetic_brake_map()):
+            arr = invert(m, a, v)
+            assert arr.shape == (500,)
+            scalar = np.array([invert(m, x, y) for x, y in zip(a, v)])
+            oracle = np.array([ref.invert(m, x, y) for x, y in zip(a, v)])
+            np.testing.assert_array_equal(arr, scalar)
+            np.testing.assert_array_equal(arr, oracle)
+
+    def test_array_non_monotone_slice_rejected(self):
+        m = PedalMap((0.0, 0.5, 1.0), (0.0, 10.0, 20.0),
+                     ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))
+        np.testing.assert_allclose(invert(m, np.array([0.5, 1.5]), np.array([2.0, 8.0])),
+                                   [0.25, 0.75])
+        with pytest.raises(InversionError, match="v=18"):
+            invert(m, np.array([0.5, 0.7, 0.2]), np.array([5.0, 18.0, 9.0]))
+
 
 class TestStepEmpirical:
+    """One step of a row of map vehicles: ``actuate`` then the exact lag."""
+
+    @staticmethod
+    def step(thr, brk, state, u, braking, tau=0.4, dt=0.01):
+        return step_empirical(thr, brk, state, np.asarray(u, dtype=float),
+                              np.asarray(braking), tau, dt)
+
     def test_rest_with_zero_command_holds_still(self):
         thr, brk = affine_maps()
-        veh = EmpiricalVehicle(thr, brk, 0.4, VehicleState(0.0, 0.0, 0.0))
-        out = step_empirical(veh, 0.0, 0.01)
-        assert out.state == VehicleState(0.0, 0.0, 0.0)
+        rest = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3))
+        out, _ = self.step(thr, brk, rest, np.zeros(3), np.zeros(3, dtype=bool))
+        for field in (out.x, out.v, out.a):
+            np.testing.assert_array_equal(field, 0.0)
 
     def test_affine_maps_reduce_to_pure_lag(self):
         thr, brk = affine_maps()
-        veh = EmpiricalVehicle(thr, brk, 0.4, VehicleState(0.0, 20.0, 0.0))
+        state = VehicleState(np.zeros(4), np.full(4, 20.0), np.zeros(4))
+        lag = state
+        braking = np.zeros(4, dtype=bool)
         rng = np.random.default_rng(8)
-        state = veh.state
         for _ in range(200):
-            u = float(rng.uniform(-3.8, 3.8))
-            veh = step_empirical(veh, u, 0.01)
-            state = step_lag(state, u, 0.4, 0.01)
-            assert veh.state.x == pytest.approx(state.x, abs=1e-12)
-            assert veh.state.v == pytest.approx(state.v, abs=1e-12)
-            assert veh.state.a == pytest.approx(state.a, abs=1e-12)
+            u = rng.uniform(-3.8, 3.8, 4)
+            state, braking = self.step(thr, brk, state, u, braking)
+            lag = step_lag(lag, u, 0.4, 0.01)
+            np.testing.assert_allclose(state.x, lag.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.v, lag.v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.a, lag.a, rtol=0, atol=1e-12)
 
     def test_branch_hysteresis(self):
         thr, brk = synthetic_throttle_map(), synthetic_brake_map()
-        veh = EmpiricalVehicle(thr, brk, 0.4, VehicleState(0.0, 20.0, 0.0))
-        coast = coast_accel(veh, 20.0)
-        braking = step_empirical(veh, coast - 0.2, 0.01)
-        assert braking.braking
-        still_braking = step_empirical(braking, coast, 0.01)  # inside the band
-        assert still_braking.braking
-        throttling = step_empirical(braking, coast + 0.2, 0.01)
-        assert not throttling.braking
+        coast = interp(thr, thr.pedal[0], 20.0)
+        state = VehicleState(np.zeros(5), np.full(5, 20.0), np.zeros(5))
+        # below the band brakes, above it throttles, inside it (at the coast
+        # line) each vehicle keeps its own previous branch
+        u = [coast - 0.2, coast, coast, coast + 0.2, coast + 0.2]
+        prev = [False, True, False, True, False]
+        _, braking = self.step(thr, brk, state, u, prev)
+        assert braking.tolist() == [True, True, False, False, False]
 
     def test_brake_command_decelerates(self):
         thr, brk = synthetic_throttle_map(), synthetic_brake_map()
-        veh = EmpiricalVehicle(thr, brk, 0.37, VehicleState(0.0, 25.0, 0.0))
+        state = VehicleState(np.zeros(1), np.full(1, 25.0), np.zeros(1))
+        braking = np.zeros(1, dtype=bool)
         for _ in range(300):
-            veh = step_empirical(veh, -9.0, 0.01)
-        assert veh.state.v < 25.0 - 9.0 * 3.0 * 0.8  # most of the commanded decel
-        assert veh.state.a == pytest.approx(-9.0, abs=0.5)
+            state, braking = self.step(thr, brk, state, [-9.0], braking, tau=0.37)
+        assert braking[0]
+        assert state.v[0] < 25.0 - 9.0 * 3.0 * 0.8  # most of the commanded decel
+        assert state.a[0] == pytest.approx(-9.0, abs=0.5)
+
+    def test_matches_scalar_reference_vehicle(self):
+        thr, brk = synthetic_throttle_map(), synthetic_brake_map()
+        rng = np.random.default_rng(11)
+        v = rng.uniform(0.0, 35.0, 6)
+        state = VehicleState(np.zeros(6), v, rng.normal(size=6))
+        braking = rng.integers(0, 2, 6).astype(bool)
+        u = rng.uniform(-9.0, 3.0, 6)
+        out, flags = self.step(thr, brk, state, u, braking)
+        for i in range(6):
+            veh = ref.EmpiricalVehicle(thr, brk, 0.4, VehicleState(0.0, v[i], state.a[i]),
+                                       bool(braking[i]))
+            one = ref.step_empirical(veh, u[i], 0.01)
+            assert one.braking == flags[i]
+            assert (one.state.x, one.state.v, one.state.a) == (out.x[i], out.v[i], out.a[i])
 
 
 class TestEmpiricalPlatoonVerdicts:

@@ -1,15 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import platoon_lab as pl
+import reference_engine as ref
 from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
-from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _Propagator,
-                             _augmented_matrix, build_system_matrix,
+from platoon_lab.scenario import load_scenario
+from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _link_tables,
+                             _offset_vector, _Propagator, _augmented_matrix,
+                             _weights_for, build_system_matrix,
                              empirical_string_stability, equilibrium_state,
-                             monte_carlo, simulate, simulate_deterministic)
+                             link_decomposition, monte_carlo, simulate,
+                             simulate_deterministic)
 
 CHANNEL = GilbertParams(0.2, 0.1, 0.2)
 BRAKE = Maneuver(((0.0, 0.0), (10.0, -9.0), (11.0, 0.0)), 25.0)
@@ -208,7 +214,6 @@ class TestEngineExactness:
         g = 0.467
         out = simulate_deterministic(cfg, man, g)
         a = build_system_matrix(cfg, np.full(2, g))
-        from platoon_lab.sim import _offset_vector
         c = _offset_vector(cfg, np.full(2, g))
         b = np.zeros(9)
         b[2] = 1.0 / cfg.tau
@@ -309,3 +314,80 @@ class TestLinkTableEquivalence:
                 state, s = channel_step(state, params)
                 seq.append(s.weight())
             assert table[li].tolist() == seq
+
+
+class TestLinkDecomposition:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_affine_split_reproduces_matrix_and_offset(self, scheme):
+        cfg = make_config(scheme, n_followers=4)
+        a0, da, c0, dc = link_decomposition(cfg)
+        assert da.shape == (cfg.n_links,) + a0.shape
+        assert dc.shape == (cfg.n_links,) + c0.shape
+        rng = np.random.default_rng(12)
+        for w in (rng.uniform(size=cfg.n_links), rng.integers(0, 2, cfg.n_links).astype(float)):
+            np.testing.assert_allclose(a0 + np.tensordot(w, da, axes=1),
+                                       build_system_matrix(cfg, w), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(c0 + w @ dc, _offset_vector(cfg, w), rtol=0, atol=1e-14)
+
+
+def _reference_table(cfg):
+    """The link-weight table that ``simulate`` feeds the engine for ``cfg``."""
+    if cfg.deterministic_gamma is None:
+        return _link_tables(cfg, cfg.grid.n_steps)
+    mu = cfg.mu if cfg.mu is not None else cfg.deterministic_gamma
+    w = _weights_for(cfg, cfg.deterministic_gamma, mu)
+    return np.broadcast_to(w.reshape(-1, 1), (cfg.n_links, cfg.grid.n_steps))
+
+
+def assert_matches_reference(cfg, maneuver):
+    """Array map engine against the scalar per-vehicle engine, within 1e-9 m."""
+    out = simulate(cfg, maneuver)
+    x, v, a, e = ref.run_reference(cfg, maneuver, _reference_table(cfg))
+    for got, want in ((out.x, x), (out.v, v), (out.a, a), (out.errors, e)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    return out, (x, v, a, e)
+
+
+class TestMapEngineMatchesReference:
+    """The map engine takes its law from the closed-loop matrix; the reference
+    engine writes it term by term, one vehicle at a time."""
+
+    @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
+    @pytest.mark.parametrize("panel", [0, 1, 2])
+    def test_suite_panels(self, preset, panel):
+        scen = load_scenario(preset)
+        cfg, p = scen.config, scen.suite[panel]
+        assert cfg.model == "empirical" and cfg.grid.horizon == 40.0
+        g = 1.0 if p.mode == "ideal" else pl.gamma_of(cfg.channel)
+        mu = 1.0 if p.mode == "ideal" else pl.gamma_of(cfg.second_params())
+        cfg = replace(cfg, policy=replace(cfg.policy, h_w=p.headway),
+                      deterministic_gamma=g, mu=mu)
+        assert_matches_reference(cfg, scen.maneuver)
+
+    @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
+    def test_stochastic_link_table(self, preset):
+        scen = load_scenario(preset, master_seed=31)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0), deterministic_gamma=None,
+                      policy=replace(scen.config.policy, h_w=scen.suite[1].headway))
+        table = _reference_table(cfg)
+        assert 0.0 < table.mean() < 1.0
+        assert_matches_reference(cfg, scen.maneuver)
+
+    def test_acc_platoon(self):
+        scen = load_scenario("paper-fig9")
+        cfg = replace(scen.config, scheme=Scheme.ACC, grid=TimeGrid(0.01, 20.0),
+                      policy=replace(scen.config.policy, h_w=1.0), deterministic_gamma=None)
+        assert_matches_reference(cfg, scen.maneuver)
+
+    def test_command_and_velocity_clamps(self):
+        scen = load_scenario("paper-fig9")
+        stop = Maneuver(((0.0, 0.0), (1.0, -9.0), (3.0, 0.0)), 6.0)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 8.0), deterministic_gamma=0.5,
+                      velocity_clamp=True, u_clamp=(-4.0, 2.0))
+        out, _ = assert_matches_reference(cfg, stop)
+        free = simulate(replace(cfg, velocity_clamp=False, u_clamp=None), stop)
+        # both clamps engage: without them speeds go negative and the
+        # followers command more than 4 m/s^2 of braking
+        assert free.v.min() < -1.0 and out.v.min() == 0.0
+        assert free.a[1:].min() < -5.0 and out.a[1:].min() >= -4.0 - 1e-9
+        assert out.a[0].min() < -8.0  # the lead's maneuver is not clamped
