@@ -1,6 +1,6 @@
 """Batch command-line front-end.
 
-    platoon-lab run <command> --scenario <path-or-preset> [--seed N] [--jobs N] [--out DIR]
+    platoon-lab run <command> --scenario <path-or-preset> [--seed N] [--out DIR]
 
 Commands: headway, simulate, montecarlo, stability, oracle.  Results land in
 the output directory (flag --out, else $PLATOON_LAB_OUT, else ./platoon-lab-out)
@@ -61,7 +61,7 @@ def _headway_table(scenario: Scenario) -> dict:
     return table
 
 
-def cmd_headway(scenario: Scenario, outdir: Path, jobs: int) -> output.RunReport:
+def cmd_headway(scenario: Scenario, outdir: Path) -> output.RunReport:
     verdicts = _headway_table(scenario)
     report = output.RunReport("headway", scenario.config_hash, verdicts)
     report.write(outdir / f"{scenario.output.prefix}-headway-report.json")
@@ -120,7 +120,7 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
     return verdicts
 
 
-def cmd_simulate(scenario: Scenario, outdir: Path, jobs: int) -> output.RunReport:
+def cmd_simulate(scenario: Scenario, outdir: Path) -> output.RunReport:
     report = output.RunReport("simulate", scenario.config_hash, {})
     if scenario.suite:
         report.verdicts = _run_suite(scenario, outdir, report)
@@ -139,9 +139,19 @@ def cmd_simulate(scenario: Scenario, outdir: Path, jobs: int) -> output.RunRepor
     return report
 
 
-def cmd_montecarlo(scenario: Scenario, outdir: Path, jobs: int) -> output.RunReport:
+def _link_reception(cfg, rates) -> list[dict]:
+    """Each link's realized reception rate next to the gamma_of it samples."""
+    n_f = cfg.n_followers
+    names = ([f"{i}<-{i - 1}" for i in range(1, n_f + 1)]
+             + [f"{i}<-{i - 2}" for i in range(2, n_f + 1)])
+    gammas = (gamma_of(cfg.channel), gamma_of(cfg.second_params()))
+    return [{"link": names[li], "reception_rate": float(rate),
+             "gamma_of": gammas[li >= n_f]} for li, rate in enumerate(rates)]
+
+
+def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     stats = monte_carlo(scenario.config, scenario.maneuver,
-                        scenario.analysis.n_realizations, jobs=jobs)
+                        scenario.analysis.n_realizations)
     last = -1
     peak_mean = float(stats.mean_trajectory_peaks[last])
     peak_det = float(stats.deterministic_peaks[last])
@@ -153,6 +163,7 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path, jobs: int) -> output.RunRep
         "relative_peak_gap": rel_gap,
         "mean_trajectory_peaks": [float(p) for p in stats.mean_trajectory_peaks],
         "deterministic_peaks": [float(p) for p in stats.deterministic_peaks],
+        "link_reception": _link_reception(scenario.config, stats.reception_rates),
     })
     prefix = scenario.output.prefix
     if scenario.output.csv:
@@ -180,7 +191,7 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path, jobs: int) -> output.RunRep
     return report
 
 
-def cmd_stability(scenario: Scenario, outdir: Path, jobs: int) -> output.RunReport:
+def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
     cfg = scenario.config
     gamma = scenario.gamma_for_analysis()
     verdicts = _headway_table(scenario)
@@ -217,7 +228,7 @@ def cmd_stability(scenario: Scenario, outdir: Path, jobs: int) -> output.RunRepo
     return report
 
 
-def cmd_oracle(scenario: Scenario, outdir: Path, jobs: int) -> output.RunReport:
+def cmd_oracle(scenario: Scenario, outdir: Path) -> output.RunReport:
     spec = expectation.from_platoon(scenario.config)
     rows = []
     for k in range(1, 7):
@@ -258,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"master seed (default {DEFAULT_SEED})")
     run.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for ensemble runs")
+                     help="accepted for compatibility; has no effect (ensembles "
+                     "run batched in one process)")
     run.add_argument("--out", default=None, help="output directory "
                      "(default $PLATOON_LAB_OUT or ./platoon-lab-out)")
     return parser
@@ -273,7 +285,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     outdir = _out_dir(args.out)
     try:
-        _COMMANDS[args.command](scenario, outdir, max(1, args.jobs))
+        _COMMANDS[args.command](scenario, outdir)
     except SimulationDivergedError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -6,16 +6,23 @@ CACC+ law is written once, as the closed-loop matrix A(w) of
 :func:`build_system_matrix` plus the standstill offset c(w); both are affine
 in the link weights w (:func:`link_decomposition`).  Two engines use them:
 
-* point mass: the closed loop is linear, so each controller step is
-  propagated by the exact zero-order-hold solution of the per-step constant
-  system (matrix exponential of an augmented matrix carrying the lead input
-  and the offset).  Propagators are memoized per link pattern; when the
-  pattern space is too large to cache, the same update is computed as a
-  machine-precision Taylor action on the state.
+* point mass: the closed loop is linear, so each controller step is the
+  exact zero-order-hold solution of the per-step constant system, the
+  exponential of an augmented matrix carrying the lead input and the offset.
+  One batched loop (:func:`_point_mass_states`) steps R realizations at once,
+  one link pattern per row: a single run is R = 1, a Monte Carlo ensemble
+  stacks its seeds' link tables.  The step is a memoized exponential per
+  link pattern when there are at most 2^12 patterns, and otherwise a
+  machine-precision Taylor action on the states; either way each row sees
+  the same matrix-vector products as a lone run, so batching changes no bit.
 * pedal maps: every vehicle's command is read off the acceleration rows of
   A(w) and c(w) (:func:`cacc_input`), and all vehicles advance together
   through the pedal maps and the exact lag update
-  (:func:`platoon_lab.maps.step_empirical`).
+  (:func:`platoon_lab.maps.step_empirical`), one realization at a time.
+
+Link tables come from :func:`_link_tables`, a scan over time of each Gilbert
+chain that consumes the same per-link random streams as
+:func:`platoon_lab.channel.channel_step`.
 """
 
 from __future__ import annotations
@@ -83,6 +90,13 @@ class PlatoonConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "empirical" and (self.throttle_map is None or self.brake_map is None):
             raise ValueError("empirical model needs throttle and brake maps")
+        if self.u_clamp is not None:
+            if self.model != "empirical":
+                raise ValueError("u_clamp_min / u_clamp_max need the empirical "
+                                 "(pedal-map) model")
+            if self.u_clamp[0] > self.u_clamp[1]:
+                raise ValueError(f"u_clamp_min {self.u_clamp[0]} exceeds "
+                                 f"u_clamp_max {self.u_clamp[1]}")
 
     @property
     def n_first_links(self) -> int:
@@ -132,6 +146,7 @@ class EnsembleStats:
     peaks: np.ndarray             # (n_realizations, n_followers)
     mean_trajectory_peaks: np.ndarray   # (n_followers,) peak of the mean
     deterministic_peaks: np.ndarray     # (n_followers,) gamma-system peaks
+    reception_rates: np.ndarray         # (n_links,) mean of each link's weights
     deterministic_output: SimOutput | None = None
 
 
@@ -221,14 +236,16 @@ def _augmented_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
 
 
 class _Propagator:
-    """Per-step exact ZOH update, memoized per link pattern when feasible.
+    """Exact ZOH update of R platoon states at once, one link pattern per row.
 
     The augmented matrix is affine in the link weights, so it is assembled by
     patching the weight-dependent entries of a cached base matrix.  When the
     pattern space is small (<= 2^_CACHE_LINK_LIMIT) the matrix exponentials
-    are memoized; otherwise each step applies the exponential to the state as
-    a Taylor action, which is exact to machine precision because the per-step
-    matrix norm is far below one.
+    are memoized; otherwise each step applies the exponential to the states
+    as a Taylor action, which is exact to machine precision because the
+    per-step matrix norm is far below one.  Every row goes through the same
+    matrix-vector products as a lone state would, so a row's result does not
+    depend on what else is in the batch.
     """
 
     def __init__(self, config: PlatoonConfig):
@@ -246,36 +263,47 @@ class _Propagator:
         self._link_of, self._idx = np.nonzero(delta)
         self._coef = delta[self._link_of, self._idx]
 
-    def _matrix_dt(self, link_values: np.ndarray) -> np.ndarray:
-        m = self._base.copy()
+    def _matrices_dt(self, link_values: np.ndarray) -> np.ndarray:
+        """(R, n+2, n+2) augmented matrices times dt for (R, n_links) weights."""
+        m = np.repeat(self._base[None], link_values.shape[0], axis=0)
         if self._idx.size:
-            m.ravel()[self._idx] += self._coef * link_values[self._link_of]
+            flat = m.reshape(m.shape[0], -1)
+            flat[:, self._idx] += self._coef * link_values[:, self._link_of]
         return m
 
     def step_matrix(self, link_values: np.ndarray) -> np.ndarray:
         key = link_values.tobytes()
         e = self.cache.get(key)
         if e is None:
-            e = expm(self._matrix_dt(link_values))
+            e = expm(self._matrices_dt(link_values[None])[0])
             self.cache[key] = e
         return e
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
+        """States (R, n) one step on, row r under the weights link_values[r]."""
         n = self.n
         if self.cacheable:
-            e = self.step_matrix(link_values)
-            return e[:n, :n] @ x + e[:n, n] * u_lead + e[:n, n + 1]
-        # Taylor action of the augmented exponential on [x; u; 1]
-        m = self._matrix_dt(link_values)
-        vec = np.concatenate([x, [u_lead, 1.0]])
-        acc = vec.copy()
-        term = vec.copy()
+            e = np.stack([self.step_matrix(w) for w in link_values])
+            return (np.matmul(e[:, :n, :n], x[:, :, None])[:, :, 0]
+                    + e[:, :n, n] * u_lead + e[:, :n, n + 1])
+        # Taylor action of the augmented exponentials on [x; u; 1]; a row
+        # stops taking terms at the first one below its tolerance
+        m = self._matrices_dt(link_values)
+        acc = np.empty((x.shape[0], n + 2))
+        acc[:, :n] = x
+        acc[:, n] = u_lead
+        acc[:, n + 1] = 1.0
+        term = acc.copy()
+        active = np.ones(x.shape[0], dtype=bool)
         for k in range(1, 40):
-            term = m @ term / k
-            acc += term
-            if np.max(np.abs(term)) <= 1e-16 * max(1.0, np.max(np.abs(acc))):
+            term = np.matmul(m, term[:, :, None])[:, :, 0] / k
+            np.add(acc, term, out=acc, where=active[:, None])
+            done = (np.abs(term).max(axis=1)
+                    <= 1e-16 * np.maximum(1.0, np.abs(acc).max(axis=1)))
+            active &= ~done
+            if not active.any():
                 break
-        return acc[:n]
+        return acc[:, :n]
 
 
 def equilibrium_state(config: PlatoonConfig, v0: float) -> np.ndarray:
@@ -291,9 +319,12 @@ def equilibrium_state(config: PlatoonConfig, v0: float) -> np.ndarray:
 def _link_tables(config: PlatoonConfig, n_steps: int) -> np.ndarray:
     """Pre-draw every link's reception sequence; rows follow link ordering.
 
-    Vectorized across links but drawing exactly the uniforms that
-    :func:`platoon_lab.channel.sample_table` (and hence ``channel_step``)
-    would consume per stream, so the two paths produce identical sequences.
+    Draws exactly the uniforms that :func:`platoon_lab.channel.sample_table`
+    (and hence ``channel_step``) would consume per stream, so the paths give
+    identical sequences.  Against p and q, each step's transition uniform
+    either keeps the mode, flips it, or sets it to Bad or to Good whatever it
+    was; the mode at step k is therefore the last set value (the initial mode
+    if none) XOR the parity of the flips since, which is a scan over time.
     """
     streams = link_streams(config.master_seed, config.n_links)
     second = config.second_params()
@@ -306,16 +337,21 @@ def _link_tables(config: PlatoonConfig, n_steps: int) -> np.ndarray:
         raise ValueError("p_gb + q_bg must be positive to simulate the channel")
     if config.init_mode is None:
         init = np.array([rng.random() for rng in streams])
-        bad = init < p / (p + q)
+        bad0 = init < p / (p + q)
     else:
-        bad = np.full(config.n_links, config.init_mode is ChannelMode.BAD)
+        bad0 = np.full(config.n_links, config.init_mode is ChannelMode.BAD)
     us = np.stack([rng.random((n_steps, 2)) for rng in streams])  # (L, T, 2)
-    out = np.empty((config.n_links, n_steps))
-    for k in range(n_steps):
-        u0 = us[:, k, 0]
-        bad = np.where(bad, u0 >= q, u0 < p)
-        out[:, k] = np.where(~bad, 1.0, (us[:, k, 1] < r).astype(float))
-    return out
+    to_bad = us[:, :, 0] < p[:, None]     # Good -> Bad
+    to_good = us[:, :, 0] < q[:, None]    # Bad -> Good
+    # column 0 holds the initial mode, column k the value set at step k
+    set_value = np.concatenate([bad0[:, None], to_bad], axis=1)
+    last_set = np.maximum.accumulate(
+        np.where(to_bad != to_good, np.arange(1, n_steps + 1), 0), axis=1)
+    parity = np.zeros_like(set_value)
+    parity[:, 1:] = np.logical_xor.accumulate(to_bad & to_good, axis=1)
+    rows = np.arange(config.n_links)[:, None]
+    bad = set_value[rows, last_set] ^ parity[rows, last_set] ^ parity[:, 1:]
+    return np.where(~bad, 1.0, (us[:, :, 1] < r[:, None]).astype(float))
 
 
 def _weights_for(config: PlatoonConfig, gamma: float, mu: float) -> np.ndarray:
@@ -325,48 +361,63 @@ def _weights_for(config: PlatoonConfig, gamma: float, mu: float) -> np.ndarray:
     return w
 
 
-def _run_linear(config: PlatoonConfig, maneuver: Maneuver,
-                weight_table: np.ndarray, seed: int) -> SimOutput:
+def _weight_table(config: PlatoonConfig) -> np.ndarray:
+    """(n_links, n_steps) link weights of one run: sampled, or gamma/mu."""
+    steps = config.grid.n_steps
+    if config.deterministic_gamma is None:
+        return _link_tables(config, steps)
+    mu = config.mu if config.mu is not None else config.deterministic_gamma
+    w = _weights_for(config, config.deterministic_gamma, mu)
+    return np.broadcast_to(w.reshape(-1, 1), (config.n_links, steps))
+
+
+def _point_mass_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray):
+    """Step R point-mass realizations together; yield their (R, n) states.
+
+    ``weights`` has shape (n_steps, R, n_links).  States are yielded for
+    steps 0..n_steps; the array is reused, so copy out what is kept.  Raises
+    :class:`SimulationDivergedError` at the first step where any row leaves
+    the divergence limit.
+    """
     grid = config.grid
-    steps = grid.n_steps
-    n_f = config.n_followers
-    n = 3 * (n_f + 1)
-    x = equilibrium_state(config, maneuver.initial_velocity)
+    v0 = maneuver.initial_velocity
+    x = np.tile(equilibrium_state(config, v0), (weights.shape[1], 1))
     prop = _Propagator(config)
-    xs = np.empty((n_f + 1, steps + 1))
-    vs = np.empty_like(xs)
-    accs = np.empty_like(xs)
-    errs = np.empty((n_f, steps + 1))
-    def record(k, vec):
-        xs[:, k] = vec[0::3]
-        vs[:, k] = vec[1::3]
-        accs[:, k] = vec[2::3]
-        errs[:, k] = (vec[3::3] - vec[0:-3:3] + config.policy.d
-                      + config.policy.h_w * vec[4::3])
-    record(0, x)
+    yield x
     t = 0.0
     at_equilibrium = True
-    v0 = maneuver.initial_velocity
-    for k in range(steps):
+    for k in range(grid.n_steps):
         u_lead = maneuver.accel_at(t)
         # in steady state every control input is zero for any link pattern, so
         # idle lead-in segments reduce to uniform translation at v0
         if at_equilibrium and u_lead == 0.0:
-            x = x.copy()
-            x[0::3] += v0 * grid.dt
-            record(k + 1, x)
-            t += grid.dt
-            continue
-        at_equilibrium = False
-        x = prop.advance(x, u_lead, weight_table[:, k])
-        if config.velocity_clamp:
-            x[1::3] = np.maximum(x[1::3], 0.0)
-        top = float(np.max(np.abs(x)))
-        if not np.isfinite(top) or top > _DIVERGENCE_LIMIT:
-            raise SimulationDivergedError(k, top)
-        record(k + 1, x)
+            x[:, 0::3] += v0 * grid.dt
+        else:
+            at_equilibrium = False
+            x = prop.advance(x, u_lead, weights[k])
+            if config.velocity_clamp:
+                x[:, 1::3] = np.maximum(x[:, 1::3], 0.0)
+            top = np.abs(x).max(axis=1)
+            over = ~np.isfinite(top) | (top > _DIVERGENCE_LIMIT)
+            if over.any():
+                raise SimulationDivergedError(k, float(top[over.argmax()]))
+        yield x
         t += grid.dt
-    return SimOutput(time=grid.times(), x=xs, v=vs, a=accs, errors=errs,
+
+
+def _spacing_errors(config: PlatoonConfig, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """e_i = x_i - x_{i-1} + d + h_w v_i along the vehicle axis (first)."""
+    return x[1:] - x[:-1] + config.policy.d + config.policy.h_w * v[1:]
+
+
+def _run_linear(config: PlatoonConfig, maneuver: Maneuver,
+                weight_table: np.ndarray, seed: int) -> SimOutput:
+    states = np.empty((config.grid.n_steps + 1, 3 * (config.n_followers + 1)))
+    for k, x in enumerate(_point_mass_states(config, maneuver, weight_table.T[:, None, :])):
+        states[k] = x[0]
+    xs, vs, accs = (np.ascontiguousarray(states[:, j::3].T) for j in range(3))
+    return SimOutput(time=config.grid.times(), x=xs, v=vs, a=accs,
+                     errors=_spacing_errors(config, xs, vs),
                      seed=seed, config_hash=config.config_hash(),
                      scenario_id=config.scenario_id)
 
@@ -397,7 +448,7 @@ def _run_empirical(config: PlatoonConfig, maneuver: Maneuver,
     grid = config.grid
     steps = grid.n_steps
     n_veh = config.n_followers + 1
-    policy, tau = config.policy, config.tau
+    tau = config.tau
     a0, da, c0, dc = link_decomposition(config)
     rows = slice(2, None, 3)
     k0 = tau * a0[rows]
@@ -426,31 +477,21 @@ def _run_empirical(config: PlatoonConfig, maneuver: Maneuver,
         if not np.isfinite(top) or top > _DIVERGENCE_LIMIT:
             raise SimulationDivergedError(k, top)
         t += grid.dt
-    errs = xs[1:] - xs[:-1] + policy.d + policy.h_w * vs[1:]
-    return SimOutput(time=grid.times(), x=xs, v=vs, a=accs, errors=errs,
+    return SimOutput(time=grid.times(), x=xs, v=vs, a=accs,
+                     errors=_spacing_errors(config, xs, vs),
                      seed=seed, config_hash=config.config_hash(),
                      scenario_id=config.scenario_id)
 
 
 def _dispatch(config: PlatoonConfig, maneuver: Maneuver,
               weight_table: np.ndarray, seed: int) -> SimOutput:
-    if config.model == "empirical":
-        return _run_empirical(config, maneuver, weight_table, seed)
-    if config.u_clamp is not None:
-        raise ValueError("u_clamp requires the empirical (pedal-map) engine")
-    return _run_linear(config, maneuver, weight_table, seed)
+    run = _run_empirical if config.model == "empirical" else _run_linear
+    return run(config, maneuver, weight_table, seed)
 
 
 def simulate(config: PlatoonConfig, maneuver: Maneuver) -> SimOutput:
     """One platoon run; samples the channels unless deterministic_gamma is set."""
-    steps = config.grid.n_steps
-    if config.deterministic_gamma is not None:
-        mu = config.mu if config.mu is not None else config.deterministic_gamma
-        w = _weights_for(config, config.deterministic_gamma, mu)
-        table = np.broadcast_to(w.reshape(-1, 1), (config.n_links, steps))
-        return _dispatch(config, maneuver, table, config.master_seed)
-    table = _link_tables(config, steps)
-    return _dispatch(config, maneuver, table, config.master_seed)
+    return _dispatch(config, maneuver, _weight_table(config), config.master_seed)
 
 
 def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
@@ -465,30 +506,34 @@ def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
     return simulate(cfg, maneuver)
 
 
-def monte_carlo(config: PlatoonConfig, maneuver: Maneuver, n_realizations: int,
-                jobs: int = 1) -> EnsembleStats:
+def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
+                n_realizations: int) -> EnsembleStats:
     """Seeded ensemble: realization i runs with master_seed + i.
 
-    The pointwise mean trajectory and per-realization peaks are accumulated in
-    index order, so results are independent of worker scheduling; the
+    Point-mass realizations are stepped together by one batched loop; each
+    row is bitwise the run :func:`simulate` gives for its seed, and the
+    pointwise mean is accumulated in realization order.  The
     gamma-deterministic companion run uses gamma from the channel parameters
     (and mu from the second-link parameters when they differ).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
+    steps = config.grid.n_steps
     seeds = [config.master_seed + i for i in range(n_realizations)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            outs = list(ex.map(_mc_worker, [(config, maneuver, s) for s in seeds],
-                               chunksize=max(1, n_realizations // (4 * jobs))))
+    weights = np.empty((steps, n_realizations, config.n_links))
+    for i, seed in enumerate(seeds):
+        weights[:, i] = _weight_table(replace(config, master_seed=seed)).T
+    errors = np.empty((n_realizations, config.n_followers, steps + 1))
+    if config.model == "empirical":
+        for i, seed in enumerate(seeds):
+            errors[i] = _run_empirical(replace(config, master_seed=seed), maneuver,
+                                       weights[:, i].T, seed).errors
     else:
-        outs = [_mc_worker((config, maneuver, s)) for s in seeds]
-    mean_err = np.zeros_like(outs[0].errors)
-    peaks = np.empty((n_realizations, config.n_followers))
-    for i, out in enumerate(outs):
-        mean_err += out.errors
-        peaks[i] = out.peak_errors()
+        for k, x in enumerate(_point_mass_states(config, maneuver, weights)):
+            errors[:, :, k] = _spacing_errors(config, x[:, 0::3].T, x[:, 1::3].T).T
+    mean_err = np.zeros(errors.shape[1:])
+    for e in errors:
+        mean_err += e
     mean_err /= n_realizations
     gamma = gamma_of(config.channel)
     mu = gamma_of(config.second_params())
@@ -496,16 +541,12 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver, n_realizations: int,
     return EnsembleStats(
         n_realizations=n_realizations,
         mean_errors=mean_err,
-        peaks=peaks,
+        peaks=np.abs(errors).max(axis=2),
         mean_trajectory_peaks=np.abs(mean_err).max(axis=1),
         deterministic_peaks=det.peak_errors(),
+        reception_rates=weights.mean(axis=(0, 1)),
         deterministic_output=det,
     )
-
-
-def _mc_worker(args) -> SimOutput:
-    config, maneuver, seed = args
-    return simulate(replace(config, master_seed=seed), maneuver)
 
 
 def empirical_string_stability(out: SimOutput, tol: float = 1e-6) -> tuple[bool, np.ndarray]:

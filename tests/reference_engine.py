@@ -1,4 +1,4 @@
-"""Scalar reference engine for the map-model platoon (test oracle).
+"""Scalar reference engines for both platoon models (test oracles).
 
 The program writes the ACC / CACC / CACC+ law once, as the closed-loop matrix
 of ``platoon_lab.sim.build_system_matrix``, and drives the map-model platoon
@@ -6,6 +6,11 @@ from it with array-valued map lookups and actuation.  This module keeps the
 law written out term by term, the map lookups in plain Python, and the
 per-vehicle actuator and loop that the array engine replaced, so that the
 array engine can be checked against an independent formulation.
+
+It also keeps the per-seed point-mass loop that the batched ensemble engine
+replaced: one state vector, one realization at a time, with the scalar form
+of the propagator's memoized and Taylor actions.  The batched engine must
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from platoon_lab.channel import LinkSample
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import VehicleState, step_lag
 from platoon_lab.maps import COAST_HYSTERESIS, InversionError, PedalMap
-from platoon_lab.sim import SimulationDivergedError
+from platoon_lab.channel import gamma_of
+from platoon_lab.sim import (SimulationDivergedError, _Propagator, _weight_table,
+                             equilibrium_state)
 
 
 def _bracket(axis: tuple[float, ...], q: float) -> tuple[int, float]:
@@ -199,3 +206,86 @@ def run_reference(config, maneuver, weight_table: np.ndarray):
             raise SimulationDivergedError(k, top)
         t += grid.dt
     return xs, vs, accs, errs
+
+
+def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
+            link_values: np.ndarray) -> np.ndarray:
+    """One state one step on: the scalar form of ``_Propagator.advance``."""
+    n = prop.n
+    if prop.cacheable:
+        e = prop.step_matrix(link_values)
+        return e[:n, :n] @ x + e[:n, n] * u_lead + e[:n, n + 1]
+    # Taylor action of the augmented exponential on [x; u; 1]
+    m = prop._matrices_dt(link_values[None])[0]
+    vec = np.concatenate([x, [u_lead, 1.0]])
+    acc = vec.copy()
+    term = vec.copy()
+    for k in range(1, 40):
+        term = m @ term / k
+        acc += term
+        if np.max(np.abs(term)) <= 1e-16 * max(1.0, np.max(np.abs(acc))):
+            break
+    return acc[:n]
+
+
+def run_linear(config, maneuver, weight_table: np.ndarray):
+    """Per-seed point-mass loop over one state vector; returns (x, v, a, errors)."""
+    grid = config.grid
+    steps = grid.n_steps
+    n_f = config.n_followers
+    x = equilibrium_state(config, maneuver.initial_velocity)
+    prop = _Propagator(config)
+    xs = np.empty((n_f + 1, steps + 1))
+    vs = np.empty_like(xs)
+    accs = np.empty_like(xs)
+    errs = np.empty((n_f, steps + 1))
+
+    def record(k, vec):
+        xs[:, k] = vec[0::3]
+        vs[:, k] = vec[1::3]
+        accs[:, k] = vec[2::3]
+        errs[:, k] = (vec[3::3] - vec[0:-3:3] + config.policy.d
+                      + config.policy.h_w * vec[4::3])
+
+    record(0, x)
+    t = 0.0
+    at_equilibrium = True
+    v0 = maneuver.initial_velocity
+    for k in range(steps):
+        u_lead = maneuver.accel_at(t)
+        if at_equilibrium and u_lead == 0.0:
+            x = x.copy()
+            x[0::3] += v0 * grid.dt
+            record(k + 1, x)
+            t += grid.dt
+            continue
+        at_equilibrium = False
+        x = advance(prop, x, u_lead, weight_table[:, k])
+        if config.velocity_clamp:
+            x[1::3] = np.maximum(x[1::3], 0.0)
+        top = float(np.max(np.abs(x)))
+        if not np.isfinite(top) or top > 1e6:
+            raise SimulationDivergedError(k, top)
+        record(k + 1, x)
+        t += grid.dt
+    return xs, vs, accs, errs
+
+
+def monte_carlo(config, maneuver, n_realizations: int):
+    """Point-mass ensemble one seed at a time, reduced in seed order.
+
+    Returns (mean_errors, peaks, mean_trajectory_peaks, deterministic_peaks)
+    as ``platoon_lab.sim.monte_carlo`` defines them.
+    """
+    mean_err = np.zeros((config.n_followers, config.grid.n_steps + 1))
+    peaks = np.empty((n_realizations, config.n_followers))
+    for i in range(n_realizations):
+        cfg = replace(config, master_seed=config.master_seed + i)
+        errs = run_linear(cfg, maneuver, _weight_table(cfg))[3]
+        mean_err += errs
+        peaks[i] = np.abs(errs).max(axis=1)
+    mean_err /= n_realizations
+    det_cfg = replace(config, deterministic_gamma=gamma_of(config.channel),
+                      mu=gamma_of(config.second_params()))
+    det = run_linear(det_cfg, maneuver, _weight_table(det_cfg))[3]
+    return mean_err, peaks, np.abs(mean_err).max(axis=1), np.abs(det).max(axis=1)

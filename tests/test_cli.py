@@ -210,6 +210,30 @@ class TestCliExitCodes:
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_montecarlo_divergence_exit_3(self, tmp_path):
+        text = DIVERGENT.replace("deterministic_gamma = 0.0", "n_realizations = 3") + (
+            "\n[channel]\np_gb = 0.2\nq_bg = 0.1\nr_recv_bad = 0.2\n")
+        rc = cli.main(["run", "montecarlo", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_u_clamp_on_point_mass_exit_2(self, tmp_path, capsys, command):
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nu_clamp_min = -2\nu_clamp_max = 1")
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "empirical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_u_clamp_min_above_max_exit_2(self, tmp_path, capsys, command):
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
+                            "u_clamp_min = 2\nu_clamp_max = -2")
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "exceeds" in capsys.readouterr().err
+
     def test_analysis_error_exit_4(self, tmp_path):
         path = write(tmp_path, DIVERGENT)
         rc = cli.main(["run", "stability", "--scenario", path, "--out", str(tmp_path / "o")])
@@ -256,6 +280,20 @@ class TestCliCommands:
         report = json.loads((tmp_path / "o" / "base-montecarlo-report.json").read_text())
         assert report["verdicts"]["n_realizations"] == 5
         assert (tmp_path / "o" / "base-ensemble.csv").exists()
+
+    def test_montecarlo_report_has_link_reception(self, tmp_path):
+        text = BASE.replace("scheme = cacc", "scheme = cacc_plus").replace(
+            "horizon = 20.0", "horizon = 5.0\nn_realizations = 3")
+        rc = cli.main(["run", "montecarlo", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "base-montecarlo-report.json").read_text())
+        links = report["verdicts"]["link_reception"]
+        assert [entry["link"] for entry in links] == ["1<-0", "2<-1", "3<-2", "2<-0", "3<-1"]
+        for entry in links:
+            assert set(entry) == {"link", "reception_rate", "gamma_of"}
+            assert 0.0 <= entry["reception_rate"] <= 1.0
+            assert entry["gamma_of"] == pytest.approx(0.4667, abs=1e-4)
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write(tmp_path, BASE)

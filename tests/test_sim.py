@@ -6,13 +6,13 @@ from scipy.linalg import expm
 
 import platoon_lab as pl
 import reference_engine as ref
-from platoon_lab.channel import GilbertParams
+from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _link_tables,
                              _offset_vector, _Propagator, _augmented_matrix,
-                             _weights_for, build_system_matrix,
+                             _weight_table, build_system_matrix,
                              empirical_string_stability, equilibrium_state,
                              link_decomposition, monte_carlo, simulate,
                              simulate_deterministic)
@@ -92,6 +92,16 @@ class TestBuildSystemMatrix:
 
 
 class TestConfigValidation:
+    def test_u_clamp_needs_map_model(self):
+        with pytest.raises(ValueError, match="empirical"):
+            make_config(u_clamp=(-2.0, 1.0))
+
+    def test_u_clamp_bounds_ordered(self):
+        scen = load_scenario("paper-fig9")
+        with pytest.raises(ValueError, match="exceeds"):
+            replace(scen.config, u_clamp=(2.0, -2.0))
+        replace(scen.config, u_clamp=(1.0, 1.0))
+
     def test_cacc_plus_needs_two_followers(self):
         with pytest.raises(ValueError, match="two-predecessor"):
             make_config(Scheme.CACC_PLUS, n_followers=1)
@@ -186,16 +196,22 @@ class TestEngineExactness:
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=1.0)
         prop = _Propagator(cfg)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=12)
-        for w in (np.ones(5), np.zeros(5), rng.integers(0, 2, 5).astype(float)):
-            e = expm(_augmented_matrix(cfg, w) * cfg.grid.dt)
-            direct = e[:12, :12] @ x + e[:12, 12] * -3.0 + e[:12, 13]
-            cached = prop.advance(x, -3.0, w)
-            np.testing.assert_allclose(cached, direct, atol=1e-12)
-            prop.cacheable = False
-            taylor = prop.advance(x, -3.0, w)
-            prop.cacheable = True
-            np.testing.assert_allclose(taylor, direct, atol=1e-12)
+        x = rng.normal(size=(3, 12))
+        w = np.stack([np.ones(5), np.zeros(5), rng.integers(0, 2, 5).astype(float)])
+        direct = np.empty_like(x)
+        for r in range(3):
+            e = expm(_augmented_matrix(cfg, w[r]) * cfg.grid.dt)
+            direct[r] = e[:12, :12] @ x[r] + e[:12, 12] * -3.0 + e[:12, 13]
+        cached = prop.advance(x, -3.0, w)
+        np.testing.assert_allclose(cached, direct, atol=1e-12)
+        prop.cacheable = False
+        taylor = prop.advance(x, -3.0, w)
+        np.testing.assert_allclose(taylor, direct, atol=1e-12)
+        # a row's update does not depend on the other rows of the batch
+        for r in range(3):
+            np.testing.assert_array_equal(prop.advance(x[r:r + 1], -3.0, w[r:r + 1])[0],
+                                          taylor[r])
+            np.testing.assert_array_equal(ref.advance(prop, x[r], -3.0, w[r]), taylor[r])
 
     def test_cached_equals_fresh_propagator(self):
         cfg = make_config(Scheme.CACC, n_followers=2, horizon=1.0)
@@ -268,12 +284,87 @@ class TestMonteCarlo:
             gaps[n] = np.abs(stats.mean_errors - det.errors).max()
         assert gaps[80] < gaps[10]
 
-    def test_parallel_jobs_reduce_identically(self):
-        cfg = make_config(Scheme.CACC, n_followers=2, horizon=10.0, seed=3)
-        seq = monte_carlo(cfg, BRAKE, 6, jobs=1)
-        par = monte_carlo(cfg, BRAKE, 6, jobs=2)
-        np.testing.assert_array_equal(seq.mean_errors, par.mean_errors)
-        np.testing.assert_array_equal(seq.peaks, par.peaks)
+    def test_map_model_ensemble_matches_per_seed_runs(self):
+        scen = load_scenario("paper-fig9", master_seed=17)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 4.0), deterministic_gamma=None)
+        maneuver = Maneuver(((0.0, 0.0), (1.0, -6.0), (2.0, 0.0)), 20.0)
+        stats = monte_carlo(cfg, maneuver, 3)
+        runs = [simulate(replace(cfg, master_seed=17 + i), maneuver).errors for i in range(3)]
+        np.testing.assert_array_equal(stats.mean_errors, (runs[0] + runs[1] + runs[2]) / 3)
+        np.testing.assert_array_equal(stats.peaks, np.abs(runs).max(axis=2))
+
+    def test_reception_rates_are_table_means(self):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=5.0, seed=9)
+        stats = monte_carlo(cfg, BRAKE, 4)
+        tables = [_link_tables(replace(cfg, master_seed=9 + i), 500) for i in range(4)]
+        np.testing.assert_allclose(stats.reception_rates, np.mean(tables, axis=(0, 2)),
+                                   rtol=0, atol=1e-15)
+
+
+def assert_ensemble_matches_reference(cfg, maneuver, n_realizations):
+    """Batched ensemble against the per-seed loop, bit for bit."""
+    stats = monte_carlo(cfg, maneuver, n_realizations)
+    mean, peaks, mean_peaks, det_peaks = ref.monte_carlo(cfg, maneuver, n_realizations)
+    np.testing.assert_array_equal(stats.mean_errors, mean)
+    np.testing.assert_array_equal(stats.peaks, peaks)
+    np.testing.assert_array_equal(stats.mean_trajectory_peaks, mean_peaks)
+    np.testing.assert_array_equal(stats.deterministic_peaks, det_peaks)
+    return stats
+
+
+class TestBatchedEnsembleMatchesReference:
+    """monte_carlo steps every realization in one loop; the reference engine
+    runs them one seed at a time with the scalar propagator actions."""
+
+    @pytest.mark.parametrize("n_followers", [3, 7])
+    @pytest.mark.parametrize("gamma", [None, 0.467])
+    def test_single_run_matches_reference(self, n_followers, gamma):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=n_followers, horizon=12.0,
+                          seed=2, deterministic_gamma=gamma)
+        out = simulate(cfg, BRAKE)
+        for got, want in zip((out.x, out.v, out.a, out.errors),
+                             ref.run_linear(cfg, BRAKE, _weight_table(cfg))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_taylor_path(self):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=12.0, seed=21)
+        assert not _Propagator(cfg).cacheable
+        assert_ensemble_matches_reference(cfg, BRAKE, 5)
+
+    @pytest.mark.parametrize("n_followers", [2, 6])
+    def test_memo_path(self, n_followers):
+        cfg = make_config(Scheme.CACC, n_followers=n_followers, horizon=14.0, seed=4)
+        assert _Propagator(cfg).cacheable
+        assert_ensemble_matches_reference(cfg, BRAKE, 6)
+
+    def test_velocity_clamp(self):
+        stop = Maneuver(((0.0, 0.0), (1.0, -9.0), (4.0, 0.0)), 20.0)
+        cfg = make_config(Scheme.CACC, n_followers=3, horizon=8.0, seed=8,
+                          velocity_clamp=True)
+        stats = assert_ensemble_matches_reference(cfg, stop, 5)
+        free = monte_carlo(replace(cfg, velocity_clamp=False), stop, 5)
+        assert not np.array_equal(stats.mean_errors, free.mean_errors)
+
+    @pytest.mark.parametrize("mode", [ChannelMode.GOOD, ChannelMode.BAD])
+    def test_forced_init_mode(self, mode):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=10.0, seed=13,
+                          init_mode=mode)
+        assert_ensemble_matches_reference(cfg, BRAKE, 4)
+
+    def test_divergence_raises_at_earliest_step(self):
+        # negative effective damping; the radio term moves the blow-up by seed
+        cfg = make_config(Scheme.CACC, n_followers=2, tau=2.0,
+                          gains=Gains(3.0, 0.01, 5.0), h_w=0.01, horizon=120.0)
+        steps = []
+        for i in range(4):
+            c = replace(cfg, master_seed=cfg.master_seed + i)
+            with pytest.raises(SimulationDivergedError) as exc:
+                ref.run_linear(c, BRAKE, _link_tables(c, c.grid.n_steps))
+            steps.append(exc.value.step)
+        assert len(set(steps)) > 1 and steps[0] != min(steps)
+        with pytest.raises(SimulationDivergedError) as exc:
+            monte_carlo(cfg, BRAKE, 4)
+        assert exc.value.step == min(steps)
 
 
 class TestEmpiricalStringStability:
@@ -299,21 +390,52 @@ class TestEmpiricalStringStability:
             empirical_string_stability(out)
 
 
+def stepped_tables(cfg, n_steps):
+    """Every link's reception sequence from the scalar ``channel_step`` loop."""
+    from platoon_lab.channel import ChannelState, channel_step, link_streams
+    rows = []
+    for li, rng in enumerate(link_streams(cfg.master_seed, cfg.n_links)):
+        params = cfg.channel if li < cfg.n_followers else cfg.second_params()
+        if cfg.init_mode is None:
+            state = ChannelState.stationary(params, rng)
+        else:
+            state = ChannelState.in_mode(cfg.init_mode, rng)
+        seq = []
+        for _ in range(n_steps):
+            state, s = channel_step(state, params)
+            seq.append(s.weight())
+        rows.append(seq)
+    return np.array(rows)
+
+
 class TestLinkTableEquivalence:
     def test_vectorized_tables_match_channel_step(self):
-        from platoon_lab.channel import ChannelState, channel_step, link_streams
-        from platoon_lab.sim import _link_tables
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=3.0, seed=42)
         table = _link_tables(cfg, 300)
-        streams = link_streams(42, cfg.n_links)
-        for li, rng in enumerate(streams):
-            params = cfg.channel if li < cfg.n_followers else cfg.second_params()
-            state = ChannelState.stationary(params, rng)
-            seq = []
-            for _ in range(300):
-                state, s = channel_step(state, params)
-                seq.append(s.weight())
-            assert table[li].tolist() == seq
+        np.testing.assert_array_equal(table, stepped_tables(cfg, 300))
+
+    @pytest.mark.parametrize("params, init_mode", [
+        (GilbertParams(0.2, 0.1, 0.2), ChannelMode.GOOD),
+        (GilbertParams(0.2, 0.1, 0.2), ChannelMode.BAD),
+        (GilbertParams(1.0, 0.0, 0.35), None),              # i.i.d. losses
+        (GilbertParams(1.0, 0.0, 0.35), ChannelMode.GOOD),
+        (GilbertParams(0.0, 0.4, 0.3), ChannelMode.BAD),    # Bad never re-entered
+        (GilbertParams(0.3, 1.0, 0.5), None),               # Bad lasts one step
+        (GilbertParams(0.25, 0.15, 0.0), None),             # nothing arrives in Bad
+        (GilbertParams(0.25, 0.15, 1.0), ChannelMode.BAD),  # everything arrives
+        (GilbertParams(0.1, 0.6, 0.4), None),               # p < q
+        (GilbertParams(0.6, 0.1, 0.4), None),               # p > q
+        (GilbertParams(0.1, 0.6, 0.4), ChannelMode.BAD),
+        (GilbertParams(0.6, 0.1, 0.4), ChannelMode.GOOD),
+    ])
+    def test_scan_matches_channel_step(self, params, init_mode):
+        second = GilbertParams(0.35, 0.05, 0.5)
+        for seed in (3, 77):
+            cfg = make_config(Scheme.CACC_PLUS, n_followers=3, seed=seed, channel=params,
+                              channel_second=second, init_mode=init_mode)
+            table = _link_tables(cfg, 400)
+            assert table.shape == (cfg.n_links, 400)
+            np.testing.assert_array_equal(table, stepped_tables(cfg, 400))
 
 
 class TestLinkDecomposition:
@@ -330,19 +452,10 @@ class TestLinkDecomposition:
             np.testing.assert_allclose(c0 + w @ dc, _offset_vector(cfg, w), rtol=0, atol=1e-14)
 
 
-def _reference_table(cfg):
-    """The link-weight table that ``simulate`` feeds the engine for ``cfg``."""
-    if cfg.deterministic_gamma is None:
-        return _link_tables(cfg, cfg.grid.n_steps)
-    mu = cfg.mu if cfg.mu is not None else cfg.deterministic_gamma
-    w = _weights_for(cfg, cfg.deterministic_gamma, mu)
-    return np.broadcast_to(w.reshape(-1, 1), (cfg.n_links, cfg.grid.n_steps))
-
-
 def assert_matches_reference(cfg, maneuver):
     """Array map engine against the scalar per-vehicle engine, within 1e-9 m."""
     out = simulate(cfg, maneuver)
-    x, v, a, e = ref.run_reference(cfg, maneuver, _reference_table(cfg))
+    x, v, a, e = ref.run_reference(cfg, maneuver, _weight_table(cfg))
     for got, want in ((out.x, x), (out.v, v), (out.a, a), (out.errors, e)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     return out, (x, v, a, e)
@@ -369,7 +482,7 @@ class TestMapEngineMatchesReference:
         scen = load_scenario(preset, master_seed=31)
         cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0), deterministic_gamma=None,
                       policy=replace(scen.config.policy, h_w=scen.suite[1].headway))
-        table = _reference_table(cfg)
+        table = _weight_table(cfg)
         assert 0.0 < table.mean() < 1.0
         assert_matches_reference(cfg, scen.maneuver)
 
