@@ -8,6 +8,13 @@ controller period.  In Good every packet arrives; in Bad only a fraction
 
 The i.i.d. loss model is the special case of a chain stuck in Bad
 (p_gb=1, q_bg=0), where gamma = r_recv_bad.
+
+:func:`sample_links` is the one sampler.  Link ``l`` draws from its own
+stream (:func:`link_streams`) in a fixed layout: one uniform for a
+stationary initial mode (none when the mode is forced), then two per step,
+a transition uniform against p_gb or q_bg and a reception uniform against
+r_recv_bad, the latter drawn even in Good so the layout never depends on
+the outcomes.
 """
 
 from __future__ import annotations
@@ -36,98 +43,14 @@ class GilbertParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-
-    def stationary_bad_fraction(self) -> float:
         if self.p_gb + self.q_bg == 0.0:
-            raise ValueError("p_gb + q_bg must be positive")
-        return self.p_gb / (self.p_gb + self.q_bg)
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    """Outcome of one packet transmission attempt."""
-
-    received: bool
-
-    def weight(self) -> float:
-        return 1.0 if self.received else 0.0
-
-
-class ChannelState:
-    """Mutable per-link channel: current mode plus a private random stream.
-
-    Single-owner: step one link from one thread only.  Distinct links must be
-    created with independent streams (see :func:`link_streams`).
-    """
-
-    def __init__(self, mode: ChannelMode, rng: np.random.Generator):
-        self.mode = mode
-        self.rng = rng
-
-    @classmethod
-    def stationary(cls, params: GilbertParams, rng: np.random.Generator) -> "ChannelState":
-        """Draw the initial mode from the chain's stationary distribution.
-
-        Consumes one uniform so the stream stays aligned with the per-step
-        draws regardless of the outcome.
-        """
-        bad = rng.random() < params.stationary_bad_fraction()
-        return cls(ChannelMode.BAD if bad else ChannelMode.GOOD, rng)
-
-    @classmethod
-    def in_mode(cls, mode: ChannelMode, rng: np.random.Generator) -> "ChannelState":
-        return cls(mode, rng)
+            raise ValueError("p_gb + q_bg must be positive: a chain with no "
+                             "transitions has no reception rate")
 
 
 def gamma_of(params: GilbertParams) -> float:
     """Average packet reception rate of the Gilbert channel."""
-    if params.p_gb + params.q_bg == 0.0:
-        raise ValueError("reception rate undefined: p_gb + q_bg = 0")
     return 1.0 - params.p_gb * (1.0 - params.r_recv_bad) / (params.p_gb + params.q_bg)
-
-
-def channel_step(state: ChannelState, params: GilbertParams) -> tuple[ChannelState, LinkSample]:
-    """Advance the chain one step, then sample the reception outcome.
-
-    Always consumes exactly two uniforms (transition, reception) so that
-    pre-drawn vectorized streams stay aligned with step-by-step use; the
-    reception draw is ignored while in Good.
-    """
-    u_trans = state.rng.random()
-    if state.mode is ChannelMode.GOOD:
-        if u_trans < params.p_gb:
-            state.mode = ChannelMode.BAD
-    else:
-        if u_trans < params.q_bg:
-            state.mode = ChannelMode.GOOD
-    u_recv = state.rng.random()
-    if state.mode is ChannelMode.GOOD:
-        received = True
-    else:
-        received = u_recv < params.r_recv_bad
-    return state, LinkSample(received)
-
-
-def estimate_gamma(samples, window: int) -> float:
-    """Trailing-window mean of reception flags, as a receiver would measure."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    seq = list(samples)
-    if len(seq) < window:
-        raise ValueError(f"need at least {window} samples, got {len(seq)}")
-    tail = seq[-window:]
-    return sum(1.0 if s.received else 0.0 for s in tail) / window
-
-
-def platoon_gamma(link_estimates) -> float:
-    """Platoon-level reception rate: the worst individual link."""
-    vals = list(link_estimates)
-    if not vals:
-        raise ValueError("no link estimates")
-    for g in vals:
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"estimate {g} outside [0, 1]")
-    return min(vals)
 
 
 def link_streams(master_seed: int, n_links: int) -> list[np.random.Generator]:
@@ -142,26 +65,35 @@ def link_streams(master_seed: int, n_links: int) -> list[np.random.Generator]:
     ]
 
 
-def sample_table(params: GilbertParams, rng: np.random.Generator, n_steps: int,
-                 start_mode: ChannelMode | None = None) -> np.ndarray:
-    """Pre-draw a whole reception sequence for one link (floats in {0, 1}).
+def sample_links(params: list[GilbertParams], streams: list[np.random.Generator],
+                 n_steps: int, init_mode: ChannelMode | None = None) -> np.ndarray:
+    """(n_links, n_steps) reception weights in {0, 1}; link l uses streams[l].
 
-    Equivalent to ``channel_step`` applied ``n_steps`` times after stationary
-    (or forced-mode) initialization: same stream consumption, same outcomes.
+    The initial mode is drawn from the chain's stationary distribution, Bad
+    with probability p_gb / (p_gb + q_bg), unless ``init_mode`` forces it.
+    Against p and q, each step's transition uniform either keeps the mode,
+    flips it, or sets it to Bad or to Good whatever it was; the mode at step
+    k is therefore the last set value (the initial mode if none) XOR the
+    parity of the flips since, which is a scan over time.
     """
-    if start_mode is None:
-        bad = rng.random() < params.stationary_bad_fraction()
+    n_links = len(params)
+    p = np.array([c.p_gb for c in params])
+    q = np.array([c.q_bg for c in params])
+    r = np.array([c.r_recv_bad for c in params])
+    if init_mode is None:
+        init = np.array([rng.random() for rng in streams])
+        bad0 = init < p / (p + q)
     else:
-        bad = start_mode is ChannelMode.BAD
-    us = rng.random((n_steps, 2))
-    out = np.empty(n_steps)
-    p, q, r = params.p_gb, params.q_bg, params.r_recv_bad
-    for k in range(n_steps):
-        if bad:
-            if us[k, 0] < q:
-                bad = False
-        else:
-            if us[k, 0] < p:
-                bad = True
-        out[k] = 1.0 if not bad else (1.0 if us[k, 1] < r else 0.0)
-    return out
+        bad0 = np.full(n_links, init_mode is ChannelMode.BAD)
+    us = np.stack([rng.random((n_steps, 2)) for rng in streams])  # (L, T, 2)
+    to_bad = us[:, :, 0] < p[:, None]     # Good -> Bad
+    to_good = us[:, :, 0] < q[:, None]    # Bad -> Good
+    # column 0 holds the initial mode, column k the value set at step k
+    set_value = np.concatenate([bad0[:, None], to_bad], axis=1)
+    last_set = np.maximum.accumulate(
+        np.where(to_bad != to_good, np.arange(1, n_steps + 1), 0), axis=1)
+    parity = np.zeros_like(set_value)
+    parity[:, 1:] = np.logical_xor.accumulate(to_bad & to_good, axis=1)
+    rows = np.arange(n_links)[:, None]
+    bad = set_value[rows, last_set] ^ parity[rows, last_set] ^ parity[:, 1:]
+    return np.where(~bad, 1.0, (us[:, :, 1] < r[:, None]).astype(float))

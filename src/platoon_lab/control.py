@@ -49,10 +49,6 @@ class Scheme(Enum):
     CACC = "cacc"
     CACC_PLUS = "cacc_plus"
 
-    @property
-    def n_lookback(self) -> int:
-        return {Scheme.ACC: 1, Scheme.CACC: 1, Scheme.CACC_PLUS: 2}[self]
-
 
 def min_headway_acc(tau: float) -> float:
     """Smallest string-stable headway without communication: twice the lag."""

@@ -84,8 +84,10 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -121,19 +123,3 @@ def step_lag(state: VehicleState, u, tau: float, dt: float) -> VehicleState:
     x_new = state.x + state.v * dt + 0.5 * u * dt * dt + da * tau * (dt - tau * rem)
     return VehicleState(x_new, v_new, a_new)
 
-
-def lead_trajectory(m: Maneuver, grid: TimeGrid, tau: float) -> list[VehicleState]:
-    """Integrate the lead vehicle's own lag dynamics under the maneuver.
-
-    The maneuver command is not clamped; target speeds are encoded by segment
-    duration (the lag smears the transition but preserves the velocity change).
-    Returns states at every grid point including t=0.
-    """
-    state = VehicleState(0.0, m.initial_velocity, 0.0)
-    out = [state]
-    t = 0.0
-    for _ in range(grid.n_steps):
-        state = step_lag(state, m.accel_at(t), tau, grid.dt)
-        out.append(state)
-        t += grid.dt
-    return out

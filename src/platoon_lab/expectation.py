@@ -1,4 +1,4 @@
-"""Exact expectations of powers (and exponentials) of random platoon matrices.
+"""Exact expectations of powers of random platoon matrices.
 
 The closed-loop system matrix is affine in the per-link packet indicators.
 For one-predecessor platoons every entry of every power is multilinear in the
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
 
 from .sim import PlatoonConfig, link_decomposition
 
@@ -105,30 +104,6 @@ def check_multilinearity(spec: RandomMatrixSpec, k: int) -> tuple[bool, float]:
     mean_pow = np.linalg.matrix_power(spec.mean_matrix(), k)
     gap = float(np.linalg.norm(exact - mean_pow))
     return gap < 1e-10, gap
-
-
-def exact_expected_exponential(spec: RandomMatrixSpec, dt: float) -> np.ndarray:
-    """E[exp(A dt)] by exact enumeration (the oracle for the Monte Carlo op)."""
-    _check_enum_size(spec)
-    total = np.zeros_like(spec.base)
-    for pr, assignment in _assignments(spec):
-        total += pr * expm(spec.realize(assignment) * dt)
-    return total
-
-
-def monte_carlo_expected_exponential(spec: RandomMatrixSpec, dt: float, n: int,
-                                     seed: int = 0) -> np.ndarray:
-    """Sample mean of exp(A dt) over n independent indicator draws."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    names = spec.names
-    ps = np.array([spec.probs[m] for m in names])
-    total = np.zeros_like(spec.base)
-    for _ in range(n):
-        bits = (rng.random(len(names)) < ps).astype(float)
-        total += expm(spec.realize(dict(zip(names, bits))) * dt)
-    return total / n
 
 
 def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:

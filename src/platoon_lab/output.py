@@ -52,33 +52,19 @@ class RunReport:
 
 def write_timeseries_csv(out: SimOutput, path) -> str:
     """Columns: t, then x/v/a per vehicle with e appended for each follower."""
-    n_veh = out.x.shape[0]
     header = ["t"]
-    for i in range(n_veh):
+    columns = [out.time]
+    for i in range(out.x.shape[0]):
         header += [f"x{i}", f"v{i}", f"a{i}"]
+        columns += [out.x[i], out.v[i], out.a[i]]
         if i >= 1:
             header.append(f"e{i}")
+            columns.append(out.errors[i - 1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(out.time.shape[0]):
-            row = [repr(float(out.time[k]))]
-            for i in range(n_veh):
-                row += [repr(float(out.x[i, k])), repr(float(out.v[i, k])),
-                        repr(float(out.a[i, k]))]
-                if i >= 1:
-                    row.append(repr(float(out.errors[i - 1, k])))
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for row in np.column_stack(columns):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
     return str(path)
-
-
-def read_timeseries_csv(path) -> dict[str, np.ndarray]:
-    """Parse a timeseries CSV back into named column arrays."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    cols = {name: np.array([float(r[j]) for r in data]) for j, name in enumerate(header)}
-    return cols
 
 
 def write_peaks_csv(peaks: np.ndarray, path, extra_columns: dict | None = None) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -169,15 +170,12 @@ def _getbool(cp, section, key, default=False):
 
 
 def _channel(p_gb, q_bg, r_recv_bad, suffix: str) -> GilbertParams:
-    """Gilbert parameters of one link type, validated for simulation."""
+    """Gilbert parameters of one link type; errors name the link's own keys."""
     try:
-        params = GilbertParams(p_gb, q_bg, r_recv_bad)
+        return GilbertParams(p_gb, q_bg, r_recv_bad)
     except ValueError as exc:
-        raise ScenarioError(f"[channel] {exc}") from exc
-    if p_gb + q_bg == 0.0:
-        raise ScenarioError(f"[channel] p_gb{suffix} + q_bg{suffix} must be positive: "
-                            "a chain with no transitions has no reception rate")
-    return params
+        message = re.sub(r"\b(p_gb|q_bg|r_recv_bad)\b", rf"\1{suffix}", str(exc))
+        raise ScenarioError(f"[channel] {message}") from exc
 
 
 def _load_map(cp, key: str, default, digests: list) -> maps_mod.PedalMap:
@@ -295,6 +293,11 @@ def parse_scenario_text(text: str, name: str = "scenario",
         alpha_star=_getfloat(cp, "analysis", "alpha_star", 0.0),
         w0_l2=_getfloat(cp, "analysis", "w0_l2", 9.0),
     )
+    for key, low in (("n_realizations", 1), ("stochastic_seeds", 0),
+                     ("alpha_star", 0.0), ("w0_l2", 0.0)):
+        value = getattr(analysis, key)
+        if not value >= low:  # NaN fails too
+            raise ScenarioError(f"[analysis] {key} = {value} must be at least {low}")
 
     # --- maneuver ---
     v0 = _getfloat(cp, "maneuver", "initial_velocity")

@@ -20,9 +20,9 @@ in the link weights w (:func:`link_decomposition`).  Two engines use them:
   through the pedal maps and the exact lag update
   (:func:`platoon_lab.maps.step_empirical`), one realization at a time.
 
-Link tables come from :func:`_link_tables`, a scan over time of each Gilbert
-chain that consumes the same per-link random streams as
-:func:`platoon_lab.channel.channel_step`.
+Link tables come from :func:`_link_tables`, which gives each link its
+Gilbert parameters and its stream and draws them all with
+:func:`platoon_lab.channel.sample_links`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import maps as maps_mod
-from .channel import ChannelMode, GilbertParams, gamma_of, link_streams
+from .channel import ChannelMode, GilbertParams, gamma_of, link_streams, sample_links
 from .control import Gains, Scheme, SpacingPolicy
 from .dynamics import Maneuver, TimeGrid, VehicleState
 
@@ -97,10 +97,6 @@ class PlatoonConfig:
             if self.u_clamp[0] > self.u_clamp[1]:
                 raise ValueError(f"u_clamp_min {self.u_clamp[0]} exceeds "
                                  f"u_clamp_max {self.u_clamp[1]}")
-
-    @property
-    def n_first_links(self) -> int:
-        return self.n_followers if self.scheme is not Scheme.ACC else 0
 
     @property
     def n_second_links(self) -> int:
@@ -317,41 +313,12 @@ def equilibrium_state(config: PlatoonConfig, v0: float) -> np.ndarray:
 
 
 def _link_tables(config: PlatoonConfig, n_steps: int) -> np.ndarray:
-    """Pre-draw every link's reception sequence; rows follow link ordering.
-
-    Draws exactly the uniforms that :func:`platoon_lab.channel.sample_table`
-    (and hence ``channel_step``) would consume per stream, so the paths give
-    identical sequences.  Against p and q, each step's transition uniform
-    either keeps the mode, flips it, or sets it to Bad or to Good whatever it
-    was; the mode at step k is therefore the last set value (the initial mode
-    if none) XOR the parity of the flips since, which is a scan over time.
-    """
-    streams = link_streams(config.master_seed, config.n_links)
+    """Pre-draw every link's reception sequence; rows follow link ordering."""
     second = config.second_params()
     params = [config.channel if li < config.n_followers else second
               for li in range(config.n_links)]
-    p = np.array([c.p_gb for c in params])
-    q = np.array([c.q_bg for c in params])
-    r = np.array([c.r_recv_bad for c in params])
-    if np.any(p + q == 0.0):
-        raise ValueError("p_gb + q_bg must be positive to simulate the channel")
-    if config.init_mode is None:
-        init = np.array([rng.random() for rng in streams])
-        bad0 = init < p / (p + q)
-    else:
-        bad0 = np.full(config.n_links, config.init_mode is ChannelMode.BAD)
-    us = np.stack([rng.random((n_steps, 2)) for rng in streams])  # (L, T, 2)
-    to_bad = us[:, :, 0] < p[:, None]     # Good -> Bad
-    to_good = us[:, :, 0] < q[:, None]    # Bad -> Good
-    # column 0 holds the initial mode, column k the value set at step k
-    set_value = np.concatenate([bad0[:, None], to_bad], axis=1)
-    last_set = np.maximum.accumulate(
-        np.where(to_bad != to_good, np.arange(1, n_steps + 1), 0), axis=1)
-    parity = np.zeros_like(set_value)
-    parity[:, 1:] = np.logical_xor.accumulate(to_bad & to_good, axis=1)
-    rows = np.arange(config.n_links)[:, None]
-    bad = set_value[rows, last_set] ^ parity[rows, last_set] ^ parity[:, 1:]
-    return np.where(~bad, 1.0, (us[:, :, 1] < r[:, None]).astype(float))
+    return sample_links(params, link_streams(config.master_seed, config.n_links),
+                        n_steps, config.init_mode)
 
 
 def _weights_for(config: PlatoonConfig, gamma: float, mu: float) -> np.ndarray:

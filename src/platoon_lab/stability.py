@@ -80,19 +80,16 @@ class StateSpace:
 
     ``a`` is shared by every follower; ``b`` has one column per predecessor
     tap (one for CACC, two for CACC+); ``c`` reads the spacing error.
-    ``d_in`` (when the realization admits it, i.e. CACC) is the lead-input
-    column such that c (sI - a)^-1 d_in is the map from the lead vehicle's
-    achieved acceleration to the first follower's spacing error.  ``lead_tf``
-    always carries that map as a transfer function; for CACC+ the first
-    follower runs the one-predecessor law, so the map lives outside the chain
-    realization and only ``lead_tf`` represents it exactly.
+    ``lead_tf`` is the map from the lead vehicle's achieved acceleration to
+    the first follower's spacing error.  It is a transfer function because
+    for CACC+ the first follower runs the one-predecessor law, so the map
+    lives outside the chain realization.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d_in: np.ndarray | None = None
-    lead_tf: RationalTF | None = None
+    lead_tf: RationalTF
 
     def __post_init__(self):
         n = self.a.shape[0]
@@ -313,9 +310,7 @@ def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
     Observable canonical form of the shared denominator, so one A and C serve
     every numerator: the predecessor taps become input columns B (CACC) or
     B1, B2 (CACC+).  The lead-to-first-error map (input = achieved lead
-    acceleration) is attached as ``lead_tf``; for CACC it is also realized
-    exactly inside the same state space as ``d_in`` since it shares the
-    denominator:
+    acceleration) is attached as ``lead_tf``:
 
         E1(s) / A0(s) = [(gamma K_a h_w - tau) s + (gamma K_a + K_v h_w - 1)]
                         / (tau s^3 + s^2 + (K_v + K_p h_w) s + K_p)
@@ -328,8 +323,7 @@ def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
         tf = build_cacc_tf(gains, tau, h_w, gamma)
         a, _, c, _ = tf_to_ss(tf)
         b = np.array([[gamma * ka], [kv], [kp]]) / tau
-        d_in = np.array([[0.0], [lead_num[0]], [lead_num[1]]]) / tau
-        return StateSpace(a=a, b=b, c=c, d_in=d_in, lead_tf=lead_tf)
+        return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf)
     if scheme == "cacc_plus":
         tf1, tf2 = build_cacc_plus_tfs(gains, tau, h_w, gamma)
         a, _, c, _ = tf_to_ss(tf1)
@@ -338,7 +332,7 @@ def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
         b = np.column_stack([b1, b2])
         # first follower runs the CACC law, whose denominator differs from the
         # chain's; the lead coupling is exact only as lead_tf
-        return StateSpace(a=a, b=b, c=c, d_in=None, lead_tf=lead_tf)
+        return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -383,12 +377,7 @@ def peak_output_bound(ss: StateSpace, alpha_star: float, w0_l2: float) -> PeakBo
     j = max(j, 0.0)
     q = lyapunov_gramian(ss.a.T, ss.c.T)
     beta2 = math.sqrt(max(float(np.max(np.linalg.eigvalsh(q))), 0.0))
-    if ss.lead_tf is not None:
-        gamma2 = hinf_norm(ss.lead_tf)
-    elif ss.d_in is not None:
-        gamma2 = _ss_hinf(ss.a, ss.d_in, ss.c)
-    else:
-        raise ValueError("state space carries no lead-input description")
+    gamma2 = hinf_norm(ss.lead_tf)
     eta = _sup_output_decay(ss.a, ss.c)
     sj = math.sqrt(j)
     n_taps = ss.b.shape[1]
@@ -400,19 +389,6 @@ def peak_output_bound(ss: StateSpace, alpha_star: float, w0_l2: float) -> PeakBo
         m2 = 2.0 * sj * gamma2
     return PeakBound(j_value=j, m1=m1, m2=m2, alpha_star=alpha_star,
                      beta2=beta2, gamma2=gamma2, eta=eta)
-
-
-def _ss_hinf(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """H-infinity norm of C (sI - A)^-1 B via the characteristic-polynomial TF."""
-    den = np.poly(a)
-    n = a.shape[0]
-    # numerator of C adj(sI - A) B: evaluate via Leverrier recursion
-    coeffs = []
-    m = np.eye(n)
-    for k in range(n):
-        coeffs.append((c @ m @ b).item())
-        m = a @ m + den[k + 1] * np.eye(n)
-    return hinf_norm(RationalTF(tuple(coeffs), tuple(den)))
 
 
 def safe_standstill_distance(bound: PeakBound, w0_l2: float, margin: float = 0.0) -> float:

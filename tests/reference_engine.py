@@ -11,6 +11,14 @@ It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
 of the propagator's memoized and Taylor actions.  The batched engine must
 reproduce it bit for bit.
+
+Finally it keeps the Gilbert chain stepped one packet at a time
+(:class:`ChannelState`, :func:`channel_step`), the oracle for the program's
+one sampler ``platoon_lab.channel.sample_links``.  The stepper branches on
+the current mode where the sampler scans flags over time, but it reads the
+same stream layout: one uniform for a stationary start, then a transition
+and a reception uniform per step.  Fed the same streams, the two must agree
+on every packet.
 """
 
 from __future__ import annotations
@@ -20,13 +28,65 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from platoon_lab.channel import LinkSample
+from platoon_lab.channel import ChannelMode, GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import VehicleState, step_lag
 from platoon_lab.maps import COAST_HYSTERESIS, InversionError, PedalMap
-from platoon_lab.channel import gamma_of
 from platoon_lab.sim import (SimulationDivergedError, _Propagator, _weight_table,
                              equilibrium_state)
+
+
+@dataclass(frozen=True)
+class LinkSample:
+    """Outcome of one packet transmission attempt."""
+
+    received: bool
+
+    def weight(self) -> float:
+        return 1.0 if self.received else 0.0
+
+
+class ChannelState:
+    """Mutable per-link channel: current mode plus a private random stream."""
+
+    def __init__(self, mode: ChannelMode, rng: np.random.Generator):
+        self.mode = mode
+        self.rng = rng
+
+    @classmethod
+    def stationary(cls, params: GilbertParams, rng: np.random.Generator) -> "ChannelState":
+        """Draw the initial mode from the chain's stationary distribution.
+
+        Consumes one uniform so the stream stays aligned with the per-step
+        draws regardless of the outcome.
+        """
+        bad = rng.random() < params.p_gb / (params.p_gb + params.q_bg)
+        return cls(ChannelMode.BAD if bad else ChannelMode.GOOD, rng)
+
+    @classmethod
+    def in_mode(cls, mode: ChannelMode, rng: np.random.Generator) -> "ChannelState":
+        return cls(mode, rng)
+
+
+def channel_step(state: ChannelState, params: GilbertParams) -> tuple[ChannelState, LinkSample]:
+    """Advance the chain one step, then sample the reception outcome.
+
+    Always consumes exactly two uniforms (transition, reception); the
+    reception draw is ignored while in Good.
+    """
+    u_trans = state.rng.random()
+    if state.mode is ChannelMode.GOOD:
+        if u_trans < params.p_gb:
+            state.mode = ChannelMode.BAD
+    else:
+        if u_trans < params.q_bg:
+            state.mode = ChannelMode.GOOD
+    u_recv = state.rng.random()
+    if state.mode is ChannelMode.GOOD:
+        received = True
+    else:
+        received = u_recv < params.r_recv_bad
+    return state, LinkSample(received)
 
 
 def _bracket(axis: tuple[float, ...], q: float) -> tuple[int, float]:

@@ -1,0 +1,80 @@
+"""Every public name in ``platoon_lab`` has a caller in the program itself.
+
+A public top-level function or class, or a public method, must be referenced
+somewhere in ``src/platoon_lab`` outside its own definition; re-exports in
+``__init__.py`` do not count.  Code that only tests call belongs in
+``tests/`` (as an oracle or a helper), not in the library.  References are
+matched by identifier, so a name shared with an unrelated attribute counts
+as used; the check catches API that nothing mentions, not every dead path.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import platoon_lab
+
+SRC = Path(platoon_lab.__file__).parent
+
+# Public names the program never calls, each with its reason to stay.
+ALLOWED = {
+    # lookup sites of the benchmark's span tracer (perfbench/tracing.py);
+    # the map engine's maps.actuate calls the private kernels behind them
+    "interp",
+    "invert",
+    # the exact L-inf -> L-inf gain, to become the stability command's
+    # peak-error certificate (ROADMAP.md, direction 3)
+    "impulse_l1_norm",
+    # writes a map file in the format scenarios load with throttle_map/brake_map
+    "to_csv",
+    # linear pedal maps: the map engine reduces to the pure lag under them
+    "affine_maps",
+    # the idle maneuver, a natural constructor next to the segment list
+    "constant_velocity",
+}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+
+
+def _identifiers(tree) -> Counter:
+    """Occurrences of names, attributes and imported names in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of public top-level defs and public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
+
+
+def test_every_public_name_has_a_caller_in_src():
+    modules = _modules()
+    total = sum((_identifiers(tree) for tree in modules.values()), Counter())
+    unused = {}
+    for module, tree in modules.items():
+        for qualname, node in _public_definitions(tree):
+            # a definition's own body (recursion) is not a caller
+            if total[node.name] == _identifiers(node)[node.name]:
+                unused[node.name] = f"{module}.{qualname}"
+    called_only_by_tests = sorted(v for k, v in unused.items() if k not in ALLOWED)
+    assert not called_only_by_tests, (
+        f"no caller in src/: {called_only_by_tests}; wire each into the program, "
+        "move it into tests/, or delete it")
+    # an entry that gained a caller, or was deleted, leaves the list
+    assert set(unused) == ALLOWED

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from platoon_lab import cli
-from platoon_lab.output import read_timeseries_csv, write_timeseries_csv
+from platoon_lab.output import write_timeseries_csv
 from platoon_lab.scenario import ScenarioError, load_scenario
 from platoon_lab.sim import simulate
 
@@ -57,6 +58,14 @@ dt = 0.01
 horizon = 150.0
 deterministic_gamma = 0.0
 """
+
+
+def read_timeseries_csv(path) -> dict[str, np.ndarray]:
+    """Parse a timeseries CSV back into named column arrays."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header, data = rows[0], rows[1:]
+    return {name: np.array([float(r[j]) for r in data]) for j, name in enumerate(header)}
 
 
 def write(tmp_path, text, name="scen.ini"):
@@ -185,6 +194,28 @@ class TestCliExitCodes:
             text = text.replace("r_recv_bad = 0.2", "r_recv_bad = 0.2\n"
                                 "p_gb_2 = 0\nq_bg_2 = 0\nr_recv_bad_2 = 0.5")
             key = "p_gb_2 +"
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, command", [
+        ("horizon = 0", "simulate"),
+        ("horizon = -1", "simulate"),
+        ("horizon = inf", "simulate"),
+        ("dt = inf", "simulate"),
+        ("w0_l2 = -1", "stability"),
+        ("w0_l2 = nan", "stability"),
+        ("alpha_star = -0.5", "stability"),
+        ("n_realizations = 0", "montecarlo"),
+        ("stochastic_seeds = -1", "simulate"),
+    ])
+    def test_bad_analysis_value_exit_2(self, tmp_path, capsys, setting, command):
+        # each value once loaded and then crashed in the command, or went
+        # through: stochastic_seeds < 0 was ignored, w0_l2 = nan gave NaN bounds
+        key = setting.split()[0]
+        lines = [line for line in BASE.splitlines() if not line.startswith(key + " =")]
+        text = "\n".join(lines).replace("[analysis]", "[analysis]\n" + setting)
         rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
                        "--out", str(tmp_path / "o")])
         assert rc == 2

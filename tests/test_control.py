@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from platoon_lab.channel import LinkSample
-from platoon_lab.control import (Gains, Scheme, SpacingPolicy, min_headway_acc,
-                                 min_headway_cacc, min_headway_cacc_plus,
-                                 min_headway_cacc_plus_mu)
+from platoon_lab.control import (Gains, SpacingPolicy, min_headway_acc, min_headway_cacc,
+                                 min_headway_cacc_plus, min_headway_cacc_plus_mu)
 from platoon_lab.dynamics import VehicleState
-from reference_engine import acc_input, cacc_input, cacc_plus_input, first_follower_input
+from reference_engine import (LinkSample, acc_input, cacc_input, cacc_plus_input,
+                              first_follower_input)
 
 
 GAINS = Gains(0.5, 1.0, 1.0)
@@ -166,8 +165,3 @@ class TestTypes:
             SpacingPolicy(h_w=0.0)
         with pytest.raises(ValueError):
             SpacingPolicy(h_w=0.5, d=-1.0)
-
-    def test_scheme_lookback(self):
-        assert Scheme.ACC.n_lookback == 1
-        assert Scheme.CACC.n_lookback == 1
-        assert Scheme.CACC_PLUS.n_lookback == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from platoon_lab.dynamics import Maneuver, TimeGrid, VehicleState, lead_trajectory, step_lag
+from platoon_lab.dynamics import Maneuver, TimeGrid, VehicleState, step_lag
 
 
 def euler_lag(state, u, tau, total, dt):
@@ -15,6 +15,18 @@ def euler_lag(state, u, tau, total, dt):
         v += a * dt
         a += (u - a) / tau * dt
     return VehicleState(x, v, a)
+
+
+def lead_trajectory(m: Maneuver, grid: TimeGrid, tau: float) -> list[VehicleState]:
+    """The lead vehicle's own lag dynamics under the maneuver, at every grid point."""
+    state = VehicleState(0.0, m.initial_velocity, 0.0)
+    out = [state]
+    t = 0.0
+    for _ in range(grid.n_steps):
+        state = step_lag(state, m.accel_at(t), tau, grid.dt)
+        out.append(state)
+        t += grid.dt
+    return out
 
 
 def test_zero_input_zero_state_is_fixed_point():

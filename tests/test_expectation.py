@@ -6,8 +6,7 @@ from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import TimeGrid
 from platoon_lab.expectation import (RandomMatrixSpec, check_multilinearity,
-                                     exact_expected_exponential, exact_expected_power,
-                                     from_platoon, monte_carlo_expected_exponential)
+                                     exact_expected_power, from_platoon)
 from platoon_lab.sim import PlatoonConfig, build_system_matrix
 
 
@@ -118,19 +117,16 @@ class TestAppendixRecursions:
             a2k = b2 @ a0k + a0 @ a2k
 
 
-class TestExpectedExponential:
-    def test_deterministic_spec(self):
-        a = np.array([[0.0, 1.0], [-2.0, -1.0]])
-        spec = RandomMatrixSpec(a, {}, {})
-        for n in (1, 10):
-            np.testing.assert_allclose(
-                monte_carlo_expected_exponential(spec, 0.05, n), expm(a * 0.05),
-                atol=1e-14)
+def expected_exponential(spec, dt):
+    """E[exp(A dt)] by exact enumeration over the indicator assignments."""
+    return sum(pr * expm(spec.realize(a) * dt) for pr, a in _all_assignments(spec))
 
+
+class TestExpectedExponential:
     def test_cacc_exponential_gap_vanishes(self):
         # termwise consequence of the power identity: E[e^{A dt}] = e^{Abar dt}
         _, spec = platoon_spec(Scheme.CACC)
-        exact = exact_expected_exponential(spec, 0.01)
+        exact = expected_exponential(spec, 0.01)
         gap = np.linalg.norm(exact - expm(spec.mean_matrix() * 0.01))
         assert gap < 1e-12
 
@@ -138,7 +134,7 @@ class TestExpectedExponential:
         # the approximation error the deterministic gamma system accepts:
         # strictly positive, reported for the record
         _, spec = platoon_spec(Scheme.CACC_PLUS)
-        exact = exact_expected_exponential(spec, 0.01)
+        exact = expected_exponential(spec, 0.01)
         gap = np.linalg.norm(exact - expm(spec.mean_matrix() * 0.01))
         print(f"\nCACC+ exact E[exp(A dt)] vs exp(Abar dt) Frobenius gap: {gap:.3e}")
         assert gap > 1e-9
@@ -147,8 +143,15 @@ class TestExpectedExponential:
         # 4-sigma agreement between the sampler and the exact enumeration
         _, spec = platoon_spec(Scheme.CACC_PLUS)
         dt, n = 0.01, 20000
-        mc = monte_carlo_expected_exponential(spec, dt, n, seed=7)
-        exact = exact_expected_exponential(spec, dt)
+        rng = np.random.default_rng(7)
+        names = spec.names
+        ps = np.array([spec.probs[m] for m in names])
+        mc = np.zeros_like(spec.base)
+        for _ in range(n):
+            bits = (rng.random(len(names)) < ps).astype(float)
+            mc += expm(spec.realize(dict(zip(names, bits))) * dt)
+        mc /= n
+        exact = expected_exponential(spec, dt)
         # entrywise spread of exp(A dt) over assignments bounds the MC sigma
         mats = [expm(spec.realize(a) * dt) for _, a in
                 [(p, a) for p, a in _all_assignments(spec)]]

@@ -392,17 +392,17 @@ class TestEmpiricalStringStability:
 
 def stepped_tables(cfg, n_steps):
     """Every link's reception sequence from the scalar ``channel_step`` loop."""
-    from platoon_lab.channel import ChannelState, channel_step, link_streams
+    from platoon_lab.channel import link_streams
     rows = []
     for li, rng in enumerate(link_streams(cfg.master_seed, cfg.n_links)):
         params = cfg.channel if li < cfg.n_followers else cfg.second_params()
         if cfg.init_mode is None:
-            state = ChannelState.stationary(params, rng)
+            state = ref.ChannelState.stationary(params, rng)
         else:
-            state = ChannelState.in_mode(cfg.init_mode, rng)
+            state = ref.ChannelState.in_mode(cfg.init_mode, rng)
         seq = []
         for _ in range(n_steps):
-            state, s = channel_step(state, params)
+            state, s = ref.channel_step(state, params)
             seq.append(s.weight())
         rows.append(seq)
     return np.array(rows)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_lyapunov
+from scipy.signal import ss2tf
 
 from designed_gains import designed_kv, designed_kv_plus
 from platoon_lab.control import Gains, min_headway_cacc_plus
@@ -247,7 +248,7 @@ class TestTfToSs:
 class TestPeakOutputBound:
     def test_zero_output_matrix(self):
         ss = StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
-                        c=np.array([[0.0]]), d_in=np.array([[1.0]]))
+                        c=np.array([[0.0]]), lead_tf=RationalTF((0.0,), (1.0, 1.0)))
         bound = peak_output_bound(ss, alpha_star=2.0, w0_l2=1.0)
         assert bound.j_value == pytest.approx(0.0, abs=1e-15)
         assert bound.m2 == 0.0
@@ -257,7 +258,7 @@ class TestPeakOutputBound:
         # for a = -1, b = c = 1: J = C P C^T = 0.5 and the L2->Linf gain
         # sqrt(J) is attained by the time-reversed impulse response input
         ss = StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
-                        c=np.array([[1.0]]), d_in=np.array([[1.0]]))
+                        c=np.array([[1.0]]), lead_tf=RationalTF((1.0,), (1.0, 1.0)))
         bound = peak_output_bound(ss, alpha_star=0.0, w0_l2=1.0)
         assert bound.j_value == pytest.approx(0.5, abs=1e-12)
         dt, horizon = 1e-3, 14.0
@@ -274,14 +275,20 @@ class TestPeakOutputBound:
 
     def test_unstable_rejected(self):
         ss = StateSpace(a=np.array([[1.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
-                        d_in=np.array([[1.0]]))
+                        lead_tf=RationalTF((1.0,), (1.0, -1.0)))
         with pytest.raises(UnstableTransferFunctionError):
             peak_output_bound(ss, 0.0, 1.0)
 
     def test_cacc_lead_tf_consistent_with_embedded_column(self):
-        ss = build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.6, 0.467, "cacc")
-        from platoon_lab.stability import _ss_hinf
-        assert _ss_hinf(ss.a, ss.d_in, ss.c) == pytest.approx(hinf_norm(ss.lead_tf), rel=1e-6)
+        # for CACC the lead map shares the chain's denominator, so it is also
+        # realized by the column (0, n1, n0) / tau of its numerator
+        # n1 s + n0 in the chain's (a, c)
+        gains, tau = Gains(0.8, 1.5, 2.0), 0.37
+        ss = build_error_system(gains, tau, 0.6, 0.467, "cacc")
+        column = np.array([[0.0], [ss.lead_tf.num[0]], [ss.lead_tf.num[1]]]) / tau
+        num, den = ss2tf(ss.a, column, ss.c, np.zeros((1, 1)))
+        embedded = RationalTF(tuple(num[0]), tuple(den))
+        assert hinf_norm(embedded) == pytest.approx(hinf_norm(ss.lead_tf), rel=1e-6)
 
     def test_theorem_two_doubles_constants(self):
         gains, tau = Gains(0.2, 0.5, 1.0), 0.4
