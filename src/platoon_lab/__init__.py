@@ -15,7 +15,7 @@ from .maps import (InversionError, MapFormatError, PedalMap, actuate,
 from .sim import (EnsembleStats, PlatoonConfig, SimOutput,
                   SimulationDivergedError, build_system_matrix,
                   empirical_string_stability, equilibrium_state, monte_carlo,
-                  simulate, simulate_deterministic)
+                  seed_peaks, simulate, simulate_deterministic, simulate_panels)
 from .stability import (PeakBound, RationalTF, StateSpace,
                         UnstableTransferFunctionError, build_cacc_plus_tfs,
                         build_cacc_tf, build_error_system, hinf_norm,

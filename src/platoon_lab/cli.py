@@ -18,12 +18,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import control, expectation, output, stability
 from .channel import gamma_of
 from .control import Scheme
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sim import (SimOutput, SimulationDivergedError, empirical_string_stability,
-                  monte_carlo, simulate, simulate_deterministic)
+                  monte_carlo, seed_peaks, simulate, simulate_panels)
 
 DEFAULT_SEED = 20201
 EXIT_OK = 0
@@ -92,28 +94,24 @@ def _write_run_outputs(scenario: Scenario, out: SimOutput, outdir: Path,
 
 def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> dict:
     cfg = scenario.config
-    gamma_lossy = gamma_of(cfg.channel)
-    mu_lossy = gamma_of(cfg.second_params())
+    lossy = (gamma_of(cfg.channel), gamma_of(cfg.second_params()))
+    rates = [(1.0, 1.0) if panel.mode == "ideal" else lossy for panel in scenario.suite]
+    outs = simulate_panels(cfg, scenario.maneuver,
+                           [(panel.headway, gamma, mu)
+                            for panel, (gamma, mu) in zip(scenario.suite, rates)])
+    n_seeds = scenario.analysis.stochastic_seeds
     verdicts: dict = {"panels": []}
-    for panel in scenario.suite:
-        pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway))
-        gamma = 1.0 if panel.mode == "ideal" else gamma_lossy
-        mu = 1.0 if panel.mode == "ideal" else mu_lossy
-        out = simulate_deterministic(pcfg, scenario.maneuver, gamma, mu)
+    for panel, (gamma, _), out in zip(scenario.suite, rates, outs):
         stable, peaks = empirical_string_stability(out)
         entry = {"label": panel.label, "mode": panel.mode, "headway": panel.headway,
                  "gamma": gamma, "stable": stable,
                  "peaks": [float(p) for p in peaks]}
-        if panel.mode == "lossy" and scenario.analysis.stochastic_seeds > 0:
-            wins = 0
-            n_seeds = scenario.analysis.stochastic_seeds
-            for s in range(n_seeds):
-                so = simulate(replace(pcfg, deterministic_gamma=None,
-                                      master_seed=pcfg.master_seed + s),
-                              scenario.maneuver)
-                pk = so.peak_errors()
-                wins += bool(pk[-1] > pk[0])
-            entry["stochastic_last_exceeds_first"] = wins / n_seeds
+        if panel.mode == "lossy" and n_seeds > 0:
+            pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway),
+                           deterministic_gamma=None)
+            pk = seed_peaks(pcfg, scenario.maneuver, n_seeds)
+            entry["stochastic_last_exceeds_first"] = (
+                int(np.count_nonzero(pk[:, -1] > pk[:, 0])) / n_seeds)
         verdicts["panels"].append(entry)
         _write_run_outputs(scenario, out, outdir, panel.label, report)
     verdicts["pattern"] = ["stable" if p["stable"] else "unstable" for p in verdicts["panels"]]
@@ -168,15 +166,13 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     prefix = scenario.output.prefix
     if scenario.output.csv:
         det = stats.deterministic_output
+        n_f = stats.mean_errors.shape[0]
+        table = np.column_stack((det.time, stats.mean_errors.T, det.errors.T))
         with open(outdir / f"{prefix}-ensemble.csv", "w", encoding="utf-8") as fh:
-            n_f = stats.mean_errors.shape[0]
             fh.write("t," + ",".join(f"mean_e{i + 1}" for i in range(n_f))
                      + "," + ",".join(f"det_e{i + 1}" for i in range(n_f)) + "\n")
-            for k in range(det.time.shape[0]):
-                row = [repr(float(det.time[k]))]
-                row += [repr(float(stats.mean_errors[i, k])) for i in range(n_f)]
-                row += [repr(float(det.errors[i, k])) for i in range(n_f)]
-                fh.write(",".join(row) + "\n")
+            for row in table:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
         report.artifacts.append(str(outdir / f"{prefix}-ensemble.csv"))
     if scenario.output.svg:
         det = stats.deterministic_output

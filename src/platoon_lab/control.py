@@ -11,6 +11,7 @@ closed-loop matrix of :func:`platoon_lab.sim.build_system_matrix`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,10 +25,11 @@ class Gains:
     k_p: float
 
     def __post_init__(self):
-        if self.k_v <= 0 or self.k_p <= 0:
-            raise ValueError("k_v and k_p must be positive")
-        if self.k_a < 0:
-            raise ValueError("k_a must be non-negative")
+        # written so that NaN fails every check
+        if not (0.0 < self.k_v < math.inf and 0.0 < self.k_p < math.inf):
+            raise ValueError("k_v and k_p must be positive and finite")
+        if not 0.0 <= self.k_a < math.inf:
+            raise ValueError("k_a must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,10 @@ class SpacingPolicy:
     d: float = 5.0
 
     def __post_init__(self):
-        if self.h_w <= 0:
-            raise ValueError("time headway must be positive")
-        if self.d < 0:
-            raise ValueError("standstill distance must be non-negative")
+        if not 0.0 < self.h_w < math.inf:
+            raise ValueError("time headway must be positive and finite")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError("standstill distance must be non-negative and finite")
 
 
 class Scheme(Enum):

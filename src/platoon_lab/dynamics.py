@@ -52,8 +52,11 @@ class Maneuver:
             raise ValueError("maneuver needs at least one segment")
         if segs[0][0] != 0.0:
             raise ValueError("first segment must start at t=0")
+        for t, _ in segs:
+            if not math.isfinite(t):
+                raise ValueError(f"segment start {t} must be finite")
         for (t0, _), (t1, _) in zip(segs, segs[1:]):
-            if t1 <= t0:
+            if not t1 > t0:
                 raise ValueError("segment start times must be strictly increasing")
         for _, a in segs:
             if not math.isfinite(a) or abs(a) > self.a_max:

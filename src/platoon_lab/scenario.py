@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -125,6 +126,8 @@ def _parse_panels(text: str) -> list[Panel]:
             raise ScenarioError(f"panel {chunk!r} must look like 'ideal:0.45'") from exc
         if mode not in ("ideal", "lossy"):
             raise ScenarioError(f"panel mode {mode!r} must be 'ideal' or 'lossy'")
+        if not 0.0 < hw_f < math.inf:  # NaN fails too
+            raise ScenarioError(f"panel headway {hw_f} must be positive and finite")
         panels.append(Panel(label=f"panel{i + 1}-{mode}-h{hw_f:g}", mode=mode, headway=hw_f))
     return panels
 

@@ -10,15 +10,23 @@ in the link weights w (:func:`link_decomposition`).  Two engines use them:
   exact zero-order-hold solution of the per-step constant system, the
   exponential of an augmented matrix carrying the lead input and the offset.
   One batched loop (:func:`_point_mass_states`) steps R realizations at once,
-  one link pattern per row: a single run is R = 1, a Monte Carlo ensemble
-  stacks its seeds' link tables.  The step is a memoized exponential per
-  link pattern when there are at most 2^12 patterns, and otherwise a
-  machine-precision Taylor action on the states; either way each row sees
-  the same matrix-vector products as a lone run, so batching changes no bit.
+  one link pattern per row.  A lone run (R = 1) on at most 12 links memoizes
+  the exponential of each link pattern it meets; any batch of R > 1 rows, and
+  any platoon with more links, takes a machine-precision Taylor action on the
+  states instead, so no memo grows with the link patterns of a batch.  On the
+  Taylor action a row does not depend on the rest of its batch; it differs
+  from the memoized lone run of its seed at about 1e-12 m.
 * pedal maps: every vehicle's command is read off the acceleration rows of
-  A(w) and c(w) (:func:`cacc_input`), and all vehicles advance together
-  through the pedal maps and the exact lag update
-  (:func:`platoon_lab.maps.step_empirical`), one realization at a time.
+  A(w) and c(w) (:func:`cacc_input`), and all vehicles of all rows advance
+  together through the pedal maps and the exact lag update
+  (:func:`platoon_lab.maps.step_empirical`) in one loop
+  (:func:`_empirical_states`) whose rows may also differ in headway; each
+  row is bitwise its lone run.
+
+Both loops take the same (n_steps, R, n_links) weights and yield (R, n)
+states, so :func:`simulate` is R = 1 on either engine, :func:`monte_carlo`
+and :func:`seed_peaks` stack seeds as rows, and :func:`simulate_panels`
+stacks the gamma-deterministic panels of a pedal-map suite.
 
 Link tables come from :func:`_link_tables`, which gives each link its
 Gilbert parameters and its stream and draws them all with
@@ -28,6 +36,7 @@ Gilbert parameters and its stream and draws them all with
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +56,7 @@ class SimulationDivergedError(RuntimeError):
 
 # Abort threshold on any state component.
 _DIVERGENCE_LIMIT = 1e6
-# Largest link count whose propagators are memoized (2^bits patterns).
+# Largest link count on which a lone run memoizes its step exponentials.
 _CACHE_LINK_LIMIT = 12
 
 
@@ -80,8 +89,8 @@ class PlatoonConfig:
         if self.scheme is Scheme.CACC_PLUS and self.n_followers < 2:
             raise ValueError("CACC+ requires n_followers >= 2 so the "
                              "two-predecessor law engages")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:  # NaN fails too
+            raise ValueError("tau must be positive and finite")
         if self.deterministic_gamma is not None and not 0.0 <= self.deterministic_gamma <= 1.0:
             raise ValueError("deterministic_gamma must lie in [0, 1]")
         if self.mu is not None and not 0.0 <= self.mu <= 1.0:
@@ -94,7 +103,7 @@ class PlatoonConfig:
             if self.model != "empirical":
                 raise ValueError("u_clamp_min / u_clamp_max need the empirical "
                                  "(pedal-map) model")
-            if self.u_clamp[0] > self.u_clamp[1]:
+            if not self.u_clamp[0] <= self.u_clamp[1]:
                 raise ValueError(f"u_clamp_min {self.u_clamp[0]} exceeds "
                                  f"u_clamp_max {self.u_clamp[1]}")
 
@@ -235,19 +244,21 @@ class _Propagator:
     """Exact ZOH update of R platoon states at once, one link pattern per row.
 
     The augmented matrix is affine in the link weights, so it is assembled by
-    patching the weight-dependent entries of a cached base matrix.  When the
-    pattern space is small (<= 2^_CACHE_LINK_LIMIT) the matrix exponentials
-    are memoized; otherwise each step applies the exponential to the states
-    as a Taylor action, which is exact to machine precision because the
-    per-step matrix norm is far below one.  Every row goes through the same
+    patching the weight-dependent entries of a cached base matrix.  Only a
+    lone run (``n_rows`` = 1) on at most _CACHE_LINK_LIMIT links memoizes the
+    matrix exponential of each link pattern; a batch of rows, or a platoon
+    with more links, applies the exponential to the states as a Taylor
+    action, which is exact to machine precision because the per-step matrix
+    norm is far below one.  So the memo never holds more patterns than one
+    run meets.  On the Taylor action every row goes through the same
     matrix-vector products as a lone state would, so a row's result does not
     depend on what else is in the batch.
     """
 
-    def __init__(self, config: PlatoonConfig):
+    def __init__(self, config: PlatoonConfig, n_rows: int = 1):
         self.config = config
         self.dt = config.grid.dt
-        self.cacheable = config.n_links <= _CACHE_LINK_LIMIT
+        self.cacheable = n_rows == 1 and config.n_links <= _CACHE_LINK_LIMIT
         self.cache: dict[bytes, np.ndarray] = {}
         n = self.n = 3 * (config.n_followers + 1)
         self._base = _augmented_matrix(config, np.zeros(config.n_links)) * self.dt
@@ -338,6 +349,14 @@ def _weight_table(config: PlatoonConfig) -> np.ndarray:
     return np.broadcast_to(w.reshape(-1, 1), (config.n_links, steps))
 
 
+def _seed_weights(config: PlatoonConfig, n_seeds: int) -> np.ndarray:
+    """(n_steps, n_seeds, n_links) weights of seeds master_seed + i, as rows."""
+    weights = np.empty((config.grid.n_steps, n_seeds, config.n_links))
+    for i in range(n_seeds):
+        weights[:, i] = _weight_table(replace(config, master_seed=config.master_seed + i)).T
+    return weights
+
+
 def _point_mass_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray):
     """Step R point-mass realizations together; yield their (R, n) states.
 
@@ -349,7 +368,7 @@ def _point_mass_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.nd
     grid = config.grid
     v0 = maneuver.initial_velocity
     x = np.tile(equilibrium_state(config, v0), (weights.shape[1], 1))
-    prop = _Propagator(config)
+    prop = _Propagator(config, weights.shape[1])
     yield x
     t = 0.0
     at_equilibrium = True
@@ -377,26 +396,37 @@ def _spacing_errors(config: PlatoonConfig, x: np.ndarray, v: np.ndarray) -> np.n
     return x[1:] - x[:-1] + config.policy.d + config.policy.h_w * v[1:]
 
 
-def _run_linear(config: PlatoonConfig, maneuver: Maneuver,
-                weight_table: np.ndarray, seed: int) -> SimOutput:
-    states = np.empty((config.grid.n_steps + 1, 3 * (config.n_followers + 1)))
-    for k, x in enumerate(_point_mass_states(config, maneuver, weight_table.T[:, None, :])):
-        states[k] = x[0]
-    xs, vs, accs = (np.ascontiguousarray(states[:, j::3].T) for j in range(3))
-    return SimOutput(time=config.grid.times(), x=xs, v=vs, a=accs,
-                     errors=_spacing_errors(config, xs, vs),
-                     seed=seed, config_hash=config.config_hash(),
-                     scenario_id=config.scenario_id)
+def _row_errors(config: PlatoonConfig, x: np.ndarray) -> np.ndarray:
+    """(R, n_followers) spacing errors of (R, n) states that share the headway."""
+    return _spacing_errors(config, x[:, 0::3].T, x[:, 1::3].T).T
+
+
+def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
+    """One output per row, row r run under ``configs[r]``, from the yielded states.
+
+    The outputs' x, v and a are views into one (3, R, n_vehicles, T+1) block.
+    """
+    grid = configs[0].grid
+    n_veh = configs[0].n_followers + 1
+    block = np.empty((3, len(configs), n_veh, grid.n_steps + 1))
+    for k, x in enumerate(states):
+        block[:, :, :, k] = x.reshape(len(configs), n_veh, 3).transpose(2, 0, 1)
+    return [SimOutput(time=grid.times(), x=xs, v=vs, a=accs,
+                      errors=_spacing_errors(cfg, xs, vs), seed=cfg.master_seed,
+                      config_hash=cfg.config_hash(), scenario_id=cfg.scenario_id)
+            for cfg, xs, vs, accs in zip(configs, *block)]
 
 
 def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.ndarray:
     """Every vehicle's command from the closed-loop law, u = gain X + a + offset.
 
-    ``gain`` and ``offset`` are tau times the acceleration rows of A(w) and
-    c(w), so one evaluation serves ACC, CACC and CACC+ alike.
+    The state arrays are (R, n_veh), one realization per row, and each row
+    has its own ``gain`` (R, n_veh, 3 n_veh) and ``offset`` (R, n_veh): tau
+    times the acceleration rows of its A(w) and c(w), so one evaluation
+    serves ACC, CACC and CACC+ alike.
     """
-    x_vec = np.stack((state.x, state.v, state.a), axis=1).ravel()
-    return gain @ x_vec + state.a + offset
+    x_vec = np.stack((state.x, state.v, state.a), axis=-1).reshape(state.x.shape[0], -1)
+    return np.matmul(gain, x_vec[:, :, None])[:, :, 0] + state.a + offset
 
 
 # one law for every scheme; the CACC+ name stays a lookup site of the
@@ -404,61 +434,65 @@ def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.
 cacc_plus_input = cacc_input
 
 
-def _run_empirical(config: PlatoonConfig, maneuver: Maneuver,
-                   weight_table: np.ndarray, seed: int) -> SimOutput:
-    """Map-model platoon, all vehicles at once (commands held over each step).
+def _empirical_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray,
+                      headways=None):
+    """Step R map-model realizations together; yield their (R, n) states.
 
-    Each step reads every command off the closed loop's acceleration rows,
-    u = tau * A(w)[3i+2, :] X + a_i + tau * c(w)[3i+2], replaces the lead's
-    with the maneuver, and drives all vehicles through the pedal maps.
+    The contract of :func:`_point_mass_states`, except that the rows may
+    also differ in headway (``headways``, one per row; default the
+    config's).  Each step reads every row's commands off its own closed
+    loop, u = tau * A(w)[3i+2, :] X + a_i + tau * c(w)[3i+2], replaces the
+    lead's with the maneuver, and drives the vehicles of all rows through
+    the pedal maps as one flat array (commands held over each step).
     """
     grid = config.grid
-    steps = grid.n_steps
+    n_rows = weights.shape[1]
     n_veh = config.n_followers + 1
     tau = config.tau
-    a0, da, c0, dc = link_decomposition(config)
-    rows = slice(2, None, 3)
-    k0 = tau * a0[rows]
-    dk = tau * da[:, rows].reshape(config.n_links, -1)
     v0 = maneuver.initial_velocity
-    x = equilibrium_state(config, v0).reshape(n_veh, 3)
-    state = VehicleState(x[:, 0], x[:, 1], x[:, 2])
-    braking = np.zeros(n_veh, dtype=bool)
-    xs = np.empty((n_veh, steps + 1))
-    vs = np.empty_like(xs)
-    accs = np.empty_like(xs)
-    xs[:, 0], vs[:, 0], accs[:, 0] = state.x, state.v, state.a
+    hws = np.full(n_rows, config.policy.h_w) if headways is None else np.asarray(headways)
+    values, row_of = np.unique(hws, return_inverse=True)
+    cfgs = [replace(config, policy=replace(config.policy, h_w=float(h))) for h in values]
+    a0, da, c0, dc = (np.stack(part)[row_of]
+                      for part in zip(*(link_decomposition(c) for c in cfgs)))
+    acc_rows = slice(2, None, 3)
+    k0 = tau * a0[:, acc_rows]
+    dk = tau * da[:, :, acc_rows].reshape(n_rows, config.n_links, -1)
+    x = np.stack([equilibrium_state(c, v0) for c in cfgs])[row_of]
+    state = VehicleState(*(np.ascontiguousarray(x[:, j::3]).ravel() for j in range(3)))
+    braking = np.zeros(n_rows * n_veh, dtype=bool)
+    yield x
     t = 0.0
-    for k in range(steps):
-        w = weight_table[:, k]
-        u = cacc_input(k0 + (w @ dk).reshape(k0.shape), tau * (c0 + w @ dc)[rows], state)
-        u[0] = maneuver.accel_at(t)
+    for k in range(grid.n_steps):
+        w = weights[k][:, None, :]
+        gain = k0 + np.matmul(w, dk).reshape(k0.shape)
+        offset = tau * (c0 + np.matmul(w, dc)[:, 0])[:, acc_rows]
+        u = cacc_input(gain, offset, VehicleState(*(f.reshape(n_rows, n_veh) for f in
+                                                    (state.x, state.v, state.a))))
+        u[:, 0] = maneuver.accel_at(t)
         if config.u_clamp is not None:
-            u[1:] = np.minimum(np.maximum(u[1:], config.u_clamp[0]), config.u_clamp[1])
+            u[:, 1:] = np.minimum(np.maximum(u[:, 1:], config.u_clamp[0]), config.u_clamp[1])
         state, braking = maps_mod.step_empirical(config.throttle_map, config.brake_map,
-                                                 state, u, braking, tau, grid.dt)
+                                                 state, u.ravel(), braking, tau, grid.dt)
         if config.velocity_clamp:
             state = VehicleState(state.x, np.where(state.v < 0, 0.0, state.v), state.a)
-        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1] = state.x, state.v, state.a
         top = max(abs(state.x).max(), abs(state.v).max())
         if not np.isfinite(top) or top > _DIVERGENCE_LIMIT:
             raise SimulationDivergedError(k, top)
+        yield np.stack((state.x, state.v, state.a), axis=-1).reshape(n_rows, -1)
         t += grid.dt
-    return SimOutput(time=grid.times(), x=xs, v=vs, a=accs,
-                     errors=_spacing_errors(config, xs, vs),
-                     seed=seed, config_hash=config.config_hash(),
-                     scenario_id=config.scenario_id)
 
 
-def _dispatch(config: PlatoonConfig, maneuver: Maneuver,
-              weight_table: np.ndarray, seed: int) -> SimOutput:
-    run = _run_empirical if config.model == "empirical" else _run_linear
-    return run(config, maneuver, weight_table, seed)
+def _row_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray):
+    """The config's engine loop over (n_steps, R, n_links) weights."""
+    run = _empirical_states if config.model == "empirical" else _point_mass_states
+    return run(config, maneuver, weights)
 
 
 def simulate(config: PlatoonConfig, maneuver: Maneuver) -> SimOutput:
     """One platoon run; samples the channels unless deterministic_gamma is set."""
-    return _dispatch(config, maneuver, _weight_table(config), config.master_seed)
+    weights = _weight_table(config).T[:, None, :]
+    return _collect([config], _row_states(config, maneuver, weights))[0]
 
 
 def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
@@ -473,31 +507,53 @@ def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
     return simulate(cfg, maneuver)
 
 
+def simulate_panels(config: PlatoonConfig, maneuver: Maneuver, panels) -> list[SimOutput]:
+    """Gamma-deterministic runs of one platoon, one per (h_w, gamma, mu) panel.
+
+    Pedal-map panels step together as the rows of one map run; point-mass
+    panels run one at a time, each a lone run on the memoized step.  Either
+    way each output is bitwise the :func:`simulate_deterministic` run of its
+    panel.
+    """
+    cfgs = [replace(config, policy=replace(config.policy, h_w=hw),
+                    deterministic_gamma=gamma, mu=mu) for hw, gamma, mu in panels]
+    if config.model != "empirical":
+        return [simulate(cfg, maneuver) for cfg in cfgs]
+    weights = np.stack([_weight_table(cfg).T for cfg in cfgs], axis=1)
+    return _collect(cfgs, _empirical_states(config, maneuver, weights,
+                                            [hw for hw, _, _ in panels]))
+
+
+def seed_peaks(config: PlatoonConfig, maneuver: Maneuver, n_seeds: int) -> np.ndarray:
+    """(n_seeds, n_followers) peak |e| of the runs with seeds master_seed + i.
+
+    The seeds step together as the rows of one run, and each row keeps only
+    a running maximum.  On the pedal maps a row is bitwise the lone
+    :func:`simulate` of its seed; on the point-mass engine a batch of more
+    than one seed takes the Taylor action, within about 1e-12 m of it.
+    """
+    peaks = np.zeros((n_seeds, config.n_followers))
+    for x in _row_states(config, maneuver, _seed_weights(config, n_seeds)):
+        np.maximum(peaks, np.abs(_row_errors(config, x)), out=peaks)
+    return peaks
+
+
 def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
                 n_realizations: int) -> EnsembleStats:
     """Seeded ensemble: realization i runs with master_seed + i.
 
-    Point-mass realizations are stepped together by one batched loop; each
-    row is bitwise the run :func:`simulate` gives for its seed, and the
+    All realizations are stepped together as the rows of one run (see
+    :func:`seed_peaks` for how a row compares with a lone run), and the
     pointwise mean is accumulated in realization order.  The
     gamma-deterministic companion run uses gamma from the channel parameters
     (and mu from the second-link parameters when they differ).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    steps = config.grid.n_steps
-    seeds = [config.master_seed + i for i in range(n_realizations)]
-    weights = np.empty((steps, n_realizations, config.n_links))
-    for i, seed in enumerate(seeds):
-        weights[:, i] = _weight_table(replace(config, master_seed=seed)).T
-    errors = np.empty((n_realizations, config.n_followers, steps + 1))
-    if config.model == "empirical":
-        for i, seed in enumerate(seeds):
-            errors[i] = _run_empirical(replace(config, master_seed=seed), maneuver,
-                                       weights[:, i].T, seed).errors
-    else:
-        for k, x in enumerate(_point_mass_states(config, maneuver, weights)):
-            errors[:, :, k] = _spacing_errors(config, x[:, 0::3].T, x[:, 1::3].T).T
+    weights = _seed_weights(config, n_realizations)
+    errors = np.empty((n_realizations, config.n_followers, config.grid.n_steps + 1))
+    for k, x in enumerate(_row_states(config, maneuver, weights)):
+        errors[:, :, k] = _row_errors(config, x)
     mean_err = np.zeros(errors.shape[1:])
     for e in errors:
         mean_err += e

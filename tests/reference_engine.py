@@ -9,8 +9,9 @@ array engine can be checked against an independent formulation.
 
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
-of the propagator's memoized and Taylor actions.  The batched engine must
-reproduce it bit for bit.
+of the propagator's memoized and Taylor actions.  A seed that ran as one row
+of an R-row batch is stepped with the action that batch takes (the Taylor
+action once R > 1), and the batched engine must reproduce it bit for bit.
 
 Finally it keeps the Gilbert chain stepped one packet at a time
 (:class:`ChannelState`, :func:`channel_step`), the oracle for the program's
@@ -288,13 +289,16 @@ def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
     return acc[:n]
 
 
-def run_linear(config, maneuver, weight_table: np.ndarray):
-    """Per-seed point-mass loop over one state vector; returns (x, v, a, errors)."""
+def run_linear(config, maneuver, weight_table: np.ndarray, n_rows: int = 1):
+    """Per-seed point-mass loop over one state vector; returns (x, v, a, errors).
+
+    The step is the one a row of an ``n_rows``-row batch takes.
+    """
     grid = config.grid
     steps = grid.n_steps
     n_f = config.n_followers
     x = equilibrium_state(config, maneuver.initial_velocity)
-    prop = _Propagator(config)
+    prop = _Propagator(config, n_rows)
     xs = np.empty((n_f + 1, steps + 1))
     vs = np.empty_like(xs)
     accs = np.empty_like(xs)
@@ -334,14 +338,16 @@ def run_linear(config, maneuver, weight_table: np.ndarray):
 def monte_carlo(config, maneuver, n_realizations: int):
     """Point-mass ensemble one seed at a time, reduced in seed order.
 
-    Returns (mean_errors, peaks, mean_trajectory_peaks, deterministic_peaks)
-    as ``platoon_lab.sim.monte_carlo`` defines them.
+    Each seed takes the step of a row in the n_realizations-row batch; the
+    gamma companion is a lone run.  Returns (mean_errors, peaks,
+    mean_trajectory_peaks, deterministic_peaks) as
+    ``platoon_lab.sim.monte_carlo`` defines them.
     """
     mean_err = np.zeros((config.n_followers, config.grid.n_steps + 1))
     peaks = np.empty((n_realizations, config.n_followers))
     for i in range(n_realizations):
         cfg = replace(config, master_seed=config.master_seed + i)
-        errs = run_linear(cfg, maneuver, _weight_table(cfg))[3]
+        errs = run_linear(cfg, maneuver, _weight_table(cfg), n_realizations)[3]
         mean_err += errs
         peaks[i] = np.abs(errs).max(axis=1)
     mean_err /= n_realizations

@@ -30,7 +30,8 @@ from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.expectation import check_multilinearity, from_platoon
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import (PlatoonConfig, empirical_string_stability, monte_carlo,
-                             simulate, simulate_deterministic)
+                             seed_peaks, simulate, simulate_deterministic,
+                             simulate_panels)
 from platoon_lab.stability import (build_cacc_plus_tfs, build_cacc_tf,
                                    build_error_system, hinf_norm, lyapunov_gramian,
                                    peak_output_bound, string_stable_sum)
@@ -141,14 +142,11 @@ def _suite_pattern(preset: str) -> list[bool]:
     scen = load_scenario(preset, master_seed=cli.DEFAULT_SEED)
     cfg = scen.config
     g_lossy = gamma_of(cfg.channel)
-    verdicts = []
-    for panel in scen.suite:
-        pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway))
-        g = 1.0 if panel.mode == "ideal" else g_lossy
-        out = simulate_deterministic(pcfg, scen.maneuver, g, g)
-        stable, _ = empirical_string_stability(out)
-        verdicts.append(stable)
-    return verdicts
+    gammas = [1.0 if panel.mode == "ideal" else g_lossy for panel in scen.suite]
+    # pedal-map panels step together as rows, each bitwise its lone run
+    outs = simulate_panels(cfg, scen.maneuver,
+                           [(panel.headway, g, g) for panel, g in zip(scen.suite, gammas)])
+    return [empirical_string_stability(out)[0] for out in outs]
 
 
 def test_criterion_4_scenario_verdicts():
@@ -162,11 +160,9 @@ def test_criterion_4_scenario_verdicts():
     mid = scen.suite[1]
     pcfg = replace(scen.config, policy=replace(scen.config.policy, h_w=mid.headway),
                    grid=TimeGrid(0.01, 30.0))
-    wins = 0
-    for s in range(50):
-        out = simulate(replace(pcfg, master_seed=cli.DEFAULT_SEED + s), scen.maneuver)
-        pk = out.peak_errors()
-        wins += bool(pk[-1] > pk[0])
+    # seeds DEFAULT_SEED + 0..49, stepped together as the rows of one run
+    pk = seed_peaks(replace(pcfg, master_seed=cli.DEFAULT_SEED), scen.maneuver, 50)
+    wins = int(np.count_nonzero(pk[:, -1] > pk[:, 0]))
     frac = wins / 50
     elapsed = time.perf_counter() - t0
     det_ok = all(patterns[p] == want for p in patterns)

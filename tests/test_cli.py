@@ -221,6 +221,25 @@ class TestCliExitCodes:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, command, key", [
+        ("k_v = 2.5", "k_v = nan", "stability", "k_v"),
+        ("headway = 0.6", "headway = nan", "headway", "headway"),
+        ("tau = 0.4", "tau = nan", "simulate", "tau"),
+        ("segments = 0:0, 5:-9, 6:0", "segments = 0:0, nan:-9, 6:0", "simulate", "segment"),
+        ("[output]", "[suite]\npanels = ideal:0.6, lossy:nan\n\n[output]", "simulate",
+         "panel headway"),
+    ], ids=["k_v", "headway", "tau", "segment_start", "panel_headway"])
+    def test_nan_value_exit_2(self, tmp_path, capsys, old, new, command, key):
+        # checks written as comparisons (k_v <= 0) are False for NaN, so each
+        # value once went through: a LinAlgError traceback, "headway nan s is
+        # insufficient", a reported divergence, a segment that never fires
+        text = BASE.replace(old, new)
+        assert text != BASE
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_channel_probability_out_of_range_exit_2(self, tmp_path):
         text = BASE.replace("p_gb = 0.2", "p_gb = 1.5")
         rc = cli.main(["run", "headway", "--scenario", write(tmp_path, text),

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import platoon_lab as pl
+import platoon_lab.sim as sim_mod
 import reference_engine as ref
 from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
@@ -14,8 +16,8 @@ from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _link_table
                              _offset_vector, _Propagator, _augmented_matrix,
                              _weight_table, build_system_matrix,
                              empirical_string_stability, equilibrium_state,
-                             link_decomposition, monte_carlo, simulate,
-                             simulate_deterministic)
+                             link_decomposition, monte_carlo, seed_peaks, simulate,
+                             simulate_deterministic, simulate_panels)
 
 CHANNEL = GilbertParams(0.2, 0.1, 0.2)
 BRAKE = Maneuver(((0.0, 0.0), (10.0, -9.0), (11.0, 0.0)), 25.0)
@@ -367,6 +369,46 @@ class TestBatchedEnsembleMatchesReference:
         assert exc.value.step == min(steps)
 
 
+class TestBatchedRowsMatchLoneRuns:
+    """A point-mass batch of more than one seed takes the Taylor action and a
+    lone run the memoized step; a batched row stays within 1e-9 m of the lone
+    run of its seed (measured: below 1e-11 m)."""
+
+    def test_ensemble_rows(self):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=6, horizon=14.0, seed=4)
+        assert _Propagator(cfg).cacheable and not _Propagator(cfg, 5).cacheable
+        stats = monte_carlo(cfg, BRAKE, 5)
+        lone = [simulate(replace(cfg, master_seed=4 + i), BRAKE) for i in range(5)]
+        np.testing.assert_allclose(stats.peaks, [out.peak_errors() for out in lone],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(stats.mean_errors,
+                                   np.mean([out.errors for out in lone], axis=0),
+                                   rtol=0, atol=1e-9)
+
+    def test_suite_rows(self):
+        scen = load_scenario("paper-fig8", master_seed=20201)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0),
+                      policy=replace(scen.config.policy, h_w=scen.suite[1].headway))
+        peaks = seed_peaks(cfg, scen.maneuver, 6)
+        lone = np.array([simulate(replace(cfg, master_seed=20201 + i), scen.maneuver)
+                         .peak_errors() for i in range(6)])
+        np.testing.assert_allclose(peaks, lone, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(peaks[:, -1] > peaks[:, 0], lone[:, -1] > lone[:, 0])
+
+    def test_batched_ensemble_calls_expm_only_for_the_gamma_run(self, monkeypatch):
+        # a shared memo would grow with every link pattern the batch meets
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=6, horizon=14.0, seed=4)
+        assert cfg.n_links <= sim_mod._CACHE_LINK_LIMIT
+        calls = []
+        real = sim_mod.expm
+        monkeypatch.setattr(sim_mod, "expm", lambda m: calls.append(1) or real(m))
+        monte_carlo(cfg, BRAKE, 6)
+        batched = len(calls)
+        calls.clear()
+        simulate_deterministic(cfg, BRAKE, pl.gamma_of(CHANNEL))
+        assert batched == len(calls) == 1
+
+
 class TestEmpiricalStringStability:
     def test_all_zero_errors_stable(self):
         cfg = make_config(Scheme.CACC, n_followers=3, horizon=5.0)
@@ -461,6 +503,22 @@ def assert_matches_reference(cfg, maneuver):
     return out, (x, v, a, e)
 
 
+@lru_cache(maxsize=None)
+def stacked_suite(preset):
+    """A map-model suite's three panels stepped as the rows of one run.
+
+    Returns the scenario, each panel's config and the stacked outputs.
+    """
+    scen = load_scenario(preset)
+    cfg = scen.config
+    assert cfg.model == "empirical" and cfg.grid.horizon == 40.0
+    lossy = (pl.gamma_of(cfg.channel), pl.gamma_of(cfg.second_params()))
+    panels = [(p.headway, *((1.0, 1.0) if p.mode == "ideal" else lossy)) for p in scen.suite]
+    cfgs = [replace(cfg, policy=replace(cfg.policy, h_w=hw), deterministic_gamma=g, mu=mu)
+            for hw, g, mu in panels]
+    return scen, cfgs, simulate_panels(cfg, scen.maneuver, panels)
+
+
 class TestMapEngineMatchesReference:
     """The map engine takes its law from the closed-loop matrix; the reference
     engine writes it term by term, one vehicle at a time."""
@@ -468,14 +526,23 @@ class TestMapEngineMatchesReference:
     @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
     @pytest.mark.parametrize("panel", [0, 1, 2])
     def test_suite_panels(self, preset, panel):
-        scen = load_scenario(preset)
-        cfg, p = scen.config, scen.suite[panel]
-        assert cfg.model == "empirical" and cfg.grid.horizon == 40.0
-        g = 1.0 if p.mode == "ideal" else pl.gamma_of(cfg.channel)
-        mu = 1.0 if p.mode == "ideal" else pl.gamma_of(cfg.second_params())
-        cfg = replace(cfg, policy=replace(cfg.policy, h_w=p.headway),
-                      deterministic_gamma=g, mu=mu)
-        assert_matches_reference(cfg, scen.maneuver)
+        # each row of the stacked suite run against the scalar engine
+        scen, cfgs, outs = stacked_suite(preset)
+        x, v, a, e = ref.run_reference(cfgs[panel], scen.maneuver, _weight_table(cfgs[panel]))
+        out = outs[panel]
+        for got, want in ((out.x, x), (out.v, v), (out.a, a), (out.errors, e)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
+    def test_stacked_panels_equal_lone_runs(self, preset):
+        scen, cfgs, outs = stacked_suite(preset)
+        assert len({cfg.policy.h_w for cfg in cfgs}) > 1
+        for cfg, out in zip(cfgs, outs):
+            lone = simulate_deterministic(cfg, scen.maneuver, cfg.deterministic_gamma, cfg.mu)
+            for got, want in ((out.x, lone.x), (out.v, lone.v), (out.a, lone.a),
+                              (out.errors, lone.errors)):
+                np.testing.assert_array_equal(got, want)
+            assert out.config_hash == lone.config_hash
 
     @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
     def test_stochastic_link_table(self, preset):
