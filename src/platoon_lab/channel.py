@@ -67,7 +67,7 @@ def link_streams(master_seed: int, n_links: int) -> list[np.random.Generator]:
 
 def sample_links(params: list[GilbertParams], streams: list[np.random.Generator],
                  n_steps: int, init_mode: ChannelMode | None = None) -> np.ndarray:
-    """(n_links, n_steps) reception weights in {0, 1}; link l uses streams[l].
+    """(n_links, n_steps) boolean reception flags; link l uses streams[l].
 
     The initial mode is drawn from the chain's stationary distribution, Bad
     with probability p_gb / (p_gb + q_bg), unless ``init_mode`` forces it.
@@ -96,4 +96,4 @@ def sample_links(params: list[GilbertParams], streams: list[np.random.Generator]
     parity[:, 1:] = np.logical_xor.accumulate(to_bad & to_good, axis=1)
     rows = np.arange(n_links)[:, None]
     bad = set_value[rows, last_set] ^ parity[rows, last_set] ^ parity[:, 1:]
-    return np.where(~bad, 1.0, (us[:, :, 1] < r[:, None]).astype(float))
+    return ~bad | (us[:, :, 1] < r[:, None])

@@ -116,10 +116,12 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray],
     if y0 < 0.0 < y1:
         parts.append(f'<line x1="{ml}" y1="{sy(0):.2f}" x2="{ml + pw}" y2="{sy(0):.2f}" '
                      f'stroke="#cccccc" stroke-dasharray="4 4"/>')
+    # polyline coordinates as arrays, through the same sx/sy arithmetic
+    stride = max(1, len(time) // 2000)
+    xs = sx(np.asarray(time, dtype=float)[::stride]).tolist()
     for j, (label, vals) in enumerate(series.items()):
-        stride = max(1, len(time) // 2000)
-        pts = " ".join(f"{sx(float(t)):.2f},{sy(float(y)):.2f}"
-                       for t, y in zip(time[::stride], np.asarray(vals)[::stride]))
+        ys = sy(np.asarray(vals, dtype=float)[::stride]).tolist()
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         color = _PALETTE[j % len(_PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4" points="{pts}"/>')
         ly = mt + 16 + 18 * j

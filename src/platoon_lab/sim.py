@@ -275,7 +275,7 @@ class _Propagator:
         m = np.repeat(self._base[None], link_values.shape[0], axis=0)
         if self._idx.size:
             flat = m.reshape(m.shape[0], -1)
-            flat[:, self._idx] += self._coef * link_values[:, self._link_of]
+            flat[:, self._idx] += self._coef * link_values[:, self._link_of].astype(float, copy=False)
         return m
 
     def step_matrix(self, link_values: np.ndarray) -> np.ndarray:
@@ -340,7 +340,7 @@ def _weights_for(config: PlatoonConfig, gamma: float, mu: float) -> np.ndarray:
 
 
 def _weight_table(config: PlatoonConfig) -> np.ndarray:
-    """(n_links, n_steps) link weights of one run: sampled, or gamma/mu."""
+    """(n_links, n_steps) link weights of one run: sampled flags, or gamma/mu."""
     steps = config.grid.n_steps
     if config.deterministic_gamma is None:
         return _link_tables(config, steps)
@@ -350,8 +350,13 @@ def _weight_table(config: PlatoonConfig) -> np.ndarray:
 
 
 def _seed_weights(config: PlatoonConfig, n_seeds: int) -> np.ndarray:
-    """(n_steps, n_seeds, n_links) weights of seeds master_seed + i, as rows."""
-    weights = np.empty((config.grid.n_steps, n_seeds, config.n_links))
+    """(n_steps, n_seeds, n_links) weights of seeds master_seed + i, as rows.
+
+    Sampled tables stay boolean, an eighth of the float64 footprint; the
+    loops cast one step's rows to float where they use them.
+    """
+    dtype = bool if config.deterministic_gamma is None else float
+    weights = np.empty((config.grid.n_steps, n_seeds, config.n_links), dtype=dtype)
     for i in range(n_seeds):
         weights[:, i] = _weight_table(replace(config, master_seed=config.master_seed + i)).T
     return weights
@@ -464,7 +469,7 @@ def _empirical_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.nda
     yield x
     t = 0.0
     for k in range(grid.n_steps):
-        w = weights[k][:, None, :]
+        w = weights[k][:, None, :].astype(float, copy=False)
         gain = k0 + np.matmul(w, dk).reshape(k0.shape)
         offset = tau * (c0 + np.matmul(w, dc)[:, 0])[:, acc_rows]
         u = cacc_input(gain, offset, VehicleState(*(f.reshape(n_rows, n_veh) for f in

@@ -20,12 +20,18 @@ the current mode where the sampler scans flags over time, but it reads the
 same stream layout: one uniform for a stationary start, then a transition
 and a reception uniform per step.  Fed the same streams, the two must agree
 on every packet.
+
+And it keeps the expectation oracle one assignment at a time
+(:func:`assignments`, :func:`exact_expected_power`): every corner point of
+a random matrix realized on its own and raised to one power, the sum the
+program's single stacked sweep over all exponents must reproduce bitwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -355,3 +361,24 @@ def monte_carlo(config, maneuver, n_realizations: int):
                       mu=gamma_of(config.second_params()))
     det = run_linear(det_cfg, maneuver, _weight_table(det_cfg))[3]
     return mean_err, peaks, np.abs(mean_err).max(axis=1), np.abs(det).max(axis=1)
+
+
+def assignments(spec):
+    """Yield (probability, assignment) over all 2^m corner points of ``spec``."""
+    names = spec.names
+    for bits in product((0.0, 1.0), repeat=len(names)):
+        pr = 1.0
+        for name, b in zip(names, bits):
+            p = spec.probs[name]
+            pr *= p if b == 1.0 else (1.0 - p)
+        if pr == 0.0:
+            continue
+        yield pr, dict(zip(names, bits))
+
+
+def exact_expected_power(spec, k: int) -> np.ndarray:
+    """E[A^k] as the probability-weighted sum, one realization at a time."""
+    total = np.zeros_like(spec.base)
+    for pr, assignment in assignments(spec):
+        total += pr * np.linalg.matrix_power(spec.realize(assignment), k)
+    return total

@@ -202,12 +202,11 @@ def test_criterion_6_expectation_oracle():
     cacc = from_platoon(cfg_for(pl.Scheme.CACC))
     cacc_ok = True
     worst = 0.0
-    for k in range(1, 7):
-        holds, gap = check_multilinearity(cacc, k)
+    for holds, gap in check_multilinearity(cacc, range(1, 7)):
         cacc_ok &= holds and gap < 1e-10
         worst = max(worst, gap)
     plus = from_platoon(cfg_for(pl.Scheme.CACC_PLUS))
-    _, gap3 = check_multilinearity(plus, 3)
+    [(_, gap3)] = check_multilinearity(plus, [3])
     elapsed = time.perf_counter() - t0
     ok = cacc_ok and gap3 > 1e-6 and elapsed < 5.0
     assert report(6, ok, f"CACC k=1..6 worst gap {worst:.2e}; CACC+ k=3 gap "

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import platoon_lab.expectation as expectation_mod
+import reference_engine as ref
 from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import TimeGrid
 from platoon_lab.expectation import (RandomMatrixSpec, check_multilinearity,
                                      exact_expected_power, from_platoon)
+from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import PlatoonConfig, build_system_matrix
 
 
@@ -43,24 +48,42 @@ class TestRandomMatrixSpec:
                                 {f"v{i}": np.eye(2) for i in range(n)},
                                 {f"v{i}": 0.5 for i in range(n)})
         with pytest.raises(ValueError, match="enumeration limit"):
-            exact_expected_power(spec, 2)
+            exact_expected_power(spec, [2])
+
+    @pytest.mark.parametrize("entry", [exact_expected_power, check_multilinearity])
+    def test_enumeration_limit_refused_before_allocating(self, entry):
+        # every coefficient is the same 2 MB array, so the spec itself is
+        # small; a refusal that came after the totals or the mean matrix
+        # would trace at least one matrix-sized allocation
+        big = np.eye(500)
+        n = MAX_VARS + 1
+        spec = RandomMatrixSpec(big, {f"v{i}": big for i in range(n)},
+                                {f"v{i}": 0.5 for i in range(n)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="enumeration limit"):
+                entry(spec, range(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes
 
 
 class TestExactExpectedPower:
     def test_k1_is_entrywise_mean(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
-        np.testing.assert_allclose(exact_expected_power(spec, 1), spec.mean_matrix(),
+        np.testing.assert_allclose(exact_expected_power(spec, [1])[0], spec.mean_matrix(),
                                    atol=1e-14)
 
     def test_deterministic_spec_is_plain_power(self):
         a = np.array([[0.0, 1.0], [-1.0, -0.5]])
         spec = RandomMatrixSpec(a, {}, {})
-        np.testing.assert_allclose(exact_expected_power(spec, 3),
+        np.testing.assert_allclose(exact_expected_power(spec, [3])[0],
                                    np.linalg.matrix_power(a, 3), atol=1e-14)
 
     def test_cacc_identity_k4(self):
         _, spec = platoon_spec(Scheme.CACC)
-        exact = exact_expected_power(spec, 4)
+        exact = exact_expected_power(spec, [4])[0]
         np.testing.assert_allclose(
             exact, np.linalg.matrix_power(spec.mean_matrix(), 4), atol=1e-10)
 
@@ -68,22 +91,20 @@ class TestExactExpectedPower:
 class TestMultilinearity:
     def test_cacc_holds_through_k6(self):
         _, spec = platoon_spec(Scheme.CACC)
-        for k in range(1, 7):
-            holds, gap = check_multilinearity(spec, k)
+        for k, (holds, gap) in zip(range(1, 7), check_multilinearity(spec, range(1, 7))):
             assert holds, f"k={k} gap={gap}"
 
     def test_cacc_plus_fails_from_k3(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
-        for k in (1, 2):
-            holds, gap = check_multilinearity(spec, k)
-            assert holds, f"k={k} gap={gap}"
-        holds, gap = check_multilinearity(spec, 3)
+        *low, (holds, gap) = check_multilinearity(spec, [1, 2, 3])
+        for k, (holds_k, gap_k) in zip((1, 2), low):
+            assert holds_k, f"k={k} gap={gap_k}"
         assert not holds
         assert gap > 1e-6
 
     def test_gap_grows_with_power(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
-        gaps = [check_multilinearity(spec, k)[1] for k in (3, 4, 5)]
+        gaps = [gap for _, gap in check_multilinearity(spec, (3, 4, 5))]
         assert gaps[0] < gaps[1] < gaps[2]
 
 
@@ -172,7 +193,7 @@ class TestExpectedExponential:
             bits = (rng.random(len(names)) < ps).astype(float)
             total += np.linalg.matrix_power(spec.realize(dict(zip(names, bits))), 3)
         mc = total / n
-        exact = exact_expected_power(spec, 3)
+        exact = exact_expected_power(spec, [3])[0]
         cubes = [np.linalg.matrix_power(spec.realize(a), 3)
                  for _, a in _all_assignments(spec)]
         spread = np.max(np.abs(np.max(cubes, axis=0) - np.min(cubes, axis=0)))
@@ -180,5 +201,58 @@ class TestExpectedExponential:
 
 
 def _all_assignments(spec):
-    from platoon_lab.expectation import _assignments
-    return list(_assignments(spec))
+    return list(ref.assignments(spec))
+
+
+KS = range(7)
+MAX_VARS = expectation_mod.MAX_ENUM_VARS
+
+
+def _random_spec(probs, n=4, seed=5):
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(len(probs))]
+    return RandomMatrixSpec(rng.normal(size=(n, n)),
+                            {m: rng.normal(size=(n, n)) for m in names},
+                            dict(zip(names, probs)))
+
+
+def assert_sweep_matches_oracle(spec):
+    """Every exponent of the one sweep is bitwise the one-at-a-time sum."""
+    sweep = exact_expected_power(spec, KS)
+    assert len(sweep) == len(KS)
+    for k, total in zip(KS, sweep):
+        assert total.tobytes() == ref.exact_expected_power(spec, k).tobytes(), f"k={k}"
+
+
+class TestSweepMatchesOracle:
+    @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9", "paper-fig10"])
+    def test_preset_specs(self, preset):
+        assert_sweep_matches_oracle(from_platoon(load_scenario(preset).config))
+
+    def test_no_variables(self):
+        assert_sweep_matches_oracle(_random_spec([]))
+
+    def test_certain_and_impossible_variables(self):
+        # probabilities 0 and 1 zero out half the corner points each; the
+        # sweep must drop the same rows the oracle skips
+        assert_sweep_matches_oracle(_random_spec([0.0, 0.3, 1.0, 0.6, 0.5]))
+
+    def test_partial_blocks(self, monkeypatch):
+        # 2^6 assignments in blocks of 5: twelve full blocks and one of 4
+        monkeypatch.setattr(expectation_mod, "_BLOCK", 5)
+        assert_sweep_matches_oracle(_random_spec([0.2, 0.7, 0.4, 0.9, 0.1, 0.5]))
+
+    def test_fewer_assignments_than_one_block(self):
+        assert 2 ** 3 < expectation_mod._BLOCK
+        assert_sweep_matches_oracle(_random_spec([0.2, 0.7, 0.4]))
+
+    def test_repeated_and_unordered_exponents(self):
+        _, spec = platoon_spec(Scheme.CACC_PLUS)
+        ks = [4, 1, 4, 0]
+        for k, total in zip(ks, exact_expected_power(spec, ks)):
+            assert total.tobytes() == ref.exact_expected_power(spec, k).tobytes()
+
+    def test_negative_exponent_rejected(self):
+        _, spec = platoon_spec(Scheme.CACC)
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_expected_power(spec, [2, -1])

@@ -14,7 +14,8 @@ from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _link_tables,
                              _offset_vector, _Propagator, _augmented_matrix,
-                             _weight_table, build_system_matrix,
+                             _row_states, _seed_weights, _weight_table,
+                             build_system_matrix,
                              empirical_string_stability, equilibrium_state,
                              link_decomposition, monte_carlo, seed_peaks, simulate,
                              simulate_deterministic, simulate_panels)
@@ -407,6 +408,37 @@ class TestBatchedRowsMatchLoneRuns:
         calls.clear()
         simulate_deterministic(cfg, BRAKE, pl.gamma_of(CHANNEL))
         assert batched == len(calls) == 1
+
+
+class TestBooleanLinkTables:
+    def test_sampled_tables_are_boolean_and_gamma_tables_float(self):
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=2.0)
+        sampled = _seed_weights(cfg, 3)
+        assert sampled.dtype == bool
+        assert sampled.shape == (cfg.grid.n_steps, 3, cfg.n_links)
+        det = _seed_weights(replace(cfg, deterministic_gamma=0.7, mu=0.6), 2)
+        assert det.dtype == np.float64
+        np.testing.assert_array_equal(det[:, :, :3], 0.7)
+        np.testing.assert_array_equal(det[:, :, 3:], 0.6)
+
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_point_mass_steps_alike_on_flags_and_floats(self, n_rows):
+        # n_rows = 1 takes the memoized step, 4 the Taylor action
+        cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=14.0, seed=8)
+        flags = _seed_weights(cfg, n_rows)
+        for x_flags, x_floats in zip(_row_states(cfg, BRAKE, flags),
+                                     _row_states(cfg, BRAKE, flags.astype(float))):
+            assert x_flags.tobytes() == x_floats.tobytes()
+
+    def test_pedal_maps_step_alike_on_flags_and_floats(self):
+        scen = load_scenario("paper-fig9", master_seed=3)
+        cfg = replace(scen.config, grid=TimeGrid(scen.config.grid.dt, 12.0),
+                      deterministic_gamma=None, mu=None)
+        flags = _seed_weights(cfg, 3)
+        assert flags.dtype == bool
+        for x_flags, x_floats in zip(_row_states(cfg, scen.maneuver, flags),
+                                     _row_states(cfg, scen.maneuver, flags.astype(float))):
+            assert x_flags.tobytes() == x_floats.tobytes()
 
 
 class TestEmpiricalStringStability:
