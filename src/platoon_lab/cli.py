@@ -119,6 +119,11 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
 
 
 def cmd_simulate(scenario: Scenario, outdir: Path) -> output.RunReport:
+    # the verdict compares followers' peaks, so it needs two of them; say so
+    # before simulating rather than after
+    if scenario.config.n_followers < 2:
+        raise ScenarioError("simulate judges string stability from the followers' "
+                            "peak errors and needs n_followers >= 2")
     report = output.RunReport("simulate", scenario.config_hash, {})
     if scenario.suite:
         report.verdicts = _run_suite(scenario, outdir, report)
@@ -232,6 +237,9 @@ def cmd_oracle(scenario: Scenario, outdir: Path) -> output.RunReport:
     fig4, which takes about 44 s.
     """
     spec = expectation.from_platoon(scenario.config)
+    if spec.n_vars > expectation.MAX_ENUM_VARS:
+        raise ScenarioError(f"oracle enumerates 2^{spec.n_vars} link assignments; "
+                            f"at most {expectation.MAX_ENUM_VARS} links are supported")
     ks = range(1, 7)
     rows = [{"k": k, "holds": holds, "frobenius_gap": gap}
             for k, (holds, gap) in zip(ks, expectation.check_multilinearity(spec, ks))]

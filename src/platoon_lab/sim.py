@@ -10,12 +10,14 @@ in the link weights w (:func:`link_decomposition`).  Two engines use them:
   exact zero-order-hold solution of the per-step constant system, the
   exponential of an augmented matrix carrying the lead input and the offset.
   One batched loop (:func:`_point_mass_states`) steps R realizations at once,
-  one link pattern per row.  A lone run (R = 1) on at most 12 links memoizes
-  the exponential of each link pattern it meets; any batch of R > 1 rows, and
-  any platoon with more links, takes a machine-precision Taylor action on the
-  states instead, so no memo grows with the link patterns of a batch.  On the
-  Taylor action a row does not depend on the rest of its batch; it differs
-  from the memoized lone run of its seed at about 1e-12 m.
+  one link pattern per row.  A lone run (R = 1) memoizes the exponential of
+  each link pattern it meets when it has at most 12 links or constant
+  weights (a gamma-deterministic run, which meets one pattern); any batch of
+  R > 1 rows, and a sampled lone run on more links, takes a machine-precision
+  Taylor action on the states instead, so no memo grows with the link
+  patterns of a batch.  On the Taylor action a row does not depend on the
+  rest of its batch; it differs from the memoized lone run of its seed at
+  about 1e-12 m.
 * pedal maps: every vehicle's command is read off the acceleration rows of
   A(w) and c(w) (:func:`cacc_input`), and all vehicles of all rows advance
   together through the pedal maps and the exact lag update
@@ -56,7 +58,7 @@ class SimulationDivergedError(RuntimeError):
 
 # Abort threshold on any state component.
 _DIVERGENCE_LIMIT = 1e6
-# Largest link count on which a lone run memoizes its step exponentials.
+# Largest link count on which a sampled lone run memoizes its step exponentials.
 _CACHE_LINK_LIMIT = 12
 
 
@@ -245,20 +247,23 @@ class _Propagator:
 
     The augmented matrix is affine in the link weights, so it is assembled by
     patching the weight-dependent entries of a cached base matrix.  Only a
-    lone run (``n_rows`` = 1) on at most _CACHE_LINK_LIMIT links memoizes the
-    matrix exponential of each link pattern; a batch of rows, or a platoon
-    with more links, applies the exponential to the states as a Taylor
-    action, which is exact to machine precision because the per-step matrix
-    norm is far below one.  So the memo never holds more patterns than one
-    run meets.  On the Taylor action every row goes through the same
-    matrix-vector products as a lone state would, so a row's result does not
-    depend on what else is in the batch.
+    lone run (``n_rows`` = 1) memoizes the matrix exponential of each link
+    pattern, and only if it has at most _CACHE_LINK_LIMIT links or constant
+    weights (``deterministic_gamma`` set: one pattern, one exponential,
+    whatever the link count).  A batch of rows, or a sampled run on more
+    links, applies the exponential to the states as a Taylor action, which
+    is exact to machine precision because the per-step matrix norm is far
+    below one.  So the memo never holds more patterns than one run meets,
+    and at most 2^_CACHE_LINK_LIMIT.  On the Taylor action every row goes
+    through the same matrix-vector products as a lone state would, so a
+    row's result does not depend on what else is in the batch.
     """
 
     def __init__(self, config: PlatoonConfig, n_rows: int = 1):
         self.config = config
         self.dt = config.grid.dt
-        self.cacheable = n_rows == 1 and config.n_links <= _CACHE_LINK_LIMIT
+        self.cacheable = n_rows == 1 and (config.n_links <= _CACHE_LINK_LIMIT
+                                          or config.deterministic_gamma is not None)
         self.cache: dict[bytes, np.ndarray] = {}
         n = self.n = 3 * (config.n_followers + 1)
         self._base = _augmented_matrix(config, np.zeros(config.n_links)) * self.dt

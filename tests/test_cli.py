@@ -284,6 +284,38 @@ class TestCliExitCodes:
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_oracle_beyond_enumeration_limit_exit_2(self, tmp_path, capsys):
+        # CACC+ with 11 followers has 21 links, one past the enumeration limit;
+        # this once died in the enumeration with a ValueError traceback
+        text = BASE.replace("scheme = cacc", "scheme = cacc_plus").replace(
+            "n_followers = 3", "n_followers = 11")
+        rc = cli.main(["run", "oracle", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "2^21" in err
+
+    @pytest.mark.parametrize("suite", ["", "[suite]\npanels = ideal:0.6, lossy:0.6\n\n"])
+    def test_one_follower_simulate_exit_2_before_simulating(self, tmp_path, capsys,
+                                                            monkeypatch, suite):
+        # one follower has no propagation to judge; the verdict once raised a
+        # ValueError traceback after the whole run
+        text = BASE.replace("n_followers = 3", "n_followers = 1").replace(
+            "[output]", suite + "[output]")
+        path = write(tmp_path, text)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the scenario")
+
+        for name in ("simulate", "simulate_panels", "seed_peaks"):
+            monkeypatch.setattr(cli, name, no_run)
+        rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_followers >= 2" in capsys.readouterr().err
+        for command in ("headway", "stability"):
+            assert cli.main(["run", command, "--scenario", path,
+                             "--out", str(tmp_path / "o")]) == 0
+
     def test_analysis_error_exit_4(self, tmp_path):
         path = write(tmp_path, DIVERGENT)
         rc = cli.main(["run", "stability", "--scenario", path, "--out", str(tmp_path / "o")])

@@ -370,6 +370,13 @@ class TestBatchedEnsembleMatchesReference:
         assert exc.value.step == min(steps)
 
 
+def count_expm(monkeypatch):
+    calls = []
+    real = sim_mod.expm
+    monkeypatch.setattr(sim_mod, "expm", lambda m: calls.append(1) or real(m))
+    return calls
+
+
 class TestBatchedRowsMatchLoneRuns:
     """A point-mass batch of more than one seed takes the Taylor action and a
     lone run the memoized step; a batched row stays within 1e-9 m of the lone
@@ -400,14 +407,49 @@ class TestBatchedRowsMatchLoneRuns:
         # a shared memo would grow with every link pattern the batch meets
         cfg = make_config(Scheme.CACC_PLUS, n_followers=6, horizon=14.0, seed=4)
         assert cfg.n_links <= sim_mod._CACHE_LINK_LIMIT
-        calls = []
-        real = sim_mod.expm
-        monkeypatch.setattr(sim_mod, "expm", lambda m: calls.append(1) or real(m))
+        calls = count_expm(monkeypatch)
         monte_carlo(cfg, BRAKE, 6)
         batched = len(calls)
         calls.clear()
         simulate_deterministic(cfg, BRAKE, pl.gamma_of(CHANNEL))
         assert batched == len(calls) == 1
+        # past the link limit the gamma companion still memoizes its one step
+        wide = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=14.0, seed=4)
+        assert wide.n_links > sim_mod._CACHE_LINK_LIMIT
+        calls.clear()
+        monte_carlo(wide, BRAKE, 3)
+        assert len(calls) == 1
+
+
+class TestConstantWeightMemo:
+    """A lone run with constant weights meets one link pattern, so it
+    memoizes that step's exponential on any number of links; a sampled lone
+    run past _CACHE_LINK_LIMIT links keeps the Taylor action."""
+
+    WIDE = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=14.0, seed=4)
+
+    def test_gamma_run_past_the_link_limit_calls_expm_once(self, monkeypatch):
+        cfg = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
+        assert cfg.n_links > sim_mod._CACHE_LINK_LIMIT and _Propagator(cfg).cacheable
+        calls = count_expm(monkeypatch)
+        simulate(cfg, BRAKE)
+        assert len(calls) == 1
+
+    def test_gamma_run_stays_near_the_taylor_action(self):
+        # the reference engine on a two-row propagator is the Taylor action,
+        # step for step (measured gap: 5.3e-12 m here, 1.2e-11 m on fig4)
+        cfg = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
+        assert not _Propagator(cfg, 2).cacheable
+        out = simulate(cfg, BRAKE)
+        taylor = ref.run_linear(cfg, BRAKE, _weight_table(cfg), n_rows=2)
+        for got, want in zip((out.x, out.v, out.a, out.errors), taylor):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_sampled_run_past_the_link_limit_never_calls_expm(self, monkeypatch):
+        assert not _Propagator(self.WIDE).cacheable
+        calls = count_expm(monkeypatch)
+        simulate(self.WIDE, BRAKE)
+        assert calls == []
 
 
 class TestBooleanLinkTables:
