@@ -7,7 +7,8 @@ the output directory (flag --out, else $PLATOON_LAB_OUT, else ./platoon-lab-out)
 as CSV series, SVG plots and a report.json; a summary goes to stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
-4 analysis error (non-Hurwitz dynamics).
+4 analysis error (non-Hurwitz dynamics, or error dynamics decaying too slowly
+for the time-domain constants: slowest decay rate below about 1e-2 1/s).
 """
 
 from __future__ import annotations
@@ -201,15 +202,18 @@ def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
         tf1, tf2 = stability.build_cacc_plus_tfs(cfg.gains, tau, hw, gamma)
         n1, n2 = stability.hinf_norm(tf1), stability.hinf_norm(tf2)
         ok, margin = stability.string_stable_sum([tf1, tf2])
+        l1, l2 = stability.impulse_l1_norm(tf1), stability.impulse_l1_norm(tf2)
         verdicts.update({"hinf_h_p1": n1, "hinf_h_p2": n2,
                          "hinf_sum": n1 + n2, "sum_margin": margin,
-                         "frequency_condition": ok})
+                         "frequency_condition": ok,
+                         "l1_h_p1": l1, "l1_h_p2": l2, "l1_sum": l1 + l2})
         scheme_key = "cacc_plus"
     else:
         tf = stability.build_cacc_tf(cfg.gains, tau, hw, 0.0 if cfg.scheme is Scheme.ACC else gamma)
         n1 = stability.hinf_norm(tf)
         verdicts.update({"hinf_h": n1, "hinf_margin": 1.0 - n1,
-                         "frequency_condition": n1 <= 1.0 + 1e-9})
+                         "frequency_condition": n1 <= 1.0 + 1e-9,
+                         "l1_h": stability.impulse_l1_norm(tf)})
         scheme_key = "cacc"
     ss = stability.build_error_system(cfg.gains, tau, hw, gamma,
                                       scheme="cacc" if scheme_key == "cacc" else "cacc_plus")

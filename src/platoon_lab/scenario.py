@@ -55,9 +55,6 @@ class Panel:
 
 @dataclass
 class AnalysisOptions:
-    deterministic_gamma: float | None = None   # None = stochastic run
-    gamma_auto: bool = False                   # 'auto': use gamma_of(channel)
-    mu: float | None = None
     n_realizations: int = 100
     stochastic_seeds: int = 0
     alpha_star: float = 0.0
@@ -82,16 +79,14 @@ class Scenario:
     config_hash: str = ""
 
     def gamma_for_analysis(self) -> float:
-        if self.analysis.gamma_auto or self.analysis.deterministic_gamma is None:
-            return gamma_of(self.config.channel)
-        return self.analysis.deterministic_gamma
+        """The run's deterministic gamma, else the first-link reception rate."""
+        gamma = self.config.deterministic_gamma
+        return gamma_of(self.config.channel) if gamma is None else gamma
 
     def mu_for_analysis(self) -> float:
-        if self.analysis.mu is not None:
-            return self.analysis.mu
-        if self.analysis.gamma_auto or self.analysis.deterministic_gamma is None:
-            return gamma_of(self.config.second_params())
-        return self.analysis.deterministic_gamma
+        """The run's mu, else the second-link reception rate."""
+        mu = self.config.mu
+        return gamma_of(self.config.second_params()) if mu is None else mu
 
 
 def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
@@ -275,22 +270,22 @@ def parse_scenario_text(text: str, name: str = "scenario",
     # --- analysis ---
     dt = _getfloat(cp, "analysis", "dt", 0.01)
     horizon = _getfloat(cp, "analysis", "horizon", 40.0)
+    # a deterministic run fixes both link weights here: 'auto' takes each
+    # link type's reception rate, a number serves as mu too unless mu is set
     det_raw = _get(cp, "analysis", "deterministic_gamma")
-    gamma_auto = False
     det_gamma = None
+    mu = _getfloat(cp, "analysis", "mu")
     if det_raw is not None:
         if det_raw.lower() == "auto":
-            gamma_auto = True
             det_gamma = gamma_of(channel)
+            det_mu = gamma_of(second or channel)
         else:
             try:
-                det_gamma = float(det_raw)
+                det_gamma = det_mu = float(det_raw)
             except ValueError as exc:
                 raise ScenarioError(f"deterministic_gamma {det_raw!r} must be a number or 'auto'") from exc
+        mu = det_mu if mu is None else mu
     analysis = AnalysisOptions(
-        deterministic_gamma=det_gamma,
-        gamma_auto=gamma_auto,
-        mu=_getfloat(cp, "analysis", "mu"),
         n_realizations=_getint(cp, "analysis", "n_realizations", 100),
         stochastic_seeds=_getint(cp, "analysis", "stochastic_seeds", 0),
         alpha_star=_getfloat(cp, "analysis", "alpha_star", 0.0),
@@ -337,7 +332,7 @@ def parse_scenario_text(text: str, name: str = "scenario",
             channel_second=second,
             master_seed=master_seed if master_seed is not None else 0,
             deterministic_gamma=det_gamma,
-            mu=analysis.mu,
+            mu=mu,
             init_mode=init_mode,
             velocity_clamp=_getbool(cp, "platoon", "velocity_clamp", False),
             u_clamp=(u_lo, u_hi) if u_lo is not None else None,

@@ -25,6 +25,10 @@ And it keeps the expectation oracle one assignment at a time
 (:func:`assignments`, :func:`exact_expected_power`): every corner point of
 a random matrix realized on its own and raised to one power, the sum the
 program's single stacked sweep over all exponents must reproduce bitwise.
+
+Last, it keeps the response C e^{A k dt} stepped one sample at a time
+(:func:`stepped_response`), the oracle for the blocked sampler behind the
+stability module's time-domain constants.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
+from scipy.linalg import expm
 
 from platoon_lab.channel import ChannelMode, GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
@@ -382,3 +387,12 @@ def exact_expected_power(spec, k: int) -> np.ndarray:
     for pr, assignment in assignments(spec):
         total += pr * np.linalg.matrix_power(spec.realize(assignment), k)
     return total
+
+
+def stepped_response(a: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """Rows C e^{A k dt} for k = 0 .. n-1, each the one before times e^{A dt}."""
+    step = expm(a * dt)
+    rows = [np.asarray(c, dtype=float).reshape(-1)]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ step)
+    return np.array(rows)

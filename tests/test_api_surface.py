@@ -22,9 +22,6 @@ ALLOWED = {
     # the map engine's maps.actuate calls the private kernels behind them
     "interp",
     "invert",
-    # the exact L-inf -> L-inf gain, to become the stability command's
-    # peak-error certificate (ROADMAP.md, direction 3)
-    "impulse_l1_norm",
     # writes a map file in the format scenarios load with throttle_map/brake_map
     "to_csv",
     # linear pedal maps: the map engine reduces to the pure lag under them

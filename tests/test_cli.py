@@ -1,5 +1,11 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,7 @@ import pytest
 from platoon_lab import cli
 from platoon_lab.output import write_timeseries_csv
 from platoon_lab.scenario import ScenarioError, load_scenario
-from platoon_lab.sim import simulate
+from platoon_lab.sim import empirical_string_stability, simulate, simulate_deterministic
 
 BASE = """
 [platoon]
@@ -107,6 +113,28 @@ class TestScenarioParsing:
         text = BASE.replace("horizon = 20.0", "horizon = 20.0\ndeterministic_gamma = auto")
         scen = load_scenario(write(tmp_path, text))
         assert scen.config.deterministic_gamma == pytest.approx(0.466667, abs=1e-6)
+        # the (i, i-2) links run at their own channel's rate mu = 1/6 in
+        # `simulate` too, as in the analyses; they once ran at gamma
+        plus = (text.replace("n_followers = 3", "n_followers = 4")
+                .replace("scheme = cacc", "scheme = cacc_plus")
+                .replace("r_recv_bad = 0.2", "r_recv_bad = 0.2\n"
+                         "p_gb_2 = 0.5\nq_bg_2 = 0.1\nr_recv_bad_2 = 0"))
+        path = write(tmp_path, plus, "plus.ini")
+        scen = load_scenario(path)
+        assert scen.config.mu == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert scen.mu_for_analysis() == scen.config.mu
+        assert scen.gamma_for_analysis() == scen.config.deterministic_gamma
+        rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        peaks = json.loads((tmp_path / "o" / "base-report.json").read_text())["verdicts"]["peaks"]
+        expected = simulate_deterministic(scen.config, scen.maneuver,
+                                          7.0 / 15.0, 1.0 / 6.0)
+        np.testing.assert_allclose(peaks, empirical_string_stability(expected)[1],
+                                   rtol=1e-12)
+        # an explicit mu still wins
+        scen = load_scenario(write(tmp_path, plus.replace(
+            "deterministic_gamma = auto", "deterministic_gamma = auto\nmu = 0.3"), "mu.ini"))
+        assert scen.config.mu == 0.3 and scen.mu_for_analysis() == 0.3
 
     def test_presets_all_load(self):
         for name in ("paper-fig4", "paper-fig8", "paper-fig9", "paper-fig10"):
@@ -321,6 +349,26 @@ class TestCliExitCodes:
         rc = cli.main(["run", "stability", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    def test_near_marginal_error_dynamics_exit_4_promptly(self, tmp_path, capsys):
+        # this CACC loses stability at h = 0.4; at h = 0.401 the slowest error
+        # mode decays at 4e-4 1/s, and sampling it once took 50 s
+        text = (BASE.replace("tau = 0.4", "tau = 0.5").replace("k_a = 0.2", "k_a = 0.0")
+                .replace("k_v = 2.5", "k_v = 0.1"))
+        start = time.perf_counter()
+        rc = cli.main(["run", "stability", "--out", str(tmp_path / "o"), "--scenario",
+                       write(tmp_path, text.replace("headway = 0.6", "headway = 0.401"))])
+        assert rc == 4
+        assert time.perf_counter() - start < 2.0
+        assert "sigma = 0.0004 1/s" in capsys.readouterr().err
+        # at h = 0.45 (sigma = 2e-2 1/s) the constants are still sampled
+        rc = cli.main(["run", "stability", "--out", str(tmp_path / "o"), "--scenario",
+                       write(tmp_path, text.replace("headway = 0.6", "headway = 0.45"))])
+        assert rc == 0
+        verdicts = json.loads((tmp_path / "o" / "base-stability-report.json")
+                              .read_text())["verdicts"]
+        assert math.isfinite(verdicts["peak_error_bound"])
+        assert math.isfinite(verdicts["l1_h"])
+
 
 class TestCliCommands:
     def test_headway_reports_paper_number(self, tmp_path, capsys):
@@ -394,9 +442,34 @@ class TestCliCommands:
         report = json.loads((tmp_path / "o" / "base-stability-report.json").read_text())
         assert report["verdicts"]["peak_error_bound"] > 0
         assert "j_value" in report["verdicts"]
+        # each link's L-inf -> L-inf gain ||h||_1 sits next to its H-infinity
+        # norm, which never exceeds it
+        assert report["verdicts"]["hinf_h"] <= report["verdicts"]["l1_h"]
+        plus = BASE.replace("scheme = cacc", "scheme = cacc_plus")
+        rc = cli.main(["run", "stability", "--scenario", write(tmp_path, plus, "p.ini"),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        verdicts = json.loads((tmp_path / "o" / "base-stability-report.json")
+                              .read_text())["verdicts"]
+        assert verdicts["hinf_h_p1"] <= verdicts["l1_h_p1"]
+        assert verdicts["hinf_h_p2"] <= verdicts["l1_h_p2"]
+        assert verdicts["l1_sum"] == verdicts["l1_h_p1"] + verdicts["l1_h_p2"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATOON_LAB_OUT", str(tmp_path / "envout"))
         rc = cli.main(["run", "headway", "--scenario", write(tmp_path, BASE)])
         assert rc == 0
         assert (tmp_path / "envout" / "base-headway-report.json").exists()
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal adds about 1.1 s to the import, against about 0.45 s of
+    # set-up for a whole command; scipy.linalg carries what the program needs
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, platoon_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -13,7 +13,8 @@ from platoon_lab.stability import (PeakBound, RationalTF, StateSpace,
                                    build_error_system, hinf_norm, impulse_l1_norm,
                                    lyapunov_gramian, peak_output_bound,
                                    safe_standstill_distance, string_stable_sum,
-                                   tf_to_ss)
+                                   tf_to_ss, _response_blocks)
+from reference_engine import stepped_response
 
 PAPER_GAIN_SETS = (
     # (gains, tau) as used in the linear and high-fidelity studies
@@ -133,6 +134,62 @@ class TestHinfNorm:
                 assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0, abs=1e-6)
 
 
+def grid_peak(tf: RationalTF) -> float:
+    """max |H(jw)| over w = 0, a dense log grid on [1e-4, 1e4] zoomed in four
+    times around its best point, and the w -> inf limit: an oracle that
+    shares no code with hinf_norm."""
+    def mag(w):
+        return np.abs(np.polyval(tf.num, 1j * w) / np.polyval(tf.den, 1j * w))
+
+    w = np.concatenate(([0.0], np.logspace(-4.0, 4.0, 80001)))
+    best = 0.0
+    for _ in range(5):
+        m = mag(w)
+        i = int(m.argmax())
+        best = max(best, float(m[i]))
+        w = np.linspace(w[max(i - 1, 0)], w[min(i + 1, w.size - 1)], 1001)
+    limit = abs(tf.num[0] / tf.den[0]) if len(tf.num) == len(tf.den) else 0.0
+    return max(best, limit)
+
+
+def random_hurwitz_tfs(rng, n_cacc=60, n_plus=40, n_biproper=40):
+    """Seeded CACC, CACC+ and biproper second-order transfer functions."""
+    tfs = []
+    while len(tfs) < n_cacc + 2 * n_plus:
+        gains = Gains(rng.uniform(0.0, 1.0), rng.uniform(0.05, 3.0), rng.uniform(0.2, 3.0))
+        tau, h, g = rng.uniform(0.1, 1.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0)
+        if len(tfs) < n_cacc:
+            new = [build_cacc_tf(gains, tau, h, g)]
+        else:
+            new = [tf for tf in build_cacc_plus_tfs(gains, tau, h, g) if not tf.is_zero()]
+        tfs += [tf for tf in new if np.roots(tf.den).real.max() < -1e-6]
+    for _ in range(n_biproper // 2):
+        # a lead or lag (s + z) / (s + p), and a biproper second-order function
+        tfs.append(RationalTF((1.0, rng.uniform(0.1, 3.0)), (1.0, rng.uniform(0.1, 3.0))))
+        num = (rng.uniform(0.5, 3.0), rng.uniform(0.01, 3.0), rng.uniform(0.1, 3.0))
+        tfs.append(RationalTF(num, (1.0, rng.uniform(0.5, 3.0), rng.uniform(0.1, 3.0))))
+    return tfs
+
+
+class TestHinfAgainstGrid:
+    def test_bracketed_by_dense_grid(self):
+        # grid <= ||H||_inf <= grid (1 + 1e-9) on 180 functions whose maximum
+        # lies at w = 0, inside the band, or in the w -> inf limit; two
+        # evaluations of one point may differ by rounding, which a sharp
+        # resonance amplifies (2e-13 relative at |H| = 403 here)
+        where = {"zero": 0, "band": 0, "infinity": 0}
+        for tf in random_hurwitz_tfs(np.random.default_rng(10)):
+            norm, grid = hinf_norm(tf), grid_peak(tf)
+            assert grid * (1 - 1e-12) <= norm <= grid * (1 + 1e-9)
+            if norm <= abs(tf.dc_gain()) * (1 + 1e-12):
+                where["zero"] += 1
+            elif norm <= tf.hf_gain() * (1 + 1e-12):
+                where["infinity"] += 1
+            else:
+                where["band"] += 1
+        assert min(where.values()) >= 10, where
+
+
 class TestStringStableSum:
     def test_single_below_one(self):
         ok, margin = string_stable_sum([RationalTF((0.8,), (1.0, 1.0))])
@@ -198,6 +255,36 @@ class TestImpulseL1:
                 assert ninf <= l1 + 1e-3
                 t1, t2 = build_cacc_plus_tfs(gains, tau, 0.8, g)
                 assert hinf_norm(t1) <= impulse_l1_norm(t1) + 1e-3
+
+
+class TestResponseSampler:
+    # the blocked sampler against the per-sample loop it replaced, on a chain
+    # long enough for three 4096-row blocks and on one short of a single block
+    CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, "cacc_plus"),
+             build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, 0.467, "cacc"),
+             StateSpace(a=np.array([[-5.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
+                        lead_tf=RationalTF((1.0,), (1.0, 5.0))))
+
+    @pytest.mark.parametrize("ss", CASES)
+    def test_blocks_match_stepped_loop(self, ss):
+        dt, blocks = _response_blocks(ss.a, ss.c, 0.01)
+        rows = np.vstack(list(blocks))
+        sigma = -np.linalg.eigvals(ss.a).real.max()
+        assert dt == min(0.01, 0.02 / sigma)
+        assert len(rows) == math.ceil(40.0 / (sigma * dt)) + 1
+        ref = stepped_response(ss.a, ss.c, dt, len(rows))
+        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_impulse_l1_matches_stepped_trapezoid(self):
+        for tf in build_cacc_plus_tfs(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467):
+            a, b, c, _ = tf_to_ss(tf)
+            dt, blocks = _response_blocks(a, c, 1e-3)
+            h = np.abs(stepped_response(a, c, dt, sum(len(x) for x in blocks)) @ b[:, 0])
+            assert impulse_l1_norm(tf) == pytest.approx(np.trapezoid(h, dx=dt), rel=1e-12)
+
+    def test_slow_decay_refused_before_sampling(self):
+        with pytest.raises(UnstableTransferFunctionError, match="sigma = 0.0001 1/s"):
+            _response_blocks(np.array([[-1e-4]]), np.array([[1.0]]), 1e-3)
 
 
 class TestLyapunovGramian:
