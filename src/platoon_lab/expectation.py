@@ -5,34 +5,38 @@ For one-predecessor platoons every entry of every power is multilinear in the
 (mutually independent) indicators, so expectation commutes with powers:
 E[A^k] = (E[A])^k.  Two-predecessor platoons put an indicator on the diagonal
 block, powers pick up squared indicators from k = 3 on, and the identity
-fails.  Everything here is verified by exact enumeration over the 2^m
-indicator assignments.
+fails.
 
-One sweep serves every requested exponent: the assignments are walked in
-``itertools.product`` order in stacked blocks of _BLOCK realizations, each
-block's matrices are powered together, and each exponent's total takes the
-probability-weighted powers row by row in enumeration order.  So every total
-is bitwise the one-assignment-at-a-time sum, and the stacked arrays stay
-small.  fig8 and fig10 have m = 11 (2,048 assignments, about 0.07 s for
-k = 0..6 on a 2-core VM); fig4's m = 19 takes about 44 s, which is why the
-benchmark leaves it out.
+E[A^k] is exact without walking all 2^m assignments.  The rows are cut into
+the finest blocks B_i over which A is block lower triangular and each
+variable's coefficient rows lie in one block (one three-row block per vehicle
+on a platoon, one block on a dense spec).  Rows B_i of A then depend only on
+their own variables' assignment s, and the rows above them not at all, so
+
+    C_s(k) = E[(A^k)[B_i, :] | s] = R_s[:, :a] @ E[A^(k-1)][:a] + R_s[:, B_i] @ C_s(k-1)
+
+with R_s = A(s)[B_i, :], a the first row of B_i and C_s(0) = I[B_i]; taking
+blocks top down, E[A^k][B_i] = sum_s p_s C_s(k).  The cost is 2^(m_i) * max(ks)
+small products per block of m_i variables: milliseconds on fig4 (m = 19),
+where the enumeration took a minute and its rounding flipped the k = 2
+verdict.  It agrees with the enumeration to about 1e-14 relative on the
+presets.  MAX_ENUM_VARS bounds the variables of one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
+from .channel import gamma_of
 from .sim import PlatoonConfig, link_decomposition
 
 
-# 2^m assignments are enumerated exactly; refuse beyond this.
+# a block's 2^m assignments are enumerated exactly; refuse beyond this.
 MAX_ENUM_VARS = 20
-# assignments per stacked block: a (32, 21, 21) stack of fig8 matrices is
-# about 110 KiB; 256-row blocks raised the benchmark's peak RSS by a tenth
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -80,89 +84,90 @@ class RandomMatrixSpec:
         return self.realize({name: self.probs[name] for name in self.coeffs})
 
 
-def _check_enum_size(spec: RandomMatrixSpec):
-    if spec.n_vars > MAX_ENUM_VARS:
-        raise ValueError(
-            f"{spec.n_vars} variables exceed the enumeration limit {MAX_ENUM_VARS}")
+def _row_blocks(spec: RandomMatrixSpec) -> list[tuple[int, int, list[str]]]:
+    """Finest row blocks (start, stop, variable names) of ``spec``.
 
-
-def _assignment_blocks(spec: RandomMatrixSpec):
-    """Yield (probabilities, realizations) over all 2^m corner points.
-
-    Blocks of up to _BLOCK assignments in ``itertools.product`` order over
-    ``spec.names``; assignments of probability zero are dropped.  Each
-    probability is the left-to-right product over the names, and each
-    realization adds bit * coeff to the base in name order, as
-    :meth:`RandomMatrixSpec.realize` does for one assignment.
+    Row c starts a block unless a row above it has a nonzero at a column >= c
+    or a variable's coefficient rows straddle c: each row (to its last nonzero
+    column) and each variable (first to last row) is a span no cut may split.
+    Built from boolean masks, so an oversized block is refused before anything
+    matrix-sized exists.  Variables with zero coefficients drop out.
     """
-    names = spec.names
-    corners = product((0.0, 1.0), repeat=len(names))
-    while chunk := list(islice(corners, _BLOCK)):
-        bits = np.array(chunk).reshape(len(chunk), len(names))
-        pr = np.ones(len(chunk))
-        for j, name in enumerate(names):
-            p = spec.probs[name]
-            pr *= np.where(bits[:, j] == 1.0, p, 1.0 - p)
-        keep = pr != 0.0
-        bits, pr = bits[keep], pr[keep]
-        a = np.repeat(spec.base[None], len(pr), axis=0)
-        for j, name in enumerate(names):
-            a += bits[:, j, None, None] * spec.coeffs[name]
-        yield pr, a
+    n = spec.base.shape[0]
+    nonzero = spec.base != 0
+    spans = {}
+    for name in spec.names:
+        mask = spec.coeffs[name] != 0
+        nonzero |= mask
+        if (rows := np.flatnonzero(mask.any(axis=1))).size:
+            spans[name] = rows[0], rows[-1]
+    reach = np.where(nonzero.any(axis=1), n - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    for first, last in spans.values():
+        reach[first] = max(reach[first], last)
+    reach = np.maximum.accumulate(reach)
+    bounds = [0, *(c for c in range(1, n) if reach[c - 1] < c), n]
+    blocks = [(start, stop, [name for name, (first, _) in spans.items() if start <= first < stop])
+              for start, stop in zip(bounds, bounds[1:])]
+    if (most := max(len(names) for *_, names in blocks)) > MAX_ENUM_VARS:
+        raise ValueError(f"{most} variables in one block exceed the enumeration limit "
+                         f"{MAX_ENUM_VARS}")
+    return blocks
 
 
 def exact_expected_power(spec: RandomMatrixSpec, ks) -> list[np.ndarray]:
-    """E[A^k] for each exponent in ``ks``, from one sweep over the assignments.
+    """E[A^k] for each exponent in ``ks``, from one block-conditioned recursion.
 
-    Each is the exact probability-weighted sum over all assignments, added
-    in enumeration order.
+    Each block's assignments are walked in ``itertools.product`` order over
+    its variable names, dropping those of probability zero.
     """
     ks = list(ks)
     if any(k < 0 for k in ks):
         raise ValueError("exponent must be non-negative")
-    _check_enum_size(spec)
-    totals = [np.zeros_like(spec.base) for _ in ks]
-    for pr, a in _assignment_blocks(spec):
-        for k, total in zip(ks, totals):
-            for term in pr[:, None, None] * np.linalg.matrix_power(a, k):
-                total += term
-    return totals
+    blocks = _row_blocks(spec)
+    n = spec.base.shape[0]
+    powers = np.zeros((max(ks, default=0) + 1, n, n))
+    powers[0] = np.eye(n)
+    for start, stop, names in blocks:
+        for bits in product((0.0, 1.0), repeat=len(names)):
+            pr = math.prod(spec.probs[v] if b else 1.0 - spec.probs[v]
+                           for v, b in zip(names, bits))
+            if pr == 0.0:
+                continue
+            rows = spec.realize(dict(zip(names, bits)))[start:stop]
+            cond = powers[0, start:stop]
+            for k in range(1, len(powers)):
+                cond = rows[:, :start] @ powers[k - 1, :start] + rows[:, start:stop] @ cond
+                powers[k, start:stop] += pr * cond
+    return [powers[k].copy() for k in ks]
 
 
 def check_multilinearity(spec: RandomMatrixSpec, ks) -> list[tuple[bool, float]]:
-    """For each k in ``ks``: does E[A^k] equal (E[A])^k?  (holds, Frobenius gap)."""
+    """For each k in ``ks``: does E[A^k] equal (E[A])^k?  (holds, Frobenius gap).
+
+    The identity holds when the gap is at most 1e-12 * max(1, ||(E[A])^k||_F).
+    """
     ks = list(ks)
     exacts = exact_expected_power(spec, ks)
     mean = spec.mean_matrix()
-    checks = []
-    for k, exact in zip(ks, exacts):
-        gap = float(np.linalg.norm(exact - np.linalg.matrix_power(mean, k)))
-        checks.append((gap < 1e-10, gap))
-    return checks
+    powers = [np.linalg.matrix_power(mean, k) for k in ks]
+    gaps = [float(np.linalg.norm(e - p)) for e, p in zip(exacts, powers)]
+    return [(gap <= 1e-12 * max(1.0, float(np.linalg.norm(p))), gap)
+            for gap, p in zip(gaps, powers)]
 
 
 def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
     """Random-matrix view of a platoon's closed loop.
 
     Variables are named w1_i (link i -> i-1) and w2_i (link i -> i-2); their
-    probabilities are the long-run reception rates of the corresponding
-    channels.  The affine decomposition is
-    :func:`platoon_lab.sim.link_decomposition`, the one both simulation
-    engines use, so all views stay in sync by construction.
+    probabilities are the long-run reception rates of their channels.  The
+    affine decomposition is :func:`platoon_lab.sim.link_decomposition`, the
+    one both simulation engines use, so the views agree by construction.
     """
-    from .channel import gamma_of
-
     base, da, _, _ = link_decomposition(config)
-    names = []
-    for i in range(1, config.n_followers + 1):
-        names.append(f"w1_{i}")
+    n_f = config.n_followers
+    names = [f"w1_{i}" for i in range(1, n_f + 1)]
     if config.scheme.value == "cacc_plus":
-        for i in range(2, config.n_followers + 1):
-            names.append(f"w2_{i}")
-    gamma1 = gamma_of(config.channel)
-    gamma2 = gamma_of(config.second_params())
-    coeffs, probs = {}, {}
-    for li, name in enumerate(names):
-        coeffs[name] = da[li]
-        probs[name] = gamma1 if li < config.n_followers else gamma2
-    return RandomMatrixSpec(base=base, coeffs=coeffs, probs=probs)
+        names += [f"w2_{i}" for i in range(2, n_f + 1)]
+    rates = (gamma_of(config.channel), gamma_of(config.second_params()))
+    return RandomMatrixSpec(base=base, coeffs=dict(zip(names, da)),
+                            probs={name: rates[li >= n_f] for li, name in enumerate(names)})

@@ -312,16 +312,34 @@ class TestCliExitCodes:
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
 
-    def test_oracle_beyond_enumeration_limit_exit_2(self, tmp_path, capsys):
-        # CACC+ with 11 followers has 21 links, one past the enumeration limit;
-        # this once died in the enumeration with a ValueError traceback
+    def test_oracle_21_links_exit_0(self, tmp_path):
+        # CACC+ with 11 followers has 21 links; enumerating their 2^21
+        # assignments was once refused, the per-vehicle recursion is not
         text = BASE.replace("scheme = cacc", "scheme = cacc_plus").replace(
             "n_followers = 3", "n_followers = 11")
         rc = cli.main(["run", "oracle", "--scenario", write(tmp_path, text),
                        "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "2^21" in err
+        assert rc == 0
+        verdicts = json.loads((tmp_path / "o" / "base-oracle-report.json")
+                              .read_text())["verdicts"]
+        assert verdicts["n_variables"] == 21
+        checks = {c["k"]: c["holds"] for c in verdicts["checks"]}
+        assert checks[1] and checks[2]
+        assert not checks[3]
+
+    def test_fig4_oracle_verdicts(self, tmp_path):
+        # 19 links; the 2^19-term enumeration once left rounding gaps of
+        # 8e-11 and 1.75e-10 at k = 1, 2 and read k = 2 as a failure
+        start = time.perf_counter()
+        rc = cli.main(["run", "oracle", "--scenario", "paper-fig4",
+                       "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        with open(tmp_path / "o" / "fig4-oracle.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["holds"]) for r in rows] == [1, 1, 0, 0, 0, 0]
+        assert all(float(r["frobenius_gap"]) < 1e-13 for r in rows[:2])
+        assert elapsed < 2.0
 
     @pytest.mark.parametrize("suite", ["", "[suite]\npanels = ideal:0.6, lossy:0.6\n\n"])
     def test_one_follower_simulate_exit_2_before_simulating(self, tmp_path, capsys,

@@ -102,6 +102,18 @@ class TestMultilinearity:
         assert not holds
         assert gap > 1e-6
 
+    def test_verdict_is_relative_to_the_power(self):
+        # scaling A by 1e3 scales A^6 by 1e18 and its rounding with it; the
+        # identity still holds for CACC and still fails from k = 3 for CACC+
+        for scheme, expected in ((Scheme.CACC, [True] * 6),
+                                 (Scheme.CACC_PLUS, [True, True] + [False] * 4)):
+            _, spec = platoon_spec(scheme)
+            scaled = RandomMatrixSpec(1e3 * spec.base,
+                                      {v: 1e3 * c for v, c in spec.coeffs.items()},
+                                      spec.probs)
+            checks = check_multilinearity(scaled, range(1, 7))
+            assert [holds for holds, _ in checks] == expected, checks
+
     def test_gap_grows_with_power(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
         gaps = [gap for _, gap in check_multilinearity(spec, (3, 4, 5))]
@@ -216,12 +228,48 @@ def _random_spec(probs, n=4, seed=5):
                             dict(zip(names, probs)))
 
 
-def assert_sweep_matches_oracle(spec):
-    """Every exponent of the one sweep is bitwise the one-at-a-time sum."""
-    sweep = exact_expected_power(spec, KS)
-    assert len(sweep) == len(KS)
-    for k, total in zip(KS, sweep):
-        assert total.tobytes() == ref.exact_expected_power(spec, k).tobytes(), f"k={k}"
+def assert_sweep_matches_oracle(spec, ks=KS):
+    """Every exponent is within 1e-12 * max(1, ||oracle||_F) of the one-at-a-time sum."""
+    ks = list(ks)
+    sweep = exact_expected_power(spec, ks)
+    assert len(sweep) == len(ks)
+    for k, total in zip(ks, sweep):
+        oracle = ref.exact_expected_power(spec, k)
+        gap = np.linalg.norm(total - oracle)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(oracle)), f"k={k} gap={gap}"
+
+
+def _block_spec(seed, straddle=False):
+    """Random block lower-triangular spec: 1-4 blocks of 1-3 rows, 0-2 variables each.
+
+    Diagonal blocks of the base are dense, and each variable fills part of
+    its block's rows left of the block's end, so the finest partition is the
+    generated one.  With ``straddle`` one more variable spans the last row
+    of one block and the first row of the next, which merges the two.
+    Returns the spec and the row bounds of its blocks.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, rng.integers(2 if straddle else 1, 5))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    n = int(bounds[-1])
+    base = np.zeros((n, n))
+    coeffs, probs = {}, {}
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        base[start:stop, :stop] = rng.normal(size=(stop - start, stop))
+        for j in range(rng.integers(0, 3)):
+            coeff = np.zeros((n, n))
+            coeff[start:stop, :stop] = rng.normal(size=(stop - start, stop))
+            coeff *= rng.random((n, n)) < 0.6
+            coeff[start, start] = 1.0
+            coeffs[f"b{i}v{j}"] = coeff
+            probs[f"b{i}v{j}"] = rng.choice([0.0, 1.0, rng.random()], p=[0.2, 0.2, 0.6])
+    if straddle:
+        cut = int(rng.choice(bounds[1:-1]))
+        coeff = np.zeros((n, n))
+        coeff[cut - 1, 0] = coeff[cut, 0] = 1.0
+        coeffs["straddle"], probs["straddle"] = coeff, 0.4
+        bounds = bounds[bounds != cut]
+    return RandomMatrixSpec(base, coeffs, probs), bounds.tolist()
 
 
 class TestSweepMatchesOracle:
@@ -234,23 +282,39 @@ class TestSweepMatchesOracle:
 
     def test_certain_and_impossible_variables(self):
         # probabilities 0 and 1 zero out half the corner points each; the
-        # sweep must drop the same rows the oracle skips
+        # sweep must drop the same assignments the oracle skips
         assert_sweep_matches_oracle(_random_spec([0.0, 0.3, 1.0, 0.6, 0.5]))
 
-    def test_partial_blocks(self, monkeypatch):
-        # 2^6 assignments in blocks of 5: twelve full blocks and one of 4
-        monkeypatch.setattr(expectation_mod, "_BLOCK", 5)
-        assert_sweep_matches_oracle(_random_spec([0.2, 0.7, 0.4, 0.9, 0.1, 0.5]))
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_block_specs(self, seed):
+        spec, bounds = _block_spec(seed)
+        assert [b[0] for b in expectation_mod._row_blocks(spec)] == bounds[:-1]
+        assert_sweep_matches_oracle(spec)
 
-    def test_fewer_assignments_than_one_block(self):
-        assert 2 ** 3 < expectation_mod._BLOCK
-        assert_sweep_matches_oracle(_random_spec([0.2, 0.7, 0.4]))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_straddling_variable_merges_blocks(self, seed):
+        spec, bounds = _block_spec(100 + seed, straddle=True)
+        blocks = expectation_mod._row_blocks(spec)
+        assert [b[0] for b in blocks] == bounds[:-1]
+        assert any("straddle" in names for _, _, names in blocks)
+        assert_sweep_matches_oracle(spec)
+
+    def test_platoon_partition_is_vehicle_blocks(self):
+        # leader plus six followers: three rows each, follower i conditioned
+        # on its own links w1_i and (from i = 2) w2_i
+        cfg = PlatoonConfig(
+            n_followers=6, tau=0.4, gains=Gains(0.2, 2.5, 1.0),
+            policy=SpacingPolicy(h_w=0.45, d=5.0), scheme=Scheme.CACC_PLUS,
+            grid=TimeGrid(0.01, 1.0), channel=GilbertParams(0.2, 0.1, 0.2))
+        blocks = expectation_mod._row_blocks(from_platoon(cfg))
+        assert [(start, stop) for start, stop, _ in blocks] == [
+            (3 * i, 3 * i + 3) for i in range(7)]
+        assert [names for _, _, names in blocks] == [
+            [], ["w1_1"], *([f"w1_{i}", f"w2_{i}"] for i in range(2, 7))]
 
     def test_repeated_and_unordered_exponents(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
-        ks = [4, 1, 4, 0]
-        for k, total in zip(ks, exact_expected_power(spec, ks)):
-            assert total.tobytes() == ref.exact_expected_power(spec, k).tobytes()
+        assert_sweep_matches_oracle(spec, [4, 1, 4, 0])
 
     def test_negative_exponent_rejected(self):
         _, spec = platoon_spec(Scheme.CACC)

@@ -192,19 +192,19 @@ class TestHinfAgainstGrid:
 
 class TestStringStableSum:
     def test_single_below_one(self):
-        ok, margin = string_stable_sum([RationalTF((0.8,), (1.0, 1.0))])
+        ok, margin = string_stable_sum([hinf_norm(RationalTF((0.8,), (1.0, 1.0)))])
         assert ok and margin == pytest.approx(0.2, abs=1e-9)
 
     def test_two_norms_exceeding(self):
         tfs = [RationalTF((0.6,), (1.0, 1.0))] * 2
-        ok, margin = string_stable_sum(tfs)
+        ok, margin = string_stable_sum([hinf_norm(t) for t in tfs])
         assert not ok and margin == pytest.approx(-0.2, abs=1e-9)
 
     def test_no_peaking_cacc_plus_config(self):
         # small velocity gain keeps both propagation magnitudes below DC,
         # so the sum condition holds with margin ~ 0
         t1, t2 = build_cacc_plus_tfs(Gains(0.2, 0.5, 1.0), 0.4, 1.0, 0.467)
-        ok, margin = string_stable_sum([t1, t2])
+        ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-6)
 
@@ -213,7 +213,7 @@ class TestStringStableSum:
         # even at the stable-verdict headway (the closed-form minimum is not
         # the sum-condition threshold for these gains)
         t1, t2 = build_cacc_plus_tfs(Gains(0.2, 2.5, 1.0), 0.4, 0.6, 0.467)
-        ok, margin = string_stable_sum([t1, t2])
+        ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert not ok
         assert 1.0 - margin == pytest.approx(1.3147, abs=5e-3)
 
