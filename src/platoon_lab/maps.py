@@ -1,12 +1,14 @@
 """Pedal-map longitudinal model: (pedal, velocity) -> acceleration surfaces.
 
 A drive-by-wire vehicle exposes throttle/brake pedal fractions; measured maps
-relate pedal and speed to the acceleration actually produced.  The platoon
-controllers command accelerations, so :func:`actuate` converts each command
-to a pedal by an inverse lookup (monotone search along the pedal axis at the
-current speed), and the forward map gives the achieved command that the
-actuation lag of the dynamics module then follows (:func:`step_empirical`).
-Lookups, the actuator and the step work on arrays over vehicles.
+relate pedal and speed to the acceleration actually produced.  The controller
+inverts the same map that the vehicle then evaluates, and on a slice strictly
+monotone and piecewise linear in pedal that round trip returns the command
+clamped to the slice's range.  So :func:`actuate` clamps each command to its
+branch's authority at the current speed: only a map's first and last pedal
+rows and the coast line reach the dynamics, never the shape of its interior
+(a plant map different from the controller's inverse map would be a new
+feature).  The actuation lag then follows (:func:`step_empirical`).
 
 Measured surfaces are loaded from CSV text (see ``PedalMap.from_csv_text``);
 the ``synthetic_*`` generators produce smooth saturating stand-ins with the
@@ -27,13 +29,10 @@ class MapFormatError(ValueError):
     pass
 
 
-class InversionError(ValueError):
-    """Raised when a pedal slice is not monotone and cannot be inverted."""
-
-
 @dataclass(frozen=True)
 class PedalMap:
-    """Acceleration grid over strictly ascending pedal and velocity axes."""
+    """Finite acceleration grid over strictly ascending pedal and velocity axes,
+    strictly monotone in pedal, every column in the same direction."""
 
     pedal: tuple[float, ...]
     velocity: tuple[float, ...]
@@ -48,11 +47,20 @@ class PedalMap:
         object.__setattr__(self, "accel", g)
         if len(p) < 2 or len(v) < 2:
             raise MapFormatError("need at least two breakpoints per axis")
-        if any(b <= a for a, b in zip(p, p[1:])) or any(b <= a for a, b in zip(v, v[1:])):
-            raise MapFormatError("axes must be strictly ascending")
         if len(g) != len(p) or any(len(row) != len(v) for row in g):
             raise MapFormatError("grid shape does not match axes")
         arrays = tuple(np.array(x) for x in (p, v, g))
+        # NaN fails no comparison below, and inf passes the monotone one
+        if not all(np.isfinite(arr).all() for arr in arrays):
+            raise MapFormatError("axes and grid must be finite")
+        if not all((np.diff(axis) > 0).all() for axis in arrays[:2]):
+            raise MapFormatError("axes must be strictly ascending")
+        # mixed directions leave some interpolated slice flat, so every
+        # velocity column must rise (or every one fall) strictly in pedal
+        d = np.diff(arrays[2], axis=0)
+        if not ((d > 0).all() or (d < 0).all()):
+            raise MapFormatError("every velocity column must be strictly monotone "
+                                 "in pedal, all in the same direction")
         for arr in arrays:
             arr.flags.writeable = False
         object.__setattr__(self, "_arrays", arrays)
@@ -81,14 +89,7 @@ class PedalMap:
                 grid.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise MapFormatError(f"non-numeric cell: {exc}") from exc
-        pmap = cls(tuple(pedal), tuple(velocity), tuple(tuple(r) for r in grid))
-        # mixed directions leave some interpolated slice flat, so every
-        # velocity column must rise (or every one fall) strictly in pedal
-        d = np.diff(pmap.grid(), axis=0)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise MapFormatError("every velocity column must be strictly monotone "
-                                 "in pedal, all in the same direction")
-        return pmap
+        return cls(tuple(pedal), tuple(velocity), tuple(tuple(r) for r in grid))
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -113,60 +114,53 @@ def _slices(pmap: PedalMap, velocity: np.ndarray) -> np.ndarray:
     return g[:, j] + tv * (g[:, j + 1] - g[:, j])
 
 
-def _forward(pedal_axis: np.ndarray, s: np.ndarray, pedal: np.ndarray) -> np.ndarray:
-    """Evaluate each slice column of ``s`` at its pedal value (linear, clamped)."""
-    i, tp = _bracket(pedal_axis, pedal)
-    cols = np.arange(s.shape[1])
-    low = s[i, cols]
-    return low + tp * (s[i + 1, cols] - low)
-
-
-def _inverse(pedal_axis: np.ndarray, s: np.ndarray, accel: np.ndarray,
-             velocity: np.ndarray) -> np.ndarray:
-    """Pedal at which each slice column of ``s`` reaches its ``accel``."""
-    d = s[1:] - s[:-1]
-    rising = (d > 0).all(axis=0)
-    flat = ~(rising | (d < 0).all(axis=0))
-    if flat.any():
-        raise InversionError(f"pedal slice at v={velocity[flat][0]} is not monotone")
-    sign = np.where(rising, 1.0, -1.0)
-    s = s * sign
-    accel = accel * sign
-    k = np.minimum(np.maximum((s <= accel).sum(axis=0) - 1, 0), len(pedal_axis) - 2)
-    cols = np.arange(s.shape[1])
-    lo = s[k, cols]
-    frac = (accel - lo) / (s[k + 1, cols] - lo)
-    out = pedal_axis[k] + frac * (pedal_axis[k + 1] - pedal_axis[k])
-    out = np.where(accel >= s[-1], pedal_axis[-1], out)
-    return np.where(accel <= s[0], pedal_axis[0], out)
-
-
 def interp(pmap: PedalMap, pedal, velocity):
     """Bilinear interpolation with edge clamping on both axes.
 
-    Takes scalars or equal-length 1-D arrays; :func:`actuate` uses the same
-    slice helpers.
+    Takes scalars or 1-D arrays, broadcast against each other; returns a
+    scalar only when both are scalars.
     """
-    s = _slices(pmap, np.atleast_1d(velocity))
-    out = _forward(pmap.axes()[0], s, np.atleast_1d(pedal))
-    return out if np.ndim(pedal) else out[0]
+    p, v = np.broadcast_arrays(pedal, velocity)
+    s = _slices(pmap, np.atleast_1d(v))
+    i, tp = _bracket(pmap.axes()[0], np.atleast_1d(p))
+    cols = np.arange(s.shape[1])
+    low = s[i, cols]
+    out = low + tp * (s[i + 1, cols] - low)
+    return out if p.ndim else out[0]
 
 
 def invert(pmap: PedalMap, accel, velocity):
     """Pedal achieving ``accel`` at ``velocity``; clamps outside the range.
 
     The bilinear surface is piecewise linear along the pedal axis at fixed
-    velocity, so the inversion is exact within the map's authority.  Takes
-    scalars or equal-length 1-D arrays.  Raises :class:`InversionError` when
-    a slice is not monotone.
+    velocity, and strictly monotone in the map's one direction, so the
+    inversion is exact within the map's authority.  Takes scalars or 1-D
+    arrays, broadcast against each other; returns a scalar only when both
+    are scalars.
     """
-    v = np.atleast_1d(velocity)
-    out = _inverse(pmap.axes()[0], _slices(pmap, v), np.atleast_1d(accel), v)
-    return out if np.ndim(accel) else out[0]
+    a, v = np.broadcast_arrays(accel, velocity)
+    pedal_axis, g = pmap.axes()[0], pmap.grid()
+    sign = 1.0 if g[1, 0] > g[0, 0] else -1.0
+    s = sign * _slices(pmap, np.atleast_1d(v))
+    target = sign * np.atleast_1d(a)
+    k = np.minimum(np.maximum((s <= target).sum(axis=0) - 1, 0), len(pedal_axis) - 2)
+    cols = np.arange(s.shape[1])
+    lo = s[k, cols]
+    frac = (target - lo) / (s[k + 1, cols] - lo)
+    out = pedal_axis[k] + frac * (pedal_axis[k + 1] - pedal_axis[k])
+    out = np.where(target >= s[-1], pedal_axis[-1], out)
+    out = np.where(target <= s[0], pedal_axis[0], out)
+    return out if a.ndim else out[0]
 
 
 # Hysteresis band (m/s^2) around the coast line to prevent branch chattering.
 COAST_HYSTERESIS = 0.05
+
+
+def _edge_rows(pmap: PedalMap, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map's first and last pedal rows at speeds ``v`` (clamped at the edges)."""
+    velocity, g = pmap.axes()[1], pmap.grid()
+    return np.interp(v, velocity, g[0]), np.interp(v, velocity, g[-1])
 
 
 def actuate(throttle: PedalMap, brake: PedalMap, u: np.ndarray, v: np.ndarray,
@@ -176,23 +170,20 @@ def actuate(throttle: PedalMap, brake: PedalMap, u: np.ndarray, v: np.ndarray,
     The 1-D arrays run over vehicles.  Commands above the coast line (the
     zero-throttle acceleration at the current speed) select the throttle map,
     below it the brake map, and inside a +-``COAST_HYSTERESIS`` band each
-    vehicle keeps its previous branch ``braking``.  Each command goes through
-    the inverse and then the forward map of its branch at that speed; the
-    result feeds the actuation lag.
+    vehicle keeps its previous branch ``braking``.  Inverting a command to a
+    pedal on its branch and evaluating the branch there returns the command
+    clamped to the branch's authority at that speed, the range between its
+    first and last pedal rows; that clamp is what this computes.  The result
+    feeds the actuation lag.
     """
-    s_throttle = _slices(throttle, v)
-    coast = s_throttle[0]
+    coast, full_throttle = _edge_rows(throttle, v)
     braking = np.where(u >= coast + COAST_HYSTERESIS, False,
                        np.where(u < coast - COAST_HYSTERESIS, True, braking))
-    throttling = ~braking
-    achieved = np.empty_like(u)
-    # each map's pedal slices are interpolated once per step, then inverted
-    # and evaluated in place of separate invert / interp lookups
-    for pmap, s, sel in ((throttle, s_throttle[:, throttling], throttling),
-                         (brake, _slices(brake, v[braking]), braking)):
-        pedal_axis = pmap.axes()[0]
-        achieved[sel] = _forward(pedal_axis, s, _inverse(pedal_axis, s, u[sel], v[sel]))
-    return achieved, braking
+    brake_first, brake_last = _edge_rows(brake, v)
+    first = np.where(braking, brake_first, coast)
+    last = np.where(braking, brake_last, full_throttle)
+    lo, hi = np.minimum(first, last), np.maximum(first, last)
+    return np.minimum(np.maximum(u, lo), hi), braking
 
 
 def step_empirical(throttle: PedalMap, brake: PedalMap, state: VehicleState,

@@ -2,10 +2,11 @@
 
 The program writes the ACC / CACC / CACC+ law once, as the closed-loop matrix
 of ``platoon_lab.sim.build_system_matrix``, and drives the map-model platoon
-from it with array-valued map lookups and actuation.  This module keeps the
-law written out term by term, the map lookups in plain Python, and the
-per-vehicle actuator and loop that the array engine replaced, so that the
-array engine can be checked against an independent formulation.
+from it with an array-valued actuator that clamps each command to its branch's
+authority.  This module keeps the law written out term by term, the map
+lookups in plain Python, and the per-vehicle invert-then-interp actuator
+(:func:`actuate`) and loop that the array engine replaced, so that the array
+engine can be checked against an independent formulation.
 
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
@@ -43,7 +44,7 @@ from scipy.linalg import expm
 from platoon_lab.channel import ChannelMode, GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import VehicleState, step_lag
-from platoon_lab.maps import COAST_HYSTERESIS, InversionError, PedalMap
+from platoon_lab.maps import COAST_HYSTERESIS, PedalMap
 from platoon_lab.sim import (SimulationDivergedError, _Propagator, _weight_table,
                              equilibrium_state)
 
@@ -130,7 +131,7 @@ def invert(pmap: PedalMap, accel: float, velocity: float) -> float:
         s = [-x for x in s]
         accel = -accel
     elif not all(x > 0 for x in d):
-        raise InversionError(f"pedal slice at v={velocity} is not monotone")
+        raise ValueError(f"pedal slice at v={velocity} is not monotone")
     p = pmap.pedal
     if accel <= s[0]:
         return p[0]
@@ -214,8 +215,8 @@ def coast_accel(veh: EmpiricalVehicle, velocity: float) -> float:
     return interp(veh.throttle, veh.throttle.pedal[0], velocity)
 
 
-def step_empirical(veh: EmpiricalVehicle, u_desired: float, dt: float) -> EmpiricalVehicle:
-    """Advance one map vehicle by dt under a desired-acceleration command."""
+def actuate(veh: EmpiricalVehicle, u_desired: float) -> tuple[float, bool]:
+    """Achieved command and branch flag: invert the branch's map, then evaluate it."""
     v = veh.state.v
     thr = coast_accel(veh, v)
     if u_desired >= thr + COAST_HYSTERESIS:
@@ -226,7 +227,12 @@ def step_empirical(veh: EmpiricalVehicle, u_desired: float, dt: float) -> Empiri
         braking = veh.braking
     pmap = veh.brake if braking else veh.throttle
     pedal = invert(pmap, u_desired, v)
-    achieved = interp(pmap, pedal, v)
+    return interp(pmap, pedal, v), braking
+
+
+def step_empirical(veh: EmpiricalVehicle, u_desired: float, dt: float) -> EmpiricalVehicle:
+    """Advance one map vehicle by dt under a desired-acceleration command."""
+    achieved, braking = actuate(veh, u_desired)
     return replace(veh, state=step_lag(veh.state, achieved, veh.tau, dt), braking=braking)
 
 

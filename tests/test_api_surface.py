@@ -18,9 +18,9 @@ SRC = Path(platoon_lab.__file__).parent
 
 # Public names the program never calls, each with its reason to stay.
 ALLOWED = {
-    # lookup sites of the benchmark's span tracer (perfbench/tracing.py);
-    # the map engine's maps.actuate calls the private kernels behind them
-    "interp",
+    # a lookup site of the benchmark's span tracer (perfbench/tracing.py);
+    # maps.actuate clamps to the map's edge rows and calls no kernel behind
+    # it (its np.interp counts as a caller of maps.interp, matched by name)
     "invert",
     # writes a map file in the format scenarios load with throttle_map/brake_map
     "to_csv",

@@ -283,6 +283,21 @@ class TestCliExitCodes:
         assert rc == 2
         assert "monotone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("csv_text", [
+        "pedal,0,nan,35\n0,0,0,0\n1,1,1,1\n",
+        "pedal,0,35\n0,0,0\n0.5,1,1\n1,2,inf\n",
+    ], ids=["nan_velocity", "inf_cell"])
+    def test_non_finite_map_exit_2(self, tmp_path, capsys, csv_text):
+        # NaN passes the strictly-ascending check (every comparison is False)
+        # and inf passes the monotone one; both once ended in a traceback
+        (tmp_path / "thr.csv").write_text(csv_text)
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
+                            f"throttle_map = {tmp_path / 'thr.csv'}")
+        rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_divergence_exit_3(self, tmp_path):
         path = write(tmp_path, DIVERGENT)
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])

@@ -3,8 +3,8 @@ import pytest
 
 import reference_engine as ref
 from platoon_lab.dynamics import VehicleState, step_lag
-from platoon_lab.maps import (InversionError, MapFormatError, PedalMap, affine_maps,
-                              interp, invert, step_empirical, synthetic_brake_map,
+from platoon_lab.maps import (MapFormatError, PedalMap, actuate, affine_maps, interp,
+                              invert, step_empirical, synthetic_brake_map,
                               synthetic_throttle_map)
 
 
@@ -24,6 +24,18 @@ class TestPedalMap:
             PedalMap((0.0, 1.0), (0.0,), ((0.0,), (0.0,)))
         with pytest.raises(MapFormatError):
             PedalMap((0.0, 1.0), (0.0, 1.0), ((0.0, 0.0),))
+
+    @pytest.mark.parametrize("pedal, velocity, grid", [
+        ((0.0, 1.0), (0.0, float("nan"), 35.0), ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
+        ((0.0, float("inf")), (0.0, 35.0), ((0.0, 0.0), (1.0, 1.0))),
+        ((0.0, 1.0), (0.0, 35.0), ((0.0, 0.0), (1.0, float("inf")))),
+        ((0.0, 1.0), (0.0, 35.0), ((-float("inf"), 0.0), (1.0, 1.0))),
+    ], ids=["nan_velocity", "inf_pedal", "inf_cell", "minus_inf_cell"])
+    def test_non_finite_values_rejected(self, pedal, velocity, grid):
+        # NaN passes "strictly ascending" (every comparison is False) and an
+        # infinite cell passes "strictly monotone"
+        with pytest.raises(MapFormatError, match="finite"):
+            PedalMap(pedal, velocity, grid)
 
     def test_csv_roundtrip(self, tmp_path):
         m = synthetic_throttle_map()
@@ -51,9 +63,9 @@ class TestPedalMap:
         # interpolated slice in between is flat and cannot be inverted
         with pytest.raises(MapFormatError, match="same direction"):
             PedalMap.from_csv_text("pedal,0,10\n0,0,1\n1,1,0\n")
-        m = PedalMap((0.0, 1.0), (0.0, 10.0), ((0.0, 1.0), (1.0, 0.0)))
-        with pytest.raises(InversionError):
-            invert(m, 0.5, 5.0)
+        # the check holds for maps built in code too, not only for CSV files
+        with pytest.raises(MapFormatError, match="same direction"):
+            PedalMap((0.0, 1.0), (0.0, 10.0), ((0.0, 1.0), (1.0, 0.0)))
 
     def test_arrays_are_read_only(self):
         m = synthetic_throttle_map()
@@ -93,6 +105,9 @@ class TestInterp:
             oracle = np.array([ref.interp(m, a, b) for a, b in zip(p, v)])
             np.testing.assert_array_equal(arr, scalar)
             np.testing.assert_array_equal(arr, oracle)
+            # a scalar against an array broadcasts, either way round
+            np.testing.assert_array_equal(interp(m, 0.5, v), [interp(m, 0.5, b) for b in v])
+            np.testing.assert_array_equal(interp(m, p, 20.0), [interp(m, a, 20.0) for a in p])
 
     def test_continuity_across_cell_boundaries(self):
         m = synthetic_throttle_map()
@@ -128,10 +143,9 @@ class TestInvert:
         assert invert(m, -99.0, 10.0) == m.pedal[0]
 
     def test_non_monotone_slice_rejected(self):
-        m = PedalMap((0.0, 0.5, 1.0), (0.0, 10.0),
-                     ((0.0, 0.0), (1.0, 1.0), (0.5, 0.5)))
-        with pytest.raises(InversionError):
-            invert(m, 0.7, 5.0)
+        # such a map cannot be built, so no slice of any map is non-monotone
+        with pytest.raises(MapFormatError, match="monotone"):
+            PedalMap((0.0, 0.5, 1.0), (0.0, 10.0), ((0.0, 0.0), (1.0, 1.0), (0.5, 0.5)))
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(10)
@@ -143,14 +157,56 @@ class TestInvert:
             oracle = np.array([ref.invert(m, x, y) for x, y in zip(a, v)])
             np.testing.assert_array_equal(arr, scalar)
             np.testing.assert_array_equal(arr, oracle)
+            np.testing.assert_array_equal(invert(m, 1.0, v), [invert(m, 1.0, b) for b in v])
+            np.testing.assert_array_equal(invert(m, a, 20.0), [invert(m, x, 20.0) for x in a])
 
     def test_array_non_monotone_slice_rejected(self):
-        m = PedalMap((0.0, 0.5, 1.0), (0.0, 10.0, 20.0),
+        # one column falls where the others rise: rejected when the map is
+        # built, before any lookup could reach the flat slice near v = 18
+        with pytest.raises(MapFormatError, match="monotone"):
+            PedalMap((0.0, 0.5, 1.0), (0.0, 10.0, 20.0),
                      ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))
-        np.testing.assert_allclose(invert(m, np.array([0.5, 1.5]), np.array([2.0, 8.0])),
-                                   [0.25, 0.75])
-        with pytest.raises(InversionError, match="v=18"):
-            invert(m, np.array([0.5, 0.7, 0.2]), np.array([5.0, 18.0, 9.0]))
+
+
+def csv_pair_on_different_grids():
+    """A CSV-loaded throttle (rising) and brake (falling) on different speed axes."""
+    throttle = PedalMap.from_csv_text(
+        "pedal,0,12,30\n0,-0.1,-0.3,-0.5\n0.4,1.5,1.0,0.4\n1,3.0,2.2,1.1\n")
+    brake = PedalMap.from_csv_text(
+        "pedal,0,5,20,40\n0,-0.1,-0.2,-0.4,-0.7\n0.5,-4,-4.2,-4.5,-5\n1,-8,-8.5,-9,-9.5\n")
+    return throttle, brake
+
+
+class TestActuateMatchesOracle:
+    """The clamp equals the scalar invert-then-interp actuator of the oracle."""
+
+    @pytest.mark.parametrize("pair", [
+        (synthetic_throttle_map(), synthetic_brake_map()),
+        affine_maps(),
+        csv_pair_on_different_grids(),
+    ], ids=["synthetic", "affine", "csv_different_grids"])
+    def test_within_1e12_and_same_flags(self, pair):
+        thr, brk = pair
+        rng = np.random.default_rng(12)
+        n = 1500
+        # speeds below 0 and past every map's last breakpoint
+        v = rng.uniform(-5.0, 45.0, n)
+        coast = np.array([ref.interp(thr, thr.pedal[0], x) for x in v])
+        # commands across the whole authority, near the band's edges, inside it
+        u = np.concatenate([
+            rng.uniform(-12.0, 6.0, n // 3),
+            coast[n // 3: 2 * n // 3] + rng.uniform(-0.1, 0.1, n // 3),
+            coast[2 * n // 3:] + rng.uniform(-0.05, 0.05, n - 2 * (n // 3)),
+        ])
+        for previous in (False, True):
+            prev = np.full(n, previous)
+            achieved, flags = actuate(thr, brk, u, v, prev)
+            for i in range(n):
+                veh = ref.EmpiricalVehicle(thr, brk, 0.4, VehicleState(0.0, v[i], 0.0),
+                                           previous)
+                want, braking = ref.actuate(veh, u[i])
+                assert flags[i] == braking
+                assert abs(achieved[i] - want) <= 1e-12
 
 
 class TestStepEmpirical:
