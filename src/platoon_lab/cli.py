@@ -159,7 +159,8 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     last = -1
     peak_mean = float(stats.mean_trajectory_peaks[last])
     peak_det = float(stats.deterministic_peaks[last])
-    rel_gap = abs(peak_mean - peak_det) / peak_det if peak_det else float("inf")
+    # no relative gap to a gamma system with zero peak; JSON has no infinity
+    rel_gap = abs(peak_mean - peak_det) / peak_det if peak_det else None
     report = output.RunReport("montecarlo", scenario.config_hash, {
         "n_realizations": stats.n_realizations,
         "last_vehicle_peak_of_mean": peak_mean,
@@ -189,7 +190,8 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
         report.artifacts.append(p)
     report.write(outdir / f"{prefix}-montecarlo-report.json")
     print(f"n={stats.n_realizations}: last-vehicle peak of mean {peak_mean:.3f} m, "
-          f"gamma-system peak {peak_det:.3f} m, relative gap {rel_gap * 100:.2f}%")
+          f"gamma-system peak {peak_det:.3f} m, relative gap "
+          + ("n/a" if rel_gap is None else f"{rel_gap * 100:.2f}%"))
     return report
 
 

@@ -344,10 +344,10 @@ def parse_scenario_text(text: str, name: str = "scenario",
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    out = OutputOptions(prefix=_get(cp, "output", "prefix", name) if cp.has_section("output") else name,
-                        csv=_getbool(cp, "output", "csv", True) if cp.has_section("output") else True,
-                        svg=_getbool(cp, "output", "svg", True) if cp.has_section("output") else True)
-    suite = _parse_panels(_get(cp, "suite", "panels", "")) if cp.has_section("suite") else []
+    out = OutputOptions(prefix=_get(cp, "output", "prefix", name),
+                        csv=_getbool(cp, "output", "csv", True),
+                        svg=_getbool(cp, "output", "svg", True))
+    suite = _parse_panels(_get(cp, "suite", "panels", ""))
 
     canonical = []
     for section in sorted(cp.sections()):

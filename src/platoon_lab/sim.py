@@ -9,26 +9,26 @@ in the link weights w (:func:`link_decomposition`).  Two engines use them:
 * point mass: the closed loop is linear, so each controller step is the
   exact zero-order-hold solution of the per-step constant system, the
   exponential of an augmented matrix carrying the lead input and the offset.
-  One batched loop (:func:`_point_mass_states`) steps R realizations at once,
-  one link pattern per row.  A lone run (R = 1) memoizes the exponential of
-  each link pattern it meets when it has at most 12 links or constant
-  weights (a gamma-deterministic run, which meets one pattern); any batch of
-  R > 1 rows, and a sampled lone run on more links, takes a machine-precision
-  Taylor action on the states instead, so no memo grows with the link
-  patterns of a batch.  On the Taylor action a row does not depend on the
-  rest of its batch; it differs from the memoized lone run of its seed at
-  about 1e-12 m.
+  One batched loop (:func:`_point_mass_states`) steps R rows at once, one
+  link pattern per row, and chooses its step once from the weights: if no
+  row's weights on the links that reach its matrix change over the run (a
+  gamma run, a lossless channel, ACC), each row takes its exponential once;
+  otherwise every row takes a machine-precision Taylor action on the states.
 * pedal maps: every vehicle's command is read off the acceleration rows of
   A(w) and c(w) (:func:`cacc_input`), and all vehicles of all rows advance
   together through the pedal maps and the exact lag update
   (:func:`platoon_lab.maps.step_empirical`) in one loop
-  (:func:`_empirical_states`) whose rows may also differ in headway; each
-  row is bitwise its lone run.
+  (:func:`_empirical_states`).
 
-Both loops take the same (n_steps, R, n_links) weights and yield (R, n)
-states, so :func:`simulate` is R = 1 on either engine, :func:`monte_carlo`
-and :func:`seed_peaks` stack seeds as rows, and :func:`simulate_panels`
-stacks the gamma-deterministic panels of a pedal-map suite.
+Both loops take one config per row (rows differ at most in seed, headway
+and gamma/mu) and (n_steps, R, n_links) weights, read each row's law off
+:func:`_row_laws`, and yield (R, n) states, so :func:`simulate` is R = 1 on
+either engine, :func:`monte_carlo` and :func:`seed_peaks` stack seeds as
+rows, and :func:`simulate_panels` stacks the gamma-deterministic panels of
+a suite.  A row goes through the same operations as its lone run and is
+bitwise that run, with one exception: a point-mass row whose table is
+constant, inside a batch whose tables are not, takes the Taylor action
+where its lone run takes the exponential, within 1e-9 m.
 
 Link tables come from :func:`_link_tables`, which gives each link its
 Gilbert parameters and its stream and draws them all with
@@ -58,8 +58,6 @@ class SimulationDivergedError(RuntimeError):
 
 # Abort threshold on any state component.
 _DIVERGENCE_LIMIT = 1e6
-# Largest link count on which a sampled lone run memoizes its step exponentials.
-_CACHE_LINK_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,8 @@ class PlatoonConfig:
         if self.scheme is Scheme.CACC_PLUS and self.n_followers < 2:
             raise ValueError("CACC+ requires n_followers >= 2 so the "
                              "two-predecessor law engages")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed {self.master_seed} must be non-negative")
         if not 0.0 < self.tau < math.inf:  # NaN fails too
             raise ValueError("tau must be positive and finite")
         if self.deterministic_gamma is not None and not 0.0 <= self.deterministic_gamma <= 1.0:
@@ -230,72 +230,68 @@ def link_decomposition(config: PlatoonConfig):
     return a0, da, c0, dc
 
 
-def _augmented_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
-    """[[A, B_lead, c], [0, 0, 0], [0, 0, 0]]: exact ZOH carrier for one step."""
-    a = build_system_matrix(config, link_values)
-    c = _offset_vector(config, link_values)
-    n = a.shape[0]
-    m = np.zeros((n + 2, n + 2))
-    m[:n, :n] = a
-    m[2, n] = 1.0 / config.tau  # lead input enters the lead's lag equation
-    m[:n, n + 1] = c
-    return m
+def _row_laws(configs: list[PlatoonConfig]):
+    """Each row's affine law: the stacked distinct (a0, da, c0, dc) and a row index.
+
+    Rows differ in headway at most, so :func:`link_decomposition` runs once
+    per distinct spacing policy; row r's law is entry ``row_of[r]`` of each
+    stacked part.
+    """
+    first: dict = {}
+    row_of = np.array([first.setdefault(cfg.policy, (len(first), cfg))[0] for cfg in configs])
+    laws = (link_decomposition(cfg) for _, cfg in first.values())
+    return tuple(np.stack(part) for part in zip(*laws)), row_of
 
 
 class _Propagator:
     """Exact ZOH update of R platoon states at once, one link pattern per row.
 
-    The augmented matrix is affine in the link weights, so it is assembled by
-    patching the weight-dependent entries of a cached base matrix.  Only a
-    lone run (``n_rows`` = 1) memoizes the matrix exponential of each link
-    pattern, and only if it has at most _CACHE_LINK_LIMIT links or constant
-    weights (``deterministic_gamma`` set: one pattern, one exponential,
-    whatever the link count).  A batch of rows, or a sampled run on more
-    links, applies the exponential to the states as a Taylor action, which
-    is exact to machine precision because the per-step matrix norm is far
-    below one.  So the memo never holds more patterns than one run meets,
-    and at most 2^_CACHE_LINK_LIMIT.  On the Taylor action every row goes
-    through the same matrix-vector products as a lone state would, so a
-    row's result does not depend on what else is in the batch.
+    Row r's augmented matrix [[A, B_lead, c], [0, 0, 0], [0, 0, 0]] is affine
+    in its link weights, so it is its base matrix with the weight-dependent
+    entries patched.  If no row's weights on the links that reach its matrix
+    change over the run's (n_steps, R, n_links) weights, :attr:`steps` holds
+    each row's exponential; otherwise it is None and every step takes the
+    Taylor action, exact to machine precision because the per-step matrix
+    norm is far below one.
     """
 
-    def __init__(self, config: PlatoonConfig, n_rows: int = 1):
-        self.config = config
-        self.dt = config.grid.dt
-        self.cacheable = n_rows == 1 and (config.n_links <= _CACHE_LINK_LIMIT
-                                          or config.deterministic_gamma is not None)
-        self.cache: dict[bytes, np.ndarray] = {}
+    def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray):
+        config = configs[0]
+        dt = config.grid.dt
         n = self.n = 3 * (config.n_followers + 1)
-        self._base = _augmented_matrix(config, np.zeros(config.n_links)) * self.dt
-        _, da, _, dc = link_decomposition(config)
-        delta = np.zeros((config.n_links, n + 2, n + 2))
-        delta[:, :n, :n] = da
-        delta[:, :n, n + 1] = dc
-        delta = (delta * self.dt).reshape(config.n_links, -1)
-        self._link_of, self._idx = np.nonzero(delta)
-        self._coef = delta[self._link_of, self._idx]
+        (a0, da, c0, dc), row_of = _row_laws(configs)
+        base = np.zeros((len(a0), n + 2, n + 2))
+        base[:, :n, :n] = a0
+        base[:, 2, n] = 1.0 / config.tau  # lead input enters the lead's lag equation
+        base[:, :n, n + 1] = c0
+        self._base = (base * dt)[row_of]
+        delta = np.zeros(da.shape[:2] + (n + 2, n + 2))
+        delta[:, :, :n, :n] = da
+        delta[:, :, :n, n + 1] = dc
+        delta = (delta * dt).reshape(len(a0), config.n_links, -1)
+        self._link_of, self._idx = np.nonzero(delta.any(axis=0))
+        self._coef = delta[:, self._link_of, self._idx][row_of]
+        # min and max over time reduce the table without copying it
+        fixed = (weights.min(axis=0) == weights.max(axis=0)) | ~delta.any(axis=2)[row_of]
+        self.steps = self.step_matrix(weights[0]) if fixed.all() else None
 
     def _matrices_dt(self, link_values: np.ndarray) -> np.ndarray:
         """(R, n+2, n+2) augmented matrices times dt for (R, n_links) weights."""
-        m = np.repeat(self._base[None], link_values.shape[0], axis=0)
+        m = self._base.copy()
         if self._idx.size:
             flat = m.reshape(m.shape[0], -1)
             flat[:, self._idx] += self._coef * link_values[:, self._link_of].astype(float, copy=False)
         return m
 
     def step_matrix(self, link_values: np.ndarray) -> np.ndarray:
-        key = link_values.tobytes()
-        e = self.cache.get(key)
-        if e is None:
-            e = expm(self._matrices_dt(link_values[None])[0])
-            self.cache[key] = e
-        return e
+        """(R, n+2, n+2) exponentials of one step under (R, n_links) weights."""
+        return np.array([expm(m) for m in self._matrices_dt(link_values)])
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
         """States (R, n) one step on, row r under the weights link_values[r]."""
         n = self.n
-        if self.cacheable:
-            e = np.stack([self.step_matrix(w) for w in link_values])
+        if self.steps is not None:
+            e = self.steps
             return (np.matmul(e[:, :n, :n], x[:, :, None])[:, :, 0]
                     + e[:, :n, n] * u_lead + e[:, :n, n + 1])
         # Taylor action of the augmented exponentials on [x; u; 1]; a row
@@ -354,31 +350,38 @@ def _weight_table(config: PlatoonConfig) -> np.ndarray:
     return np.broadcast_to(w.reshape(-1, 1), (config.n_links, steps))
 
 
-def _seed_weights(config: PlatoonConfig, n_seeds: int) -> np.ndarray:
-    """(n_steps, n_seeds, n_links) weights of seeds master_seed + i, as rows.
+def _seed_configs(config: PlatoonConfig, n_seeds: int) -> list[PlatoonConfig]:
+    """The rows of a seed batch: the config with seeds master_seed + i."""
+    return [replace(config, master_seed=config.master_seed + i) for i in range(n_seeds)]
+
+
+def _row_weights(configs: list[PlatoonConfig]) -> np.ndarray:
+    """(n_steps, R, n_links) weights, row r the weight table of ``configs[r]``.
 
     Sampled tables stay boolean, an eighth of the float64 footprint; the
     loops cast one step's rows to float where they use them.
     """
-    dtype = bool if config.deterministic_gamma is None else float
-    weights = np.empty((config.grid.n_steps, n_seeds, config.n_links), dtype=dtype)
-    for i in range(n_seeds):
-        weights[:, i] = _weight_table(replace(config, master_seed=config.master_seed + i)).T
+    sampled = all(cfg.deterministic_gamma is None for cfg in configs)
+    weights = np.empty((configs[0].grid.n_steps, len(configs), configs[0].n_links),
+                       dtype=bool if sampled else float)
+    for r, cfg in enumerate(configs):
+        weights[:, r] = _weight_table(cfg).T
     return weights
 
 
-def _point_mass_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray):
-    """Step R point-mass realizations together; yield their (R, n) states.
+def _point_mass_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
+    """Step R point-mass rows together, row r under ``configs[r]``; yield (R, n) states.
 
     ``weights`` has shape (n_steps, R, n_links).  States are yielded for
     steps 0..n_steps; the array is reused, so copy out what is kept.  Raises
     :class:`SimulationDivergedError` at the first step where any row leaves
     the divergence limit.
     """
+    config = configs[0]
     grid = config.grid
     v0 = maneuver.initial_velocity
-    x = np.tile(equilibrium_state(config, v0), (weights.shape[1], 1))
-    prop = _Propagator(config, weights.shape[1])
+    x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
+    prop = _Propagator(configs, weights)
     yield x
     t = 0.0
     at_equilibrium = True
@@ -444,31 +447,27 @@ def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.
 cacc_plus_input = cacc_input
 
 
-def _empirical_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray,
-                      headways=None):
-    """Step R map-model realizations together; yield their (R, n) states.
+def _empirical_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
+    """Step R map-model rows together, row r under ``configs[r]``; yield (R, n) states.
 
-    The contract of :func:`_point_mass_states`, except that the rows may
-    also differ in headway (``headways``, one per row; default the
-    config's).  Each step reads every row's commands off its own closed
-    loop, u = tau * A(w)[3i+2, :] X + a_i + tau * c(w)[3i+2], replaces the
-    lead's with the maneuver, and drives the vehicles of all rows through
-    the pedal maps as one flat array (commands held over each step).
+    The contract of :func:`_point_mass_states`.  Each step reads every row's
+    commands off its own closed loop, u = tau * A(w)[3i+2, :] X + a_i +
+    tau * c(w)[3i+2], replaces the lead's with the maneuver, and drives the
+    vehicles of all rows through the pedal maps as one flat array (commands
+    held over each step).
     """
+    config = configs[0]
     grid = config.grid
-    n_rows = weights.shape[1]
+    n_rows = len(configs)
     n_veh = config.n_followers + 1
     tau = config.tau
     v0 = maneuver.initial_velocity
-    hws = np.full(n_rows, config.policy.h_w) if headways is None else np.asarray(headways)
-    values, row_of = np.unique(hws, return_inverse=True)
-    cfgs = [replace(config, policy=replace(config.policy, h_w=float(h))) for h in values]
-    a0, da, c0, dc = (np.stack(part)[row_of]
-                      for part in zip(*(link_decomposition(c) for c in cfgs)))
+    (a0, da, c0, dc), row_of = _row_laws(configs)
     acc_rows = slice(2, None, 3)
-    k0 = tau * a0[:, acc_rows]
-    dk = tau * da[:, :, acc_rows].reshape(n_rows, config.n_links, -1)
-    x = np.stack([equilibrium_state(c, v0) for c in cfgs])[row_of]
+    k0 = (tau * a0[:, acc_rows])[row_of]
+    dk = (tau * da[:, :, acc_rows]).reshape(len(a0), config.n_links, -1)[row_of]
+    c0, dc = c0[row_of], dc[row_of]
+    x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
     state = VehicleState(*(np.ascontiguousarray(x[:, j::3]).ravel() for j in range(3)))
     braking = np.zeros(n_rows * n_veh, dtype=bool)
     yield x
@@ -493,57 +492,49 @@ def _empirical_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.nda
         t += grid.dt
 
 
-def _row_states(config: PlatoonConfig, maneuver: Maneuver, weights: np.ndarray):
-    """The config's engine loop over (n_steps, R, n_links) weights."""
-    run = _empirical_states if config.model == "empirical" else _point_mass_states
-    return run(config, maneuver, weights)
+def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
+    """The rows' engine loop over (n_steps, R, n_links) weights."""
+    run = _empirical_states if configs[0].model == "empirical" else _point_mass_states
+    return run(configs, maneuver, weights)
 
 
 def simulate(config: PlatoonConfig, maneuver: Maneuver) -> SimOutput:
     """One platoon run; samples the channels unless deterministic_gamma is set."""
     weights = _weight_table(config).T[:, None, :]
-    return _collect([config], _row_states(config, maneuver, weights))[0]
+    return _collect([config], _row_states([config], maneuver, weights))[0]
 
 
 def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
                            gamma: float, mu: float | None = None) -> SimOutput:
     """Run the gamma-equivalent system (mu for the second-predecessor links)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    mu = gamma if mu is None else mu
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    cfg = replace(config, deterministic_gamma=gamma, mu=mu)
+    cfg = replace(config, deterministic_gamma=gamma, mu=gamma if mu is None else mu)
     return simulate(cfg, maneuver)
 
 
 def simulate_panels(config: PlatoonConfig, maneuver: Maneuver, panels) -> list[SimOutput]:
     """Gamma-deterministic runs of one platoon, one per (h_w, gamma, mu) panel.
 
-    Pedal-map panels step together as the rows of one map run; point-mass
-    panels run one at a time, each a lone run on the memoized step.  Either
-    way each output is bitwise the :func:`simulate_deterministic` run of its
-    panel.
+    The panels step together as the rows of one run on either engine.  Their
+    tables are constant, so on the point-mass engine each row takes its
+    exponential once, and each output is bitwise the
+    :func:`simulate_deterministic` run of its panel.
     """
     cfgs = [replace(config, policy=replace(config.policy, h_w=hw),
                     deterministic_gamma=gamma, mu=mu) for hw, gamma, mu in panels]
-    if config.model != "empirical":
-        return [simulate(cfg, maneuver) for cfg in cfgs]
-    weights = np.stack([_weight_table(cfg).T for cfg in cfgs], axis=1)
-    return _collect(cfgs, _empirical_states(config, maneuver, weights,
-                                            [hw for hw, _, _ in panels]))
+    return _collect(cfgs, _row_states(cfgs, maneuver, _row_weights(cfgs)))
 
 
 def seed_peaks(config: PlatoonConfig, maneuver: Maneuver, n_seeds: int) -> np.ndarray:
     """(n_seeds, n_followers) peak |e| of the runs with seeds master_seed + i.
 
     The seeds step together as the rows of one run, and each row keeps only
-    a running maximum.  On the pedal maps a row is bitwise the lone
-    :func:`simulate` of its seed; on the point-mass engine a batch of more
-    than one seed takes the Taylor action, within about 1e-12 m of it.
+    a running maximum.  A row is bitwise the lone :func:`simulate` of its
+    seed, except a point-mass seed whose table alone is constant (within
+    1e-9 m, see the module docstring).
     """
+    configs = _seed_configs(config, n_seeds)
     peaks = np.zeros((n_seeds, config.n_followers))
-    for x in _row_states(config, maneuver, _seed_weights(config, n_seeds)):
+    for x in _row_states(configs, maneuver, _row_weights(configs)):
         np.maximum(peaks, np.abs(_row_errors(config, x)), out=peaks)
     return peaks
 
@@ -555,14 +546,16 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
     All realizations are stepped together as the rows of one run (see
     :func:`seed_peaks` for how a row compares with a lone run), and the
     pointwise mean is accumulated in realization order.  The
-    gamma-deterministic companion run uses gamma from the channel parameters
+    gamma-deterministic companion is a lone run on a constant table, so it
+    takes its one exponential; it uses gamma from the channel parameters
     (and mu from the second-link parameters when they differ).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    weights = _seed_weights(config, n_realizations)
+    configs = _seed_configs(config, n_realizations)
+    weights = _row_weights(configs)
     errors = np.empty((n_realizations, config.n_followers, config.grid.n_steps + 1))
-    for k, x in enumerate(_row_states(config, maneuver, weights)):
+    for k, x in enumerate(_row_states(configs, maneuver, weights)):
         errors[:, :, k] = _row_errors(config, x)
     mean_err = np.zeros(errors.shape[1:])
     for e in errors:

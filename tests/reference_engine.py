@@ -10,9 +10,11 @@ engine can be checked against an independent formulation.
 
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
-of the propagator's memoized and Taylor actions.  A seed that ran as one row
-of an R-row batch is stepped with the action that batch takes (the Taylor
-action once R > 1), and the batched engine must reproduce it bit for bit.
+of the propagator's two steps, the exponential taken once and the Taylor
+action.  Each seed's propagator chooses its step from the seed's own table
+by the batch's rule, so a seed that ran as one row of a batch takes the
+step that batch took (unless its table alone is constant), and the batched
+engine must reproduce it bit for bit.
 
 Finally it keeps the Gilbert chain stepped one packet at a time
 (:class:`ChannelState`, :func:`channel_step`), the oracle for the program's
@@ -288,10 +290,13 @@ def run_reference(config, maneuver, weight_table: np.ndarray):
 
 def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
             link_values: np.ndarray) -> np.ndarray:
-    """One state one step on: the scalar form of ``_Propagator.advance``."""
+    """One state one step on: the scalar form of ``_Propagator.advance``.
+
+    ``prop`` is a one-row propagator, ``link_values`` that row's weights.
+    """
     n = prop.n
-    if prop.cacheable:
-        e = prop.step_matrix(link_values)
+    if prop.steps is not None:
+        e = prop.steps[0]
         return e[:n, :n] @ x + e[:n, n] * u_lead + e[:n, n + 1]
     # Taylor action of the augmented exponential on [x; u; 1]
     m = prop._matrices_dt(link_values[None])[0]
@@ -306,16 +311,16 @@ def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
     return acc[:n]
 
 
-def run_linear(config, maneuver, weight_table: np.ndarray, n_rows: int = 1):
+def run_linear(config, maneuver, weight_table: np.ndarray):
     """Per-seed point-mass loop over one state vector; returns (x, v, a, errors).
 
-    The step is the one a row of an ``n_rows``-row batch takes.
+    The step is the one the (n_links, n_steps) ``weight_table`` chooses.
     """
     grid = config.grid
     steps = grid.n_steps
     n_f = config.n_followers
     x = equilibrium_state(config, maneuver.initial_velocity)
-    prop = _Propagator(config, n_rows)
+    prop = _Propagator([config], weight_table.T[:, None, :])
     xs = np.empty((n_f + 1, steps + 1))
     vs = np.empty_like(xs)
     accs = np.empty_like(xs)
@@ -355,8 +360,8 @@ def run_linear(config, maneuver, weight_table: np.ndarray, n_rows: int = 1):
 def monte_carlo(config, maneuver, n_realizations: int):
     """Point-mass ensemble one seed at a time, reduced in seed order.
 
-    Each seed takes the step of a row in the n_realizations-row batch; the
-    gamma companion is a lone run.  Returns (mean_errors, peaks,
+    Each seed takes the step its own table chooses; the gamma companion is
+    a lone run.  Returns (mean_errors, peaks,
     mean_trajectory_peaks, deterministic_peaks) as
     ``platoon_lab.sim.monte_carlo`` defines them.
     """
@@ -364,7 +369,7 @@ def monte_carlo(config, maneuver, n_realizations: int):
     peaks = np.empty((n_realizations, config.n_followers))
     for i in range(n_realizations):
         cfg = replace(config, master_seed=config.master_seed + i)
-        errs = run_linear(cfg, maneuver, _weight_table(cfg), n_realizations)[3]
+        errs = run_linear(cfg, maneuver, _weight_table(cfg))[3]
         mean_err += errs
         peaks[i] = np.abs(errs).max(axis=1)
     mean_err /= n_realizations

@@ -268,6 +268,16 @@ class TestCliExitCodes:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["headway", "simulate", "stability",
+                                         "montecarlo", "oracle"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        # simulate and montecarlo once died in SeedSequence with a traceback
+        # (exit 1) while the other commands took the seed and ran
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, BASE),
+                       "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == 2
+        assert "master_seed" in capsys.readouterr().err
+
     def test_channel_probability_out_of_range_exit_2(self, tmp_path):
         text = BASE.replace("p_gb = 0.2", "p_gb = 1.5")
         rc = cli.main(["run", "headway", "--scenario", write(tmp_path, text),
@@ -443,6 +453,24 @@ class TestCliCommands:
         report = json.loads((tmp_path / "o" / "base-montecarlo-report.json").read_text())
         assert report["verdicts"]["n_realizations"] == 5
         assert (tmp_path / "o" / "base-ensemble.csv").exists()
+
+    def test_montecarlo_report_without_gamma_peak_is_valid_json(self, tmp_path, capsys):
+        # a lead that never brakes leaves the gamma system's peaks at 0, so
+        # the relative gap is undefined; it was written as Infinity
+        text = BASE.replace("segments = 0:0, 5:-9, 6:0", "segments = 0:0").replace(
+            "horizon = 20.0", "horizon = 2.0\nn_realizations = 2")
+        rc = cli.main(["run", "montecarlo", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "relative gap n/a" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        raw = (tmp_path / "o" / "base-montecarlo-report.json").read_text()
+        report = json.loads(raw, parse_constant=reject)
+        assert report["verdicts"]["last_vehicle_gamma_system_peak"] == 0.0
+        assert report["verdicts"]["relative_peak_gap"] is None
 
     def test_montecarlo_report_has_link_reception(self, tmp_path):
         text = BASE.replace("scheme = cacc", "scheme = cacc_plus").replace(

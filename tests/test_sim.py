@@ -12,9 +12,9 @@ from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.scenario import load_scenario
-from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _link_tables,
-                             _offset_vector, _Propagator, _augmented_matrix,
-                             _row_states, _seed_weights, _weight_table,
+from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _collect,
+                             _link_tables, _offset_vector, _Propagator, _row_states,
+                             _row_weights, _seed_configs, _weight_table,
                              build_system_matrix,
                              empirical_string_stability, equilibrium_state,
                              link_decomposition, monte_carlo, seed_peaks, simulate,
@@ -194,37 +194,46 @@ class TestSimulate:
         assert out.v.min() >= 0.0
 
 
+def augmented_matrix(cfg, w):
+    """[[A, B_lead, c], [0, 0, 0], [0, 0, 0]]: the exact ZOH carrier of one step."""
+    a = build_system_matrix(cfg, w)
+    n = a.shape[0]
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = a
+    m[2, n] = 1.0 / cfg.tau
+    m[:n, n + 1] = _offset_vector(cfg, w)
+    return m
+
+
 class TestEngineExactness:
     def test_propagator_taylor_matches_expm(self):
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=1.0)
-        prop = _Propagator(cfg)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 12))
         w = np.stack([np.ones(5), np.zeros(5), rng.integers(0, 2, 5).astype(float)])
         direct = np.empty_like(x)
         for r in range(3):
-            e = expm(_augmented_matrix(cfg, w[r]) * cfg.grid.dt)
+            e = expm(augmented_matrix(cfg, w[r]) * cfg.grid.dt)
             direct[r] = e[:12, :12] @ x[r] + e[:12, 12] * -3.0 + e[:12, 13]
-        cached = prop.advance(x, -3.0, w)
-        np.testing.assert_allclose(cached, direct, atol=1e-12)
-        prop.cacheable = False
+        # a one-step table is constant, so each row takes its exponential
+        once = _Propagator([cfg] * 3, w[None])
+        assert once.steps is not None
+        exact = once.advance(x, -3.0, w)
+        np.testing.assert_allclose(exact, direct, atol=1e-12)
+        # every row's weights change over this table: the Taylor action
+        changing = np.stack([w, 1.0 - w])
+        prop = _Propagator([cfg] * 3, changing)
+        assert prop.steps is None
         taylor = prop.advance(x, -3.0, w)
         np.testing.assert_allclose(taylor, direct, atol=1e-12)
         # a row's update does not depend on the other rows of the batch
         for r in range(3):
-            np.testing.assert_array_equal(prop.advance(x[r:r + 1], -3.0, w[r:r + 1])[0],
-                                          taylor[r])
-            np.testing.assert_array_equal(ref.advance(prop, x[r], -3.0, w[r]), taylor[r])
-
-    def test_cached_equals_fresh_propagator(self):
-        cfg = make_config(Scheme.CACC, n_followers=2, horizon=1.0)
-        w = np.array([1.0, 0.0])
-        p1 = _Propagator(cfg)
-        first = p1.step_matrix(w)
-        again = p1.step_matrix(w)        # cache hit
-        fresh = _Propagator(cfg).step_matrix(w)
-        assert again is first
-        np.testing.assert_allclose(first, fresh, atol=1e-15)
+            for batch, table, want in ((prop, changing, taylor), (once, w[None], exact)):
+                lone = _Propagator([cfg], table[:, r:r + 1])
+                assert (lone.steps is None) == (batch.steps is None)
+                np.testing.assert_array_equal(lone.advance(x[r:r + 1], -3.0, w[r:r + 1])[0],
+                                              want[r])
+                np.testing.assert_array_equal(ref.advance(lone, x[r], -3.0, w[r]), want[r])
 
     def test_against_fine_euler_oracle(self):
         # independent integration of the same closed loop at a 100x finer step
@@ -331,14 +340,22 @@ class TestBatchedEnsembleMatchesReference:
 
     def test_taylor_path(self):
         cfg = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=12.0, seed=21)
-        assert not _Propagator(cfg).cacheable
         assert_ensemble_matches_reference(cfg, BRAKE, 5)
 
     @pytest.mark.parametrize("n_followers", [2, 6])
-    def test_memo_path(self, n_followers):
+    def test_one_predecessor_platoon(self, n_followers):
         cfg = make_config(Scheme.CACC, n_followers=n_followers, horizon=14.0, seed=4)
-        assert _Propagator(cfg).cacheable
         assert_ensemble_matches_reference(cfg, BRAKE, 6)
+
+    @pytest.mark.parametrize("scheme, channel", [
+        (Scheme.ACC, CHANNEL),                             # no link reaches the matrix
+        (Scheme.CACC_PLUS, GilbertParams(0.3, 0.2, 1.0)),  # every packet arrives
+    ], ids=["acc", "lossless"])
+    def test_constant_tables_take_the_exponential(self, scheme, channel):
+        cfg = make_config(scheme, n_followers=4, horizon=12.0, seed=5, channel=channel)
+        rows = _seed_configs(cfg, 4)
+        assert _Propagator(rows, _row_weights(rows)).steps is not None
+        assert_ensemble_matches_reference(cfg, BRAKE, 4)
 
     def test_velocity_clamp(self):
         stop = Maneuver(((0.0, 0.0), (1.0, -9.0), (4.0, 0.0)), 20.0)
@@ -378,20 +395,19 @@ def count_expm(monkeypatch):
 
 
 class TestBatchedRowsMatchLoneRuns:
-    """A point-mass batch of more than one seed takes the Taylor action and a
-    lone run the memoized step; a batched row stays within 1e-9 m of the lone
-    run of its seed (measured: below 1e-11 m)."""
+    """A sampled point-mass batch and the sampled lone run of each of its
+    seeds take the same Taylor action, so every batched row is bitwise the
+    lone run of its seed, on any number of links."""
 
     def test_ensemble_rows(self):
-        cfg = make_config(Scheme.CACC_PLUS, n_followers=6, horizon=14.0, seed=4)
-        assert _Propagator(cfg).cacheable and not _Propagator(cfg, 5).cacheable
-        stats = monte_carlo(cfg, BRAKE, 5)
-        lone = [simulate(replace(cfg, master_seed=4 + i), BRAKE) for i in range(5)]
-        np.testing.assert_allclose(stats.peaks, [out.peak_errors() for out in lone],
-                                   rtol=0, atol=1e-9)
-        np.testing.assert_allclose(stats.mean_errors,
-                                   np.mean([out.errors for out in lone], axis=0),
-                                   rtol=0, atol=1e-9)
+        for n_followers in (6, 7):  # 11 and 13 links
+            cfg = make_config(Scheme.CACC_PLUS, n_followers=n_followers, horizon=14.0, seed=4)
+            stats = monte_carlo(cfg, BRAKE, 5)
+            lone = [simulate(replace(cfg, master_seed=4 + i), BRAKE) for i in range(5)]
+            np.testing.assert_array_equal(stats.peaks, [out.peak_errors() for out in lone])
+            # the ensemble mean sums the rows in seed order, then divides
+            np.testing.assert_array_equal(stats.mean_errors,
+                                          sum(out.errors for out in lone) / 5)
 
     def test_suite_rows(self):
         scen = load_scenario("paper-fig8", master_seed=20201)
@@ -400,86 +416,96 @@ class TestBatchedRowsMatchLoneRuns:
         peaks = seed_peaks(cfg, scen.maneuver, 6)
         lone = np.array([simulate(replace(cfg, master_seed=20201 + i), scen.maneuver)
                          .peak_errors() for i in range(6)])
-        np.testing.assert_allclose(peaks, lone, rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(peaks[:, -1] > peaks[:, 0], lone[:, -1] > lone[:, 0])
+        np.testing.assert_array_equal(peaks, lone)
 
     def test_batched_ensemble_calls_expm_only_for_the_gamma_run(self, monkeypatch):
-        # a shared memo would grow with every link pattern the batch meets
-        cfg = make_config(Scheme.CACC_PLUS, n_followers=6, horizon=14.0, seed=4)
-        assert cfg.n_links <= sim_mod._CACHE_LINK_LIMIT
         calls = count_expm(monkeypatch)
-        monte_carlo(cfg, BRAKE, 6)
-        batched = len(calls)
-        calls.clear()
-        simulate_deterministic(cfg, BRAKE, pl.gamma_of(CHANNEL))
-        assert batched == len(calls) == 1
-        # past the link limit the gamma companion still memoizes its one step
-        wide = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=14.0, seed=4)
-        assert wide.n_links > sim_mod._CACHE_LINK_LIMIT
-        calls.clear()
-        monte_carlo(wide, BRAKE, 3)
+        for n_followers in (6, 7):  # 11 and 13 links
+            cfg = make_config(Scheme.CACC_PLUS, n_followers=n_followers, horizon=14.0, seed=4)
+            calls.clear()
+            monte_carlo(cfg, BRAKE, 6)
+            assert len(calls) == 1
+
+
+class TestStepRule:
+    """A run takes each row's exponential once when no row's weights on the
+    links that reach its matrix change over the run, and the Taylor action
+    otherwise: the step follows from the weights, whatever the link count."""
+
+    WIDE = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=14.0, seed=4)  # 13 links
+    LOSSLESS = GilbertParams(0.3, 0.2, 1.0)
+
+    def test_gamma_run_calls_expm_once_per_row(self, monkeypatch):
+        calls = count_expm(monkeypatch)
+        simulate(replace(self.WIDE, deterministic_gamma=0.467, mu=0.6), BRAKE)
         assert len(calls) == 1
+        calls.clear()
+        simulate_panels(self.WIDE, BRAKE, [(0.6, 1.0, 1.0), (0.6, 0.467, 0.6), (0.8, 0.467, 0.6)])
+        assert len(calls) == 3
 
+    @pytest.mark.parametrize("n_followers", [2, 7])  # 3 and 13 links
+    def test_sampled_run_never_calls_expm(self, monkeypatch, n_followers):
+        cfg = replace(self.WIDE, n_followers=n_followers)
+        calls = count_expm(monkeypatch)
+        simulate(cfg, BRAKE)
+        seed_peaks(cfg, BRAKE, 3)
+        assert calls == []
 
-class TestConstantWeightMemo:
-    """A lone run with constant weights meets one link pattern, so it
-    memoizes that step's exponential on any number of links; a sampled lone
-    run past _CACHE_LINK_LIMIT links keeps the Taylor action."""
-
-    WIDE = make_config(Scheme.CACC_PLUS, n_followers=7, horizon=14.0, seed=4)
-
-    def test_gamma_run_past_the_link_limit_calls_expm_once(self, monkeypatch):
-        cfg = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
-        assert cfg.n_links > sim_mod._CACHE_LINK_LIMIT and _Propagator(cfg).cacheable
+    @pytest.mark.parametrize("scheme, channel", [(Scheme.CACC_PLUS, LOSSLESS),
+                                                 (Scheme.ACC, CHANNEL)], ids=["lossless", "acc"])
+    def test_constant_sampled_table_calls_expm_once_per_row(self, monkeypatch, scheme, channel):
+        # every packet arrives, or no link reaches the matrix (ACC)
+        cfg = replace(self.WIDE, scheme=scheme, channel=channel)
         calls = count_expm(monkeypatch)
         simulate(cfg, BRAKE)
         assert len(calls) == 1
+        calls.clear()
+        seed_peaks(cfg, BRAKE, 3)
+        assert len(calls) == 3
 
-    def test_gamma_run_stays_near_the_taylor_action(self):
-        # the reference engine on a two-row propagator is the Taylor action,
-        # step for step (measured gap: 5.3e-12 m here, 1.2e-11 m on fig4)
-        cfg = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
-        assert not _Propagator(cfg, 2).cacheable
-        out = simulate(cfg, BRAKE)
-        taylor = ref.run_linear(cfg, BRAKE, _weight_table(cfg), n_rows=2)
-        for got, want in zip((out.x, out.v, out.a, out.errors), taylor):
+    def test_constant_row_in_a_sampled_batch_stays_near_its_lone_run(self):
+        # the one row that is not bitwise its lone run: its table is constant
+        # and the batch's is not, so it takes the Taylor action where its lone
+        # run takes the exponential (measured gap: 5.3e-12 m)
+        gamma = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
+        rows = [gamma, self.WIDE]
+        det, sampled = _collect(rows, _row_states(rows, BRAKE, _row_weights(rows)))
+        lone = simulate(gamma, BRAKE)
+        for got, want in ((det.x, lone.x), (det.v, lone.v), (det.a, lone.a),
+                          (det.errors, lone.errors)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-
-    def test_sampled_run_past_the_link_limit_never_calls_expm(self, monkeypatch):
-        assert not _Propagator(self.WIDE).cacheable
-        calls = count_expm(monkeypatch)
-        simulate(self.WIDE, BRAKE)
-        assert calls == []
+        np.testing.assert_array_equal(sampled.x, simulate(self.WIDE, BRAKE).x)
 
 
 class TestBooleanLinkTables:
     def test_sampled_tables_are_boolean_and_gamma_tables_float(self):
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=2.0)
-        sampled = _seed_weights(cfg, 3)
+        sampled = _row_weights(_seed_configs(cfg, 3))
         assert sampled.dtype == bool
         assert sampled.shape == (cfg.grid.n_steps, 3, cfg.n_links)
-        det = _seed_weights(replace(cfg, deterministic_gamma=0.7, mu=0.6), 2)
+        det = _row_weights(_seed_configs(replace(cfg, deterministic_gamma=0.7, mu=0.6), 2))
         assert det.dtype == np.float64
         np.testing.assert_array_equal(det[:, :, :3], 0.7)
         np.testing.assert_array_equal(det[:, :, 3:], 0.6)
 
     @pytest.mark.parametrize("n_rows", [1, 4])
     def test_point_mass_steps_alike_on_flags_and_floats(self, n_rows):
-        # n_rows = 1 takes the memoized step, 4 the Taylor action
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=14.0, seed=8)
-        flags = _seed_weights(cfg, n_rows)
-        for x_flags, x_floats in zip(_row_states(cfg, BRAKE, flags),
-                                     _row_states(cfg, BRAKE, flags.astype(float))):
+        rows = _seed_configs(cfg, n_rows)
+        flags = _row_weights(rows)
+        for x_flags, x_floats in zip(_row_states(rows, BRAKE, flags),
+                                     _row_states(rows, BRAKE, flags.astype(float))):
             assert x_flags.tobytes() == x_floats.tobytes()
 
     def test_pedal_maps_step_alike_on_flags_and_floats(self):
         scen = load_scenario("paper-fig9", master_seed=3)
         cfg = replace(scen.config, grid=TimeGrid(scen.config.grid.dt, 12.0),
                       deterministic_gamma=None, mu=None)
-        flags = _seed_weights(cfg, 3)
+        rows = _seed_configs(cfg, 3)
+        flags = _row_weights(rows)
         assert flags.dtype == bool
-        for x_flags, x_floats in zip(_row_states(cfg, scen.maneuver, flags),
-                                     _row_states(cfg, scen.maneuver, flags.astype(float))):
+        for x_flags, x_floats in zip(_row_states(rows, scen.maneuver, flags),
+                                     _row_states(rows, scen.maneuver, flags.astype(float))):
             assert x_flags.tobytes() == x_floats.tobytes()
 
 
@@ -579,13 +605,13 @@ def assert_matches_reference(cfg, maneuver):
 
 @lru_cache(maxsize=None)
 def stacked_suite(preset):
-    """A map-model suite's three panels stepped as the rows of one run.
+    """A suite's three panels stepped as the rows of one run.
 
     Returns the scenario, each panel's config and the stacked outputs.
     """
     scen = load_scenario(preset)
     cfg = scen.config
-    assert cfg.model == "empirical" and cfg.grid.horizon == 40.0
+    assert cfg.grid.horizon == 40.0
     lossy = (pl.gamma_of(cfg.channel), pl.gamma_of(cfg.second_params()))
     panels = [(p.headway, *((1.0, 1.0) if p.mode == "ideal" else lossy)) for p in scen.suite]
     cfgs = [replace(cfg, policy=replace(cfg.policy, h_w=hw), deterministic_gamma=g, mu=mu)
@@ -607,7 +633,7 @@ class TestMapEngineMatchesReference:
         for got, want in ((out.x, x), (out.v, v), (out.a, a), (out.errors, e)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
+    @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9", "paper-fig10"])
     def test_stacked_panels_equal_lone_runs(self, preset):
         scen, cfgs, outs = stacked_suite(preset)
         assert len({cfg.policy.h_w for cfg in cfgs}) > 1
