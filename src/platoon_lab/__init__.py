@@ -20,6 +20,6 @@ from .stability import (PeakBound, RationalTF, StateSpace,
                         UnstableTransferFunctionError, build_cacc_plus_tfs,
                         build_cacc_tf, build_error_system, hinf_norm,
                         impulse_l1_norm, lyapunov_gramian, peak_output_bound,
-                        safe_standstill_distance, string_stable_sum)
+                        string_stable_sum)
 
 __version__ = "0.1.0"

@@ -209,24 +209,19 @@ def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
                          "hinf_sum": n1 + n2, "sum_margin": margin,
                          "frequency_condition": ok,
                          "l1_h_p1": l1, "l1_h_p2": l2, "l1_sum": l1 + l2})
-        scheme_key = "cacc_plus"
     else:
         tf = stability.build_cacc_tf(cfg.gains, tau, hw, 0.0 if cfg.scheme is Scheme.ACC else gamma)
         n1 = stability.hinf_norm(tf)
         verdicts.update({"hinf_h": n1, "hinf_margin": 1.0 - n1,
                          "frequency_condition": n1 <= 1.0 + 1e-9,
                          "l1_h": stability.impulse_l1_norm(tf)})
-        scheme_key = "cacc"
-    ss = stability.build_error_system(cfg.gains, tau, hw, gamma,
-                                      scheme="cacc" if scheme_key == "cacc" else "cacc_plus")
-    bound = stability.peak_output_bound(ss, scenario.analysis.alpha_star,
-                                        scenario.analysis.w0_l2)
-    verdicts.update({
-        "j_value": bound.j_value, "m1": bound.m1, "m2": bound.m2,
-        "peak_error_bound": bound.evaluate(scenario.analysis.w0_l2),
-        "safe_standstill_distance": stability.safe_standstill_distance(
-            bound, scenario.analysis.w0_l2),
-    })
+    ss = stability.build_error_system(cfg.gains, tau, hw, gamma, cfg.scheme)
+    w0_l2 = scenario.analysis.w0_l2
+    bound = stability.peak_output_bound(ss, scenario.analysis.alpha_star, w0_l2)
+    peak = bound.evaluate(w0_l2)
+    # a standstill distance of the peak bound absorbs the worst-case spacing error
+    verdicts.update({"j_value": bound.j_value, "m1": bound.m1, "m2": bound.m2,
+                     "peak_error_bound": peak, "safe_standstill_distance": peak})
     report = output.RunReport("stability", scenario.config_hash, verdicts)
     report.write(outdir / f"{scenario.output.prefix}-stability-report.json")
     cond = "holds" if verdicts["frequency_condition"] else "violated"

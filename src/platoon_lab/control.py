@@ -94,8 +94,13 @@ def min_headway_cacc_plus(tau: float, gamma: float, k_a: float) -> float:
     asks for (1 + A2) h' <= 2 tau.  So for gamma < 1 and A1 < 1 < A2 no gains
     and headway meet the sum certificate and it never confirms this closed
     form there; 400,000 random (k_v, k_p, h) samples at the paper's k_a = 0.8
-    and 0.75 found none either.  For A2 <= 1 it can: at k_a = 0.2,
-    gamma = 0.467 and k_v+, the sum is exactly 1 at this headway.
+    and 0.75 found none either.  For A2 <= 1 it can, but A2 <= 1 does not make
+    this closed form the sum certificate's threshold: it clears H_p2 at that
+    one frequency only, and H_p2 can still peak above its DC gain elsewhere.
+    At k_a = 0.2, gamma = 0.467 and k_v+ the sum is exactly 1 at this headway;
+    at k_a = 0.5, gamma = 0.7, tau = 0.3, k_p = 1.5 (A2 = 0.85) and k_v+ it is
+    1.0334 at h = 0.2665 s, while |H_p1| / H_p1(0) = 1 there.  No closed form
+    here gives the sum certificate's threshold.
     """
     _check(tau, gamma, k_a)
     return 2.0 * tau * (1.0 + gamma) / ((1.0 + 2.0 * gamma) * (1.0 + gamma * (1.0 + gamma) * k_a))

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Bound (m/s^2) on every maneuver segment's acceleration.
+_A_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class VehicleState:
@@ -43,7 +46,6 @@ class Maneuver:
 
     segments: tuple[tuple[float, float], ...]
     initial_velocity: float
-    a_max: float = 10.0
 
     def __post_init__(self):
         segs = tuple((float(t), float(a)) for t, a in self.segments)
@@ -59,8 +61,8 @@ class Maneuver:
             if not t1 > t0:
                 raise ValueError("segment start times must be strictly increasing")
         for _, a in segs:
-            if not math.isfinite(a) or abs(a) > self.a_max:
-                raise ValueError(f"segment acceleration {a} exceeds bound {self.a_max}")
+            if not math.isfinite(a) or abs(a) > _A_MAX:
+                raise ValueError(f"segment acceleration {a} exceeds bound {_A_MAX}")
         if not math.isfinite(self.initial_velocity):
             raise ValueError("initial velocity must be finite")
 

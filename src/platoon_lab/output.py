@@ -67,16 +67,13 @@ def write_timeseries_csv(out: SimOutput, path) -> str:
     return str(path)
 
 
-def write_peaks_csv(peaks: np.ndarray, path, extra_columns: dict | None = None) -> str:
-    """Per-follower peak |e_i| table; extra columns are parallel arrays."""
-    extra = extra_columns or {}
+def write_peaks_csv(peaks: np.ndarray, path) -> str:
+    """Per-follower peak |e_i| table."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["vehicle", "peak_abs_error"] + list(extra))
+        w.writerow(["vehicle", "peak_abs_error"])
         for i, p in enumerate(peaks, start=1):
-            row = [str(i), repr(float(p))]
-            row += [repr(float(v[i - 1])) for v in extra.values()]
-            w.writerow(row)
+            w.writerow([str(i), repr(float(p))])
     return str(path)
 
 

@@ -2,9 +2,11 @@
 
 Sections are [platoon], [channel], [maneuver], [analysis], [output] and the
 optional [suite] used by the bundled paper presets to describe three-panel
-communication scenarios.  Unknown keys are rejected; units are SI throughout
-(s, m, m/s, m/s^2).  A scenario can be referenced by file path or by preset
-name (``paper-fig4``, ``paper-fig8``, ``paper-fig9``, ``paper-fig10``).
+communication scenarios.  The key table ``_KEYS`` lists every key with its
+parser and default; unknown sections and keys are rejected, and an empty
+value counts as absent.  Units are SI throughout (s, m, m/s, m/s^2).  A
+scenario can be referenced by file path or by preset name (``paper-fig4``,
+``paper-fig8``, ``paper-fig9``, ``paper-fig10``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,19 +29,6 @@ from .sim import PlatoonConfig
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario document."""
 
-
-_ALLOWED = {
-    "platoon": {"n_followers", "tau", "k_a", "k_v", "k_p", "headway", "standstill",
-                "scheme", "model", "throttle_map", "brake_map", "velocity_clamp",
-                "u_clamp_min", "u_clamp_max"},
-    "channel": {"p_gb", "q_bg", "r_recv_bad", "p_gb_2", "q_bg_2", "r_recv_bad_2",
-                "init_mode"},
-    "maneuver": {"initial_velocity", "segments"},
-    "analysis": {"dt", "horizon", "deterministic_gamma", "mu", "n_realizations",
-                 "stochastic_seeds", "alpha_star", "w0_l2"},
-    "output": {"prefix", "csv", "svg"},
-    "suite": {"panels"},
-}
 
 PRESETS = ("paper-fig4", "paper-fig8", "paper-fig9", "paper-fig10")
 
@@ -55,17 +44,17 @@ class Panel:
 
 @dataclass
 class AnalysisOptions:
-    n_realizations: int = 100
-    stochastic_seeds: int = 0
-    alpha_star: float = 0.0
-    w0_l2: float = 9.0
+    n_realizations: int
+    stochastic_seeds: int
+    alpha_star: float
+    w0_l2: float
 
 
 @dataclass
 class OutputOptions:
-    prefix: str = "run"
-    csv: bool = True
-    svg: bool = True
+    prefix: str
+    csv: bool
+    svg: bool
 
 
 @dataclass
@@ -75,8 +64,8 @@ class Scenario:
     maneuver: Maneuver
     analysis: AnalysisOptions
     output: OutputOptions
-    suite: list[Panel] = field(default_factory=list)
-    config_hash: str = ""
+    suite: list[Panel]
+    config_hash: str
 
     def gamma_for_analysis(self) -> float:
         """The run's deterministic gamma, else the first-link reception rate."""
@@ -87,6 +76,38 @@ class Scenario:
         """The run's mu, else the second-link reception rate."""
         mu = self.config.mu
         return gamma_of(self.config.second_params()) if mu is None else mu
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _scheme(raw: str) -> Scheme:
+    try:
+        return Scheme(raw.lower())
+    except ValueError as exc:
+        raise ScenarioError(f"unknown scheme {raw!r}") from exc
+
+
+def _init_mode(raw: str) -> ChannelMode | None:
+    """None starts each link from its stationary law, 'good' in the good state."""
+    low = raw.lower()
+    if low not in ("stationary", "good"):
+        raise ScenarioError(f"init_mode {low!r} must be 'stationary' or 'good'")
+    return ChannelMode.GOOD if low == "good" else None
+
+
+def _deterministic_gamma(raw: str) -> float | str:
+    """A fixed reception rate, or 'auto' for each link type's own rate."""
+    if raw.lower() == "auto":
+        return "auto"
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"deterministic_gamma {raw!r} must be a number or 'auto'") from exc
 
 
 def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
@@ -102,9 +123,7 @@ def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
             segs.append((float(t), float(a)))
         except ValueError as exc:
             raise ScenarioError(f"non-numeric segment {chunk!r}") from exc
-    if not segs:
-        raise ScenarioError("maneuver needs at least one segment")
-    return tuple(segs)
+    return tuple(segs)  # Maneuver refuses an empty list
 
 
 def _parse_panels(text: str) -> list[Panel]:
@@ -127,62 +146,116 @@ def _parse_panels(text: str) -> list[Panel]:
     return panels
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=None):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key).strip()
-        if raw != "":
-            return raw
-    return default
+_REQUIRED = object()  # the default of a key that must be given
+
+# section -> key -> (parser, default): every key a scenario may set.  A
+# parser either raises ValueError (the reader names the key and its kind from
+# _KIND) or raises ScenarioError with its own message.
+_KEYS = {
+    "platoon": {
+        "n_followers": (int, _REQUIRED), "tau": (float, _REQUIRED),
+        "k_a": (float, _REQUIRED), "k_v": (float, _REQUIRED), "k_p": (float, _REQUIRED),
+        "headway": (float, _REQUIRED), "standstill": (float, 5.0),
+        "scheme": (_scheme, Scheme.CACC), "model": (str.lower, "point_mass"),
+        # CSV files of the empirical model; None: the synthetic maps
+        "throttle_map": (str, None), "brake_map": (str, None),
+        "velocity_clamp": (_boolean, False),
+        # the map engine's command clamp, both or neither
+        "u_clamp_min": (float, None), "u_clamp_max": (float, None),
+    },
+    "channel": {
+        "p_gb": (float, 0.0), "q_bg": (float, 1.0), "r_recv_bad": (float, 1.0),
+        # the (i, i-2) links' own parameters, all three or none
+        "p_gb_2": (float, None), "q_bg_2": (float, None), "r_recv_bad_2": (float, None),
+        "init_mode": (_init_mode, None),
+    },
+    "maneuver": {"initial_velocity": (float, _REQUIRED), "segments": (_parse_segments, _REQUIRED)},
+    "analysis": {
+        "dt": (float, 0.01), "horizon": (float, 40.0),
+        "deterministic_gamma": (_deterministic_gamma, None), "mu": (float, None),
+        "n_realizations": (int, 100), "stochastic_seeds": (int, 0),
+        "alpha_star": (float, 0.0), "w0_l2": (float, 9.0),
+    },
+    # prefix None: the scenario's name
+    "output": {"prefix": (str, None), "csv": (_boolean, True), "svg": (_boolean, True)},
+    "suite": {"panels": (_parse_panels, ())},
+}
+_KIND = {float: "a number", int: "an integer", _boolean: "a boolean"}
+_REQUIRED_SECTIONS = ("platoon", "maneuver", "analysis")
 
 
-def _getfloat(cp, section, key, default=None):
-    raw = _get(cp, section, key)
-    if raw is None:
+def _read(text: str) -> dict[str, dict[str, str]]:
+    """The document's stripped values, section -> key -> text, all in ``_KEYS``."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        cp.read_string(text)
+        raw = {s: {k: cp.get(s, k).strip() for k in cp.options(s)} for s in cp.sections()}
+    except configparser.Error as exc:
+        raise ScenarioError(f"cannot parse scenario: {exc}") from exc
+    for section, keys in raw.items():
+        if section not in _KEYS:
+            raise ScenarioError(f"unknown section [{section}]")
+        for key in keys:
+            if key not in _KEYS[section]:
+                raise ScenarioError(f"unknown key {key!r} in [{section}]")
+    for required in _REQUIRED_SECTIONS:
+        if required not in raw:
+            raise ScenarioError(f"missing required section [{required}]")
+    return raw
+
+
+def _value(section: str, key: str, text: str, parse, default):
+    """One key's value: its default when absent or empty, else ``parse(text)``."""
+    if not text:
         return default
     try:
-        return float(raw)
+        return parse(text)
+    except ScenarioError:
+        raise
     except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        raise ScenarioError(f"[{section}] {key} = {text!r} is not {_KIND[parse]}") from exc
 
 
-def _getint(cp, section, key, default=None):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+def _values(raw: dict[str, dict[str, str]]) -> dict[str, dict]:
+    """Every key of ``_KEYS`` by section; names every required key not given."""
+    values = {section: {key: _value(section, key, raw.get(section, {}).get(key, ""), *spec)
+                        for key, spec in keys.items()}
+              for section, keys in _KEYS.items()}
+    missing = []
+    for section, keys in values.items():
+        absent = [key for key, value in keys.items() if value is _REQUIRED]
+        if absent:
+            missing.append(f"[{section}] missing required keys: {', '.join(absent)}")
+    if missing:
+        raise ScenarioError("; ".join(missing))
+    return values
 
 
-def _getbool(cp, section, key, default=False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ScenarioError(f"[{section}] {key} = {raw!r} is not a boolean")
+def _together(values: dict, keys: tuple[str, ...], message: str) -> tuple | None:
+    """The values of ``keys`` if all are given, None if none is."""
+    given = tuple(values[key] for key in keys)
+    if all(v is None for v in given):
+        return None
+    if any(v is None for v in given):
+        raise ScenarioError(message)
+    return given
 
 
-def _channel(p_gb, q_bg, r_recv_bad, suffix: str) -> GilbertParams:
+def _channel(params: tuple, suffix: str) -> GilbertParams:
     """Gilbert parameters of one link type; errors name the link's own keys."""
     try:
-        return GilbertParams(p_gb, q_bg, r_recv_bad)
+        return GilbertParams(*params)
     except ValueError as exc:
         message = re.sub(r"\b(p_gb|q_bg|r_recv_bad)\b", rf"\1{suffix}", str(exc))
         raise ScenarioError(f"[channel] {message}") from exc
 
 
-def _load_map(cp, key: str, default, digests: list) -> maps_mod.PedalMap:
+def _load_map(platoon: dict, key: str, default, digests: list) -> maps_mod.PedalMap:
     """Pedal map from the CSV file named by ``key``, else the synthetic one."""
-    path = _get(cp, "platoon", key)
-    if path is None:
+    if platoon[key] is None:
         return default()
     try:
-        data = Path(path).read_bytes()
+        data = Path(platoon[key]).read_bytes()
         pmap = maps_mod.PedalMap.from_csv_text(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, maps_mod.MapFormatError) as exc:
         raise ScenarioError(f"cannot load pedal map: {exc}") from exc
@@ -191,7 +264,7 @@ def _load_map(cp, key: str, default, digests: list) -> maps_mod.PedalMap:
 
 
 def preset_text(name: str) -> str:
-    base = name[:-4] if name.endswith(".ini") else name
+    base = name.removesuffix(".ini")
     if base not in PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; bundled presets: {', '.join(PRESETS)}")
     return resources.files("platoon_lab").joinpath(f"presets/{base}.ini").read_text()
@@ -205,138 +278,60 @@ def load_scenario(source: str, master_seed: int | None = None) -> Scenario:
         name = path.stem
     else:
         text = preset_text(source)
-        name = source[:-4] if source.endswith(".ini") else source
+        name = source.removesuffix(".ini")
     return parse_scenario_text(text, name=name, master_seed=master_seed)
 
 
 def parse_scenario_text(text: str, name: str = "scenario",
                         master_seed: int | None = None) -> Scenario:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioError(f"cannot parse scenario: {exc}") from exc
+    raw = _read(text)
+    values = _values(raw)
+    plat, chan, ana = values["platoon"], values["channel"], values["analysis"]
 
-    for section in cp.sections():
-        if section not in _ALLOWED:
-            raise ScenarioError(f"unknown section [{section}]")
-        for key in cp.options(section):
-            if key not in _ALLOWED[section]:
-                raise ScenarioError(f"unknown key {key!r} in [{section}]")
-    for required in ("platoon", "maneuver", "analysis"):
-        if not cp.has_section(required):
-            raise ScenarioError(f"missing required section [{required}]")
-
-    # --- platoon ---
-    scheme_raw = _get(cp, "platoon", "scheme", "cacc")
-    try:
-        scheme = Scheme(scheme_raw.lower())
-    except ValueError as exc:
-        raise ScenarioError(f"unknown scheme {scheme_raw!r}") from exc
-    model = _get(cp, "platoon", "model", "point_mass").lower()
     throttle = brake = None
     map_digests = []  # the map files' contents enter the config hash
-    if model == "empirical":
-        throttle = _load_map(cp, "throttle_map", maps_mod.synthetic_throttle_map, map_digests)
-        brake = _load_map(cp, "brake_map", maps_mod.synthetic_brake_map, map_digests)
-    u_lo = _getfloat(cp, "platoon", "u_clamp_min")
-    u_hi = _getfloat(cp, "platoon", "u_clamp_max")
-    if (u_lo is None) != (u_hi is None):
-        raise ScenarioError("u_clamp_min and u_clamp_max must be given together")
+    if plat["model"] == "empirical":
+        throttle = _load_map(plat, "throttle_map", maps_mod.synthetic_throttle_map, map_digests)
+        brake = _load_map(plat, "brake_map", maps_mod.synthetic_brake_map, map_digests)
+    u_clamp = _together(plat, ("u_clamp_min", "u_clamp_max"),
+                        "u_clamp_min and u_clamp_max must be given together")
 
-    # --- channel ---
-    if cp.has_section("channel"):
-        channel = _channel(_getfloat(cp, "channel", "p_gb", 0.0),
-                           _getfloat(cp, "channel", "q_bg", 1.0),
-                           _getfloat(cp, "channel", "r_recv_bad", 1.0), "")
-        p2 = _getfloat(cp, "channel", "p_gb_2")
-        q2 = _getfloat(cp, "channel", "q_bg_2")
-        r2 = _getfloat(cp, "channel", "r_recv_bad_2")
-        second = None
-        if any(v is not None for v in (p2, q2, r2)):
-            if any(v is None for v in (p2, q2, r2)):
-                raise ScenarioError("second-link channel needs all of p_gb_2, q_bg_2, r_recv_bad_2")
-            second = _channel(p2, q2, r2, "_2")
-        init_raw = _get(cp, "channel", "init_mode", "stationary").lower()
-        if init_raw == "stationary":
-            init_mode = None
-        elif init_raw == "good":
-            init_mode = ChannelMode.GOOD
-        else:
-            raise ScenarioError(f"init_mode {init_raw!r} must be 'stationary' or 'good'")
-    else:
-        channel, second, init_mode = GilbertParams(0.0, 1.0, 1.0), None, None
+    channel = _channel((chan["p_gb"], chan["q_bg"], chan["r_recv_bad"]), "")
+    second = _together(chan, ("p_gb_2", "q_bg_2", "r_recv_bad_2"),
+                       "second-link channel needs all of p_gb_2, q_bg_2, r_recv_bad_2")
+    if second is not None:
+        second = _channel(second, "_2")
 
-    # --- analysis ---
-    dt = _getfloat(cp, "analysis", "dt", 0.01)
-    horizon = _getfloat(cp, "analysis", "horizon", 40.0)
     # a deterministic run fixes both link weights here: 'auto' takes each
     # link type's reception rate, a number serves as mu too unless mu is set
-    det_raw = _get(cp, "analysis", "deterministic_gamma")
-    det_gamma = None
-    mu = _getfloat(cp, "analysis", "mu")
-    if det_raw is not None:
-        if det_raw.lower() == "auto":
-            det_gamma = gamma_of(channel)
-            det_mu = gamma_of(second or channel)
-        else:
-            try:
-                det_gamma = det_mu = float(det_raw)
-            except ValueError as exc:
-                raise ScenarioError(f"deterministic_gamma {det_raw!r} must be a number or 'auto'") from exc
-        mu = det_mu if mu is None else mu
-    analysis = AnalysisOptions(
-        n_realizations=_getint(cp, "analysis", "n_realizations", 100),
-        stochastic_seeds=_getint(cp, "analysis", "stochastic_seeds", 0),
-        alpha_star=_getfloat(cp, "analysis", "alpha_star", 0.0),
-        w0_l2=_getfloat(cp, "analysis", "w0_l2", 9.0),
-    )
-    for key, low in (("n_realizations", 1), ("stochastic_seeds", 0),
-                     ("alpha_star", 0.0), ("w0_l2", 0.0)):
-        value = getattr(analysis, key)
-        if not value >= low:  # NaN fails too
-            raise ScenarioError(f"[analysis] {key} = {value} must be at least {low}")
+    det_gamma = det_mu = ana["deterministic_gamma"]
+    if det_gamma == "auto":
+        det_gamma, det_mu = gamma_of(channel), gamma_of(second or channel)
+    mu = det_mu if ana["mu"] is None else ana["mu"]
+    lows = {"n_realizations": 1, "stochastic_seeds": 0, "alpha_star": 0.0, "w0_l2": 0.0}
+    for key, low in lows.items():
+        if not ana[key] >= low:  # NaN fails too
+            raise ScenarioError(f"[analysis] {key} = {ana[key]} must be at least {low}")
+    analysis = AnalysisOptions(**{key: ana[key] for key in lows})
 
-    # --- maneuver ---
-    v0 = _getfloat(cp, "maneuver", "initial_velocity")
-    if v0 is None:
-        raise ScenarioError("[maneuver] initial_velocity is required")
-    seg_raw = _get(cp, "maneuver", "segments")
-    if seg_raw is None:
-        raise ScenarioError("[maneuver] segments is required")
     try:
-        maneuver = Maneuver(segments=_parse_segments(seg_raw), initial_velocity=v0)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    # --- assemble the platoon config ---
-    required = {"n_followers": _getint(cp, "platoon", "n_followers"),
-                "tau": _getfloat(cp, "platoon", "tau"),
-                "k_a": _getfloat(cp, "platoon", "k_a"),
-                "k_v": _getfloat(cp, "platoon", "k_v"),
-                "k_p": _getfloat(cp, "platoon", "k_p"),
-                "headway": _getfloat(cp, "platoon", "headway")}
-    missing = [k for k, v in required.items() if v is None]
-    if missing:
-        raise ScenarioError(f"[platoon] missing required keys: {', '.join(missing)}")
-    try:
+        maneuver = Maneuver(**values["maneuver"])
         config = PlatoonConfig(
-            n_followers=required["n_followers"],
-            tau=required["tau"],
-            gains=Gains(required["k_a"], required["k_v"], required["k_p"]),
-            policy=SpacingPolicy(h_w=required["headway"],
-                                 d=_getfloat(cp, "platoon", "standstill", 5.0)),
-            scheme=scheme,
-            grid=TimeGrid(dt=dt, horizon=horizon),
+            n_followers=plat["n_followers"],
+            tau=plat["tau"],
+            gains=Gains(plat["k_a"], plat["k_v"], plat["k_p"]),
+            policy=SpacingPolicy(h_w=plat["headway"], d=plat["standstill"]),
+            scheme=plat["scheme"],
+            grid=TimeGrid(dt=ana["dt"], horizon=ana["horizon"]),
             channel=channel,
             channel_second=second,
             master_seed=master_seed if master_seed is not None else 0,
             deterministic_gamma=det_gamma,
             mu=mu,
-            init_mode=init_mode,
-            velocity_clamp=_getbool(cp, "platoon", "velocity_clamp", False),
-            u_clamp=(u_lo, u_hi) if u_lo is not None else None,
-            model=model,
+            init_mode=chan["init_mode"],
+            velocity_clamp=plat["velocity_clamp"],
+            u_clamp=u_clamp,
+            model=plat["model"],
             throttle_map=throttle,
             brake_map=brake,
             scenario_id=name,
@@ -344,17 +339,13 @@ def parse_scenario_text(text: str, name: str = "scenario",
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    out = OutputOptions(prefix=_get(cp, "output", "prefix", name),
-                        csv=_getbool(cp, "output", "csv", True),
-                        svg=_getbool(cp, "output", "svg", True))
-    suite = _parse_panels(_get(cp, "suite", "panels", ""))
+    out = values["output"]
+    out = OutputOptions(prefix=out["prefix"] or name, csv=out["csv"], svg=out["svg"])
 
-    canonical = []
-    for section in sorted(cp.sections()):
-        for key in sorted(cp.options(section)):
-            canonical.append(f"{section}.{key}={cp.get(section, key).strip()}")
+    canonical = [f"{section}.{key}={raw[section][key]}"
+                 for section in sorted(raw) for key in sorted(raw[section])]
     canonical += map_digests
     digest = hashlib.sha256("\n".join(canonical).encode()).hexdigest()[:16]
 
     return Scenario(name=name, config=config, maneuver=maneuver, analysis=analysis,
-                    output=out, suite=suite, config_hash=digest)
+                    output=out, suite=list(values["suite"]["panels"]), config_hash=digest)

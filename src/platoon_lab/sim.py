@@ -58,6 +58,8 @@ class SimulationDivergedError(RuntimeError):
 
 # Abort threshold on any state component.
 _DIVERGENCE_LIMIT = 1e6
+# Peak growth (m) from one follower to the next that still counts as stable.
+_PEAK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -575,10 +577,10 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
     )
 
 
-def empirical_string_stability(out: SimOutput, tol: float = 1e-6) -> tuple[bool, np.ndarray]:
-    """Non-increasing per-follower peak check over the full horizon."""
+def empirical_string_stability(out: SimOutput) -> tuple[bool, np.ndarray]:
+    """Non-increasing per-follower peak check over the full horizon, to 1e-6 m."""
     if out.errors.shape[0] < 2:
         raise ValueError("need at least two followers to judge propagation")
     peaks = out.peak_errors()
-    ok = bool(np.all(np.diff(peaks) <= tol))
+    ok = bool(np.all(np.diff(peaks) <= _PEAK_TOL))
     return ok, peaks

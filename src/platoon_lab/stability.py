@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .control import Gains
+from .control import Gains, Scheme
 
 
 class UnstableTransferFunctionError(ValueError):
@@ -315,29 +315,30 @@ def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
 
 
 def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
-                       scheme: str = "cacc") -> StateSpace:
+                       scheme: Scheme) -> StateSpace:
     """State-space realization of the error-propagation chain.
 
     Observable canonical form of the shared denominator, so one A and C serve
-    every numerator: the predecessor taps become input columns B (CACC) or
-    B1, B2 (CACC+).  The lead-to-first-error map (input = achieved lead
+    every numerator: the predecessor taps become input columns B (ACC, CACC)
+    or B1, B2 (CACC+).  ACC is the CACC chain at gamma = 0, whatever the
+    channel.  The lead-to-first-error map (input = achieved lead
     acceleration) is attached as ``lead_tf``:
 
         E1(s) / A0(s) = [(gamma K_a h_w - tau) s + (gamma K_a + K_v h_w - 1)]
                         / (tau s^3 + s^2 + (K_v + K_p h_w) s + K_p)
     """
+    if scheme is Scheme.ACC:
+        gamma = 0.0
     ka, kv, kp = gains.k_a, gains.k_v, gains.k_p
     lead_num = (gamma * ka * h_w - tau, gamma * ka + kv * h_w - 1.0)
     lead_den = (tau, 1.0, kv + kp * h_w, kp)
     lead_tf = RationalTF(lead_num, lead_den)
-    if scheme == "cacc":
-        tfs = [build_cacc_tf(gains, tau, h_w, gamma)]
-    elif scheme == "cacc_plus":
+    if scheme is Scheme.CACC_PLUS:
         # the first follower runs the CACC law, whose denominator differs from
         # the chain's; the lead coupling is exact only as lead_tf
         tfs = build_cacc_plus_tfs(gains, tau, h_w, gamma)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        tfs = [build_cacc_tf(gains, tau, h_w, gamma)]
     a, _, c, _ = tf_to_ss(tfs[0])
     b = np.column_stack([tf_to_ss(tf)[1] for tf in tfs])
     return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf)
@@ -386,9 +387,3 @@ def peak_output_bound(ss: StateSpace, alpha_star: float, w0_l2: float) -> PeakBo
     return PeakBound(j_value=j, m1=m1, m2=m2, alpha_star=alpha_star,
                      beta2=beta2, gamma2=gamma2, eta=eta)
 
-
-def safe_standstill_distance(bound: PeakBound, w0_l2: float, margin: float = 0.0) -> float:
-    """Standstill distance that absorbs the worst-case peak spacing error."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    return bound.evaluate(w0_l2) + margin

@@ -217,8 +217,8 @@ def test_criterion_7_lyapunov_peak_bound():
     gamma = gamma_of(CHANNEL)
     # Gramian residuals on the paper error dynamics
     res_ok = True
-    for gains, tau, scheme in ((Gains(0.8, 1.5, 2.0), 0.37, "cacc"),
-                               (Gains(0.2, 2.5, 1.0), 0.4, "cacc_plus")):
+    for gains, tau, scheme in ((Gains(0.8, 1.5, 2.0), 0.37, pl.Scheme.CACC),
+                               (Gains(0.2, 2.5, 1.0), 0.4, pl.Scheme.CACC_PLUS)):
         ss = build_error_system(gains, tau, 0.6, gamma, scheme)
         p = lyapunov_gramian(ss.a, ss.b)
         res = np.linalg.norm(ss.a @ p + p @ ss.a.T + ss.b @ ss.b.T)
@@ -229,7 +229,7 @@ def test_criterion_7_lyapunov_peak_bound():
     checked = 0
     worst_margin = np.inf
     gains_c, tau_c = Gains(0.8, 1.5, 2.0), 0.37
-    ss = build_error_system(gains_c, tau_c, 0.6, gamma, "cacc")
+    ss = build_error_system(gains_c, tau_c, 0.6, gamma, pl.Scheme.CACC)
     bound_c = peak_output_bound(ss, 0.0, 9.0).evaluate(9.0)
     # seeds 4200-4299, stepped as the rows of one batch
     cfg = PlatoonConfig(n_followers=6, tau=tau_c, gains=gains_c,
@@ -241,7 +241,7 @@ def test_criterion_7_lyapunov_peak_bound():
     worst_margin = min(worst_margin, bound_c - peaks.max())
     # two-predecessor variant at a configuration satisfying the sum condition
     gains_p, tau_p, hw_p = Gains(0.2, 0.5, 1.0), 0.4, 1.0
-    ssp = build_error_system(gains_p, tau_p, hw_p, gamma, "cacc_plus")
+    ssp = build_error_system(gains_p, tau_p, hw_p, gamma, pl.Scheme.CACC_PLUS)
     bound_p = peak_output_bound(ssp, 0.0, 9.0).evaluate(9.0)
     # seeds 8800-8819
     cfg = PlatoonConfig(n_followers=6, tau=tau_p, gains=gains_p,

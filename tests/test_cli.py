@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from platoon_lab import cli
+from platoon_lab.control import Gains, Scheme
 from platoon_lab.output import write_timeseries_csv
 from platoon_lab.scenario import ScenarioError, load_scenario
 from platoon_lab.sim import empirical_string_stability, simulate, simulate_deterministic
+from platoon_lab.stability import build_error_system, peak_output_bound
 
 BASE = """
 [platoon]
@@ -515,6 +517,21 @@ class TestCliCommands:
         assert verdicts["hinf_h_p1"] <= verdicts["l1_h_p1"]
         assert verdicts["hinf_h_p2"] <= verdicts["l1_h_p2"]
         assert verdicts["l1_sum"] == verdicts["l1_h_p1"] + verdicts["l1_h_p2"]
+
+    def test_acc_peak_bound_takes_the_radio_free_chain(self, tmp_path):
+        # ACC uses no radio, so its bound is the CACC chain's at gamma = 0,
+        # whatever the channel; the gamma-weighted chain gave 16.881 m here
+        text = (BASE.replace("scheme = cacc", "scheme = acc").replace("k_a = 0.2", "k_a = 0.5")
+                .replace("headway = 0.6", "headway = 1.0"))
+        rc = cli.main(["run", "stability", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        verdicts = json.loads((tmp_path / "o" / "base-stability-report.json")
+                              .read_text())["verdicts"]
+        assert verdicts["peak_error_bound"] == pytest.approx(14.598, abs=5e-4)
+        radio_free = build_error_system(Gains(0.5, 2.5, 1.0), 0.4, 1.0, 0.0, Scheme.CACC)
+        expected = peak_output_bound(radio_free, 0.0, 9.0).evaluate(9.0)
+        assert verdicts["peak_error_bound"] == verdicts["safe_standstill_distance"] == expected
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATOON_LAB_OUT", str(tmp_path / "envout"))

@@ -118,7 +118,7 @@ class TestManeuver:
         with pytest.raises(ValueError):
             Maneuver(segments=((0.0, 0.0), (0.0, -9.0)), initial_velocity=25.0)
         with pytest.raises(ValueError):
-            Maneuver(segments=((0.0, 12.0),), initial_velocity=25.0)  # above a_max
+            Maneuver(segments=((0.0, 12.0),), initial_velocity=25.0)  # above 10 m/s^2
 
     def test_accel_lookup_piecewise_constant(self):
         m = Maneuver(((0.0, 0.0), (10.0, -9.0), (11.0, 0.0)), 25.0)

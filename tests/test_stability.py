@@ -6,14 +6,13 @@ from scipy.linalg import solve_lyapunov
 from scipy.signal import ss2tf
 
 from designed_gains import designed_kv, designed_kv_plus
-from platoon_lab.control import Gains, min_headway_cacc_plus
+from platoon_lab.control import Gains, Scheme, min_headway_cacc_plus
 from platoon_lab.stability import (PeakBound, RationalTF, StateSpace,
                                    UnstableTransferFunctionError,
                                    build_cacc_plus_tfs, build_cacc_tf,
                                    build_error_system, hinf_norm, impulse_l1_norm,
                                    lyapunov_gramian, peak_output_bound,
-                                   safe_standstill_distance, string_stable_sum,
-                                   tf_to_ss, _response_blocks)
+                                   string_stable_sum, tf_to_ss, _response_blocks)
 from reference_engine import stepped_response
 
 PAPER_GAIN_SETS = (
@@ -132,6 +131,18 @@ class TestHinfNorm:
             if sum_exact:
                 t1, t2 = build_cacc_plus_tfs(gains, tau, hp, g)
                 assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0, abs=1e-6)
+
+    def test_sum_above_one_at_hmin_plus_although_a2_below_one(self):
+        # (1 + gamma) k_a = 0.85 <= 1 clears H_p2 at the one frequency of the
+        # derivation, yet H_p2 peaks above its DC gain elsewhere, so the sum
+        # certificate fails at the closed-form headway (min_headway_cacc_plus)
+        ka, kp, tau, g = 0.5, 1.5, 0.3, 0.7
+        assert (1 + g) * ka <= 1.0
+        hp = min_headway_cacc_plus(tau, g, ka)
+        assert hp == pytest.approx(0.2665, abs=5e-5)
+        t1, t2 = build_cacc_plus_tfs(Gains(ka, designed_kv_plus(g, ka, tau), kp), tau, hp, g)
+        assert hinf_norm(t1) / t1.dc_gain() == pytest.approx(1.0, abs=1e-6)
+        assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0334, abs=5e-5)
 
 
 def grid_peak(tf: RationalTF) -> float:
@@ -260,8 +271,8 @@ class TestImpulseL1:
 class TestResponseSampler:
     # the blocked sampler against the per-sample loop it replaced, on a chain
     # long enough for three 4096-row blocks and on one short of a single block
-    CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, "cacc_plus"),
-             build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, 0.467, "cacc"),
+    CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, Scheme.CACC_PLUS),
+             build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, 0.467, Scheme.CACC),
              StateSpace(a=np.array([[-5.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
                         lead_tf=RationalTF((1.0,), (1.0, 5.0))))
 
@@ -298,7 +309,7 @@ class TestLyapunovGramian:
 
     def test_residual_and_psd_on_error_dynamics(self):
         for gains, tau in PAPER_GAIN_SETS:
-            for scheme in ("cacc", "cacc_plus"):
+            for scheme in (Scheme.CACC, Scheme.CACC_PLUS):
                 ss = build_error_system(gains, tau, 0.8, 0.467, scheme)
                 p = lyapunov_gramian(ss.a, ss.b)
                 res = np.linalg.norm(ss.a @ p + p @ ss.a.T + ss.b @ ss.b.T)
@@ -371,7 +382,7 @@ class TestPeakOutputBound:
         # realized by the column (0, n1, n0) / tau of its numerator
         # n1 s + n0 in the chain's (a, c)
         gains, tau = Gains(0.8, 1.5, 2.0), 0.37
-        ss = build_error_system(gains, tau, 0.6, 0.467, "cacc")
+        ss = build_error_system(gains, tau, 0.6, 0.467, Scheme.CACC)
         column = np.array([[0.0], [ss.lead_tf.num[0]], [ss.lead_tf.num[1]]]) / tau
         num, den = ss2tf(ss.a, column, ss.c, np.zeros((1, 1)))
         embedded = RationalTF(tuple(num[0]), tuple(den))
@@ -379,25 +390,23 @@ class TestPeakOutputBound:
 
     def test_theorem_two_doubles_constants(self):
         gains, tau = Gains(0.2, 0.5, 1.0), 0.4
-        sp = build_error_system(gains, tau, 1.0, 0.467, "cacc_plus")
+        sp = build_error_system(gains, tau, 1.0, 0.467, Scheme.CACC_PLUS)
         bound = peak_output_bound(sp, alpha_star=0.5, w0_l2=9.0)
         assert bound.m2 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.gamma2, abs=1e-12)
         assert bound.m1 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.beta2 * 0.5, abs=1e-12)
 
 
 class TestSafeStandstill:
+    # `run stability` reports the peak bound as the safe standstill distance
     def test_zero_inputs_zero_distance(self):
         bound = PeakBound(j_value=0.5, m1=0.0, m2=0.7, alpha_star=0.0,
                           beta2=1.0, gamma2=1.0, eta=1.0)
-        assert safe_standstill_distance(bound, 0.0) == 0.0
+        assert bound.evaluate(0.0) == 0.0
 
     def test_affine_in_maneuver_energy(self):
         bound = PeakBound(j_value=0.5, m1=0.3, m2=0.7, alpha_star=1.0,
                           beta2=1.0, gamma2=1.0, eta=1.0)
-        d1 = safe_standstill_distance(bound, 2.0)
-        d2 = safe_standstill_distance(bound, 4.0)
-        assert d2 - d1 == pytest.approx(0.7 * 2.0, abs=1e-12)
-        assert safe_standstill_distance(bound, 2.0, margin=0.5) == pytest.approx(d1 + 0.5)
+        assert bound.evaluate(4.0) - bound.evaluate(2.0) == pytest.approx(0.7 * 2.0, abs=1e-12)
 
 
 class TestLeadTransferFunction:
@@ -414,7 +423,7 @@ class TestLeadTransferFunction:
             grid=TimeGrid(0.01, 80.0), channel=pl.GilbertParams(0.2, 0.1, 0.2))
         man = Maneuver(((0.0, 0.0), (5.0, -2.0), (6.0, 0.0)), 25.0)
         out = pl.simulate_deterministic(cfg, man, g)
-        ss = build_error_system(gains, tau, hw, g, "cacc")
+        ss = build_error_system(gains, tau, hw, g, Scheme.CACC)
         w0 = out.a[0]        # achieved lead acceleration
         e1 = out.errors[0]
         freqs = np.fft.rfftfreq(len(w0), 0.01) * 2 * np.pi
