@@ -4,7 +4,8 @@ Sections are [platoon], [channel], [maneuver], [analysis], [output] and the
 optional [suite] used by the bundled paper presets to describe three-panel
 communication scenarios.  The key table ``_KEYS`` lists every key with its
 parser and default; unknown sections and keys are rejected, and an empty
-value counts as absent.  Units are SI throughout (s, m, m/s, m/s^2).  A
+value counts as absent; a [DEFAULT] section is refused like any other
+unknown section.  Units are SI throughout (s, m, m/s, m/s^2).  A
 scenario can be referenced by file path or by preset name (``paper-fig4``,
 ``paper-fig8``, ``paper-fig9``, ``paper-fig10``).
 """
@@ -186,7 +187,9 @@ _REQUIRED_SECTIONS = ("platoon", "maneuver", "analysis")
 
 def _read(text: str) -> dict[str, dict[str, str]]:
     """The document's stripped values, section -> key -> text, all in ``_KEYS``."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no header names the default section "", so a [DEFAULT] section is read
+    # as a section of its own and refused, not merged into every section
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     try:
         cp.read_string(text)
         raw = {s: {k: cp.get(s, k).strip() for k in cp.options(s)} for s in cp.sections()}
@@ -293,6 +296,8 @@ def parse_scenario_text(text: str, name: str = "scenario",
     if plat["model"] == "empirical":
         throttle = _load_map(plat, "throttle_map", maps_mod.synthetic_throttle_map, map_digests)
         brake = _load_map(plat, "brake_map", maps_mod.synthetic_brake_map, map_digests)
+    elif plat["throttle_map"] is not None or plat["brake_map"] is not None:
+        raise ScenarioError("throttle_map / brake_map need the empirical (pedal-map) model")
     u_clamp = _together(plat, ("u_clamp_min", "u_clamp_max"),
                         "u_clamp_min and u_clamp_max must be given together")
 

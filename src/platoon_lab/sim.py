@@ -14,6 +14,11 @@ in the link weights w (:func:`link_decomposition`).  Two engines use them:
   row's weights on the links that reach its matrix change over the run (a
   gamma run, a lossless channel, ACC), each row takes its exponential once;
   otherwise every row takes a machine-precision Taylor action on the states.
+  That action takes a block of terms for all rows at once, as many as the
+  previous step's slowest row needed, then one more at a time while a row
+  still needs one; each row then returns its partial sum at its own first
+  term below tolerance, so its arithmetic and its stop are those of the
+  term-by-term loop, whatever its batch-mates need.
 * pedal maps: every vehicle's command is read off the acceleration rows of
   A(w) and c(w) (:func:`cacc_input`), and all vehicles of all rows advance
   together through the pedal maps and the exact lag update
@@ -60,6 +65,8 @@ class SimulationDivergedError(RuntimeError):
 _DIVERGENCE_LIMIT = 1e6
 # Peak growth (m) from one follower to the next that still counts as stable.
 _PEAK_TOL = 1e-6
+# Last Taylor term a row of the point-mass step takes.
+_MAX_TERMS = 39
 
 
 @dataclass(frozen=True)
@@ -255,6 +262,15 @@ class _Propagator:
     each row's exponential; otherwise it is None and every step takes the
     Taylor action, exact to machine precision because the per-step matrix
     norm is far below one.
+
+    The Taylor action computes terms t_k = M t_{k-1} / k and partial sums
+    s_k = s_{k-1} + t_k of every row into preallocated (terms, sums)
+    buffers, a block at a time: each step first takes as many terms as the
+    previous step's slowest row needed, then one more at a time while some
+    row has not stopped.  Row r stops at its first k with max|t_k| <=
+    1e-16 max(1, max|s_k|), at k = :data:`_MAX_TERMS` at the latest, and
+    returns its own s_k.  A row's terms and its stop do not depend on the
+    other rows, so a batched row is bitwise its lone run.
     """
 
     def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray):
@@ -266,24 +282,35 @@ class _Propagator:
         base[:, :n, :n] = a0
         base[:, 2, n] = 1.0 / config.tau  # lead input enters the lead's lag equation
         base[:, :n, n + 1] = c0
-        self._base = (base * dt)[row_of]
+        # one matrix buffer; only its weight-dependent entries change per step
+        self._matrices = (base * dt)[row_of]
         delta = np.zeros(da.shape[:2] + (n + 2, n + 2))
         delta[:, :, :n, :n] = da
         delta[:, :, :n, n + 1] = dc
         delta = (delta * dt).reshape(len(a0), config.n_links, -1)
         self._link_of, self._idx = np.nonzero(delta.any(axis=0))
         self._coef = delta[:, self._link_of, self._idx][row_of]
+        self._base_at = self._matrices.reshape(len(configs), -1)[:, self._idx]
         # min and max over time reduce the table without copying it
         fixed = (weights.min(axis=0) == weights.max(axis=0)) | ~delta.any(axis=2)[row_of]
         self.steps = self.step_matrix(weights[0]) if fixed.all() else None
+        if self.steps is None:
+            # terms buf[k, 0] and partial sums buf[k, 1], k = 0.._MAX_TERMS
+            self._buf = np.empty((_MAX_TERMS + 1, 2, len(configs), n + 2))
+            self._buf[0, 0, :, n + 1] = 1.0
+            self._rows = np.arange(len(configs))
+            self._block = 1
 
     def _matrices_dt(self, link_values: np.ndarray) -> np.ndarray:
-        """(R, n+2, n+2) augmented matrices times dt for (R, n_links) weights."""
-        m = self._base.copy()
+        """(R, n+2, n+2) augmented matrices times dt for (R, n_links) weights.
+
+        The returned buffer is patched in place by the next call.
+        """
         if self._idx.size:
-            flat = m.reshape(m.shape[0], -1)
-            flat[:, self._idx] += self._coef * link_values[:, self._link_of].astype(float, copy=False)
-        return m
+            flat = self._matrices.reshape(self._matrices.shape[0], -1)
+            w = link_values[:, self._link_of].astype(float, copy=False)
+            flat[:, self._idx] = self._base_at + self._coef * w
+        return self._matrices
 
     def step_matrix(self, link_values: np.ndarray) -> np.ndarray:
         """(R, n+2, n+2) exponentials of one step under (R, n_links) weights."""
@@ -296,24 +323,32 @@ class _Propagator:
             e = self.steps
             return (np.matmul(e[:, :n, :n], x[:, :, None])[:, :, 0]
                     + e[:, :n, n] * u_lead + e[:, :n, n + 1])
-        # Taylor action of the augmented exponentials on [x; u; 1]; a row
-        # stops taking terms at the first one below its tolerance
+        # Taylor action of the augmented exponentials on [x; u; 1]
         m = self._matrices_dt(link_values)
-        acc = np.empty((x.shape[0], n + 2))
-        acc[:, :n] = x
-        acc[:, n] = u_lead
-        acc[:, n + 1] = 1.0
-        term = acc.copy()
-        active = np.ones(x.shape[0], dtype=bool)
-        for k in range(1, 40):
-            term = np.matmul(m, term[:, :, None])[:, :, 0] / k
-            np.add(acc, term, out=acc, where=active[:, None])
-            done = (np.abs(term).max(axis=1)
-                    <= 1e-16 * np.maximum(1.0, np.abs(acc).max(axis=1)))
-            active &= ~done
-            if not active.any():
+        buf = self._buf
+        buf[0, 0, :, :n] = x
+        buf[0, 0, :, n] = u_lead
+        buf[0, 1] = buf[0, 0]
+        k, hi = 0, self._block
+        while True:
+            for k in range(k + 1, hi + 1):
+                term = buf[k, 0]
+                np.matmul(m, buf[k - 1, 0, :, :, None], out=term[:, :, None])
+                term /= k
+                np.add(buf[k - 1, 1], term, out=buf[k, 1])
+            # max |.| of every term and partial sum of terms 1..hi, reduced
+            # over a transposed copy: numpy reduces along one long axis much
+            # faster than along many short ones
+            top = np.abs(buf[1:hi + 1]).reshape(-1, n + 2).T.copy().max(axis=0)
+            top = top.reshape(hi, 2, -1)
+            small = top[:, 0] <= 1e-16 * np.maximum(1.0, top[:, 1])
+            done = small.any(axis=0)
+            if done.all() or hi == _MAX_TERMS:
                 break
-        return acc[:, :n]
+            hi += 1
+        stop = np.where(done, small.argmax(axis=0) + 1, _MAX_TERMS)
+        self._block = int(stop.max())
+        return buf[stop, 1, self._rows, :n]
 
 
 def equilibrium_state(config: PlatoonConfig, v0: float) -> np.ndarray:
@@ -398,10 +433,10 @@ def _point_mass_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights
             x = prop.advance(x, u_lead, weights[k])
             if config.velocity_clamp:
                 x[:, 1::3] = np.maximum(x[:, 1::3], 0.0)
-            top = np.abs(x).max(axis=1)
-            over = ~np.isfinite(top) | (top > _DIVERGENCE_LIMIT)
-            if over.any():
-                raise SimulationDivergedError(k, float(top[over.argmax()]))
+            if not np.abs(x).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
+                top = np.abs(x).max(axis=1)
+                first = (top <= _DIVERGENCE_LIMIT).argmin()
+                raise SimulationDivergedError(k, float(top[first]))
         yield x
         t += grid.dt
 
@@ -556,20 +591,22 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
         raise ValueError("need at least one realization")
     configs = _seed_configs(config, n_realizations)
     weights = _row_weights(configs)
-    errors = np.empty((n_realizations, config.n_followers, config.grid.n_steps + 1))
+    # (T+1, R, n_followers): each step writes one contiguous block
+    errors = np.empty((config.grid.n_steps + 1, n_realizations, config.n_followers))
     for k, x in enumerate(_row_states(configs, maneuver, weights)):
-        errors[:, :, k] = _row_errors(config, x)
-    mean_err = np.zeros(errors.shape[1:])
-    for e in errors:
-        mean_err += e
+        errors[k] = _row_errors(config, x)
+    mean_err = np.zeros((errors.shape[0], errors.shape[2]))
+    for r in range(n_realizations):
+        mean_err += errors[:, r]
     mean_err /= n_realizations
+    mean_err = mean_err.T
     gamma = gamma_of(config.channel)
     mu = gamma_of(config.second_params())
     det = simulate_deterministic(config, maneuver, gamma, mu)
     return EnsembleStats(
         n_realizations=n_realizations,
         mean_errors=mean_err,
-        peaks=np.abs(errors).max(axis=2),
+        peaks=np.abs(errors).max(axis=0),
         mean_trajectory_peaks=np.abs(mean_err).max(axis=1),
         deterministic_peaks=det.peak_errors(),
         reception_rates=weights.mean(axis=(0, 1)),

@@ -11,10 +11,13 @@ engine can be checked against an independent formulation.
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
 of the propagator's two steps, the exponential taken once and the Taylor
-action.  Each seed's propagator chooses its step from the seed's own table
-by the batch's rule, so a seed that ran as one row of a batch takes the
-step that batch took (unless its table alone is constant), and the batched
-engine must reproduce it bit for bit.
+action.  The Taylor action (:func:`taylor_action`) takes one term at a time
+and tests the stop rule after each, where the program takes a block of
+terms for all rows and reads each row's stop off it afterwards; it also
+reports the term it stopped at.  Each seed's propagator chooses its step
+from the seed's own table by the batch's rule, so a seed that ran as one
+row of a batch takes the step that batch took (unless its table alone is
+constant), and the batched engine must reproduce it bit for bit.
 
 Finally it keeps the Gilbert chain stepped one packet at a time
 (:class:`ChannelState`, :func:`channel_step`), the oracle for the program's
@@ -288,17 +291,14 @@ def run_reference(config, maneuver, weight_table: np.ndarray):
     return xs, vs, accs, errs
 
 
-def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
-            link_values: np.ndarray) -> np.ndarray:
-    """One state one step on: the scalar form of ``_Propagator.advance``.
+def taylor_action(prop: _Propagator, x: np.ndarray, u_lead: float,
+                  link_values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Taylor action of one row's augmented exponential on [x; u; 1],
+    one term at a time, and the term it stopped at.
 
     ``prop`` is a one-row propagator, ``link_values`` that row's weights.
     """
     n = prop.n
-    if prop.steps is not None:
-        e = prop.steps[0]
-        return e[:n, :n] @ x + e[:n, n] * u_lead + e[:n, n + 1]
-    # Taylor action of the augmented exponential on [x; u; 1]
     m = prop._matrices_dt(link_values[None])[0]
     vec = np.concatenate([x, [u_lead, 1.0]])
     acc = vec.copy()
@@ -308,7 +308,17 @@ def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
         acc += term
         if np.max(np.abs(term)) <= 1e-16 * max(1.0, np.max(np.abs(acc))):
             break
-    return acc[:n]
+    return acc[:n], k
+
+
+def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
+            link_values: np.ndarray) -> np.ndarray:
+    """One state one step on: the scalar form of ``_Propagator.advance``."""
+    n = prop.n
+    if prop.steps is not None:
+        e = prop.steps[0]
+        return e[:n, :n] @ x + e[:n, n] * u_lead + e[:n, n + 1]
+    return taylor_action(prop, x, u_lead, link_values)[0]
 
 
 def run_linear(config, maneuver, weight_table: np.ndarray):

@@ -330,6 +330,22 @@ class TestCliExitCodes:
         assert rc == 2
         assert "empirical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["headway", "simulate"])
+    @pytest.mark.parametrize("key", ["throttle_map", "brake_map"])
+    def test_pedal_map_on_point_mass_exit_2(self, tmp_path, capsys, command, key):
+        text = BASE.replace("scheme = cacc", f"scheme = cacc\n{key} = {tmp_path / 'none.csv'}")
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "empirical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["headway", "simulate"])
+    def test_default_section_exit_2(self, tmp_path, capsys, command):
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, "[DEFAULT]\nfoo = 1\n" + BASE),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[DEFAULT]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_u_clamp_min_above_max_exit_2(self, tmp_path, capsys, command):
         text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"

@@ -207,3 +207,18 @@ def test_init_mode_good():
 def test_bad_interpolation_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="cannot parse scenario"):
         load(with_keys({("output", "prefix"): "run%1"}))
+
+
+@pytest.mark.parametrize("keys", [{"foo": "1"}, {"tau": "0.4"}, {}])
+def test_default_section_is_refused_by_name(keys):
+    # configparser would copy its keys into every section
+    text = render({"DEFAULT": keys, **MINIMAL})
+    with pytest.raises(ScenarioError, match=re.escape("unknown section [DEFAULT]")):
+        load(text)
+
+
+@pytest.mark.parametrize("key", ["throttle_map", "brake_map"])
+def test_pedal_map_file_needs_the_map_model(key):
+    with pytest.raises(ScenarioError, match=re.escape(f"throttle_map / brake_map need the "
+                                                      "empirical (pedal-map) model")):
+        load(with_keys({("platoon", key): "/no/such/map.csv"}))

@@ -279,6 +279,60 @@ class TestEngineExactness:
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-6
 
 
+class TestBlockedTaylorStep:
+    """The Taylor step takes a block of terms for every row and reads each
+    row's own stop off it, so each row must stay bitwise the per-term loop
+    (``reference_engine.taylor_action``) and its lone run, however its stop
+    compares with its batch-mates' and the previous step's."""
+
+    CFG = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=1.0)  # 5 links
+    W = np.array([[1.0, 1, 1, 1, 1], [0, 0, 0, 0, 0], [1, 0, 1, 1, 0]])
+    RNG = np.random.default_rng(3)
+    NEAR_REST = equilibrium_state(CFG, 0.0) + 1e-6 * RNG.normal(size=(3, 12))
+    MOVING = equilibrium_state(CFG, 25.0) + RNG.normal(size=(3, 12))
+
+    def propagators(self, cfg):
+        # every row's weights change over the table: the Taylor action
+        table = np.stack([self.W, 1.0 - self.W])
+        batch = _Propagator([cfg] * 3, table)
+        lone = [_Propagator([cfg], table[:, r:r + 1]) for r in range(3)]
+        assert batch.steps is None and all(p.steps is None for p in lone)
+        return batch, lone
+
+    def step(self, batch, lone, x, u_lead=0.0):
+        """One step of the batch, checked row by row; the rows' stops."""
+        got = batch.advance(x, u_lead, self.W)
+        stops = []
+        for r, prop in enumerate(lone):
+            want, stop = ref.taylor_action(prop, x[r], u_lead, self.W[r])
+            np.testing.assert_array_equal(got[r], want)
+            np.testing.assert_array_equal(prop.advance(x[r:r + 1], u_lead, self.W[r:r + 1])[0],
+                                          want)
+            stops.append(stop)
+        return stops
+
+    def test_rows_stop_at_their_own_terms(self):
+        batch, lone = self.propagators(self.CFG)
+        x = np.stack([self.NEAR_REST[0], self.MOVING[1], self.NEAR_REST[2]])
+        stops = self.step(batch, lone, x)
+        assert stops[0] < stops[1] and stops[2] < stops[1]
+
+    def test_step_that_needs_more_terms_than_the_last(self):
+        batch, lone = self.propagators(self.CFG)
+        calm = self.step(batch, lone, self.NEAR_REST)
+        busy = self.step(batch, lone, np.stack([self.NEAR_REST[0], self.MOVING[1],
+                                                self.MOVING[2]]))
+        again = self.step(batch, lone, self.NEAR_REST)
+        assert max(calm) < max(busy) and again == calm
+
+    def test_rows_that_reach_the_term_cap(self):
+        # a step matrix of large norm (dt = 1 s, tau = 0.05 s): no row's
+        # terms fall below the tolerance, so every row stops at term 39
+        cfg = replace(self.CFG, tau=0.05, grid=TimeGrid(1.0, 2.0))
+        batch, lone = self.propagators(cfg)
+        assert self.step(batch, lone, self.MOVING, -3.0) == [39] * 3
+
+
 class TestMonteCarlo:
     def test_single_realization_mean_is_the_run(self):
         cfg = make_config(Scheme.CACC, n_followers=2, horizon=15.0, seed=5)
