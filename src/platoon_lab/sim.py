@@ -4,36 +4,35 @@ equivalents, and Monte Carlo ensembles.
 The platoon state is X = (x_0, v_0, a_0, ..., x_N, v_N, a_N).  The ACC / CACC /
 CACC+ law is written once, as the closed-loop matrix A(w) of
 :func:`build_system_matrix` plus the standstill offset c(w); both are affine
-in the link weights w (:func:`link_decomposition`).  Two engines use them:
+in the link weights w (:func:`link_decomposition`).  Two engines use them,
+each a stepper that takes R states (R, n) one step on, row r under its own
+link weights:
 
-* point mass: the closed loop is linear, so each controller step is the
-  exact zero-order-hold solution of the per-step constant system, the
-  exponential of an augmented matrix carrying the lead input and the offset.
-  One batched loop (:func:`_point_mass_states`) steps R rows at once, one
-  link pattern per row, and chooses its step once from the weights: if no
+* point mass (:class:`_Propagator`): the closed loop is linear, so each
+  controller step is the exact zero-order-hold solution of the per-step
+  constant system, the exponential of an augmented matrix carrying the lead
+  input and the offset.  The step is chosen once from the weights: if no
   row's weights on the links that reach its matrix change over the run (a
   gamma run, a lossless channel, ACC), each row takes its exponential once;
-  otherwise every row takes a machine-precision Taylor action on the states.
-  That action takes a block of terms for all rows at once, as many as the
-  previous step's slowest row needed, then one more at a time while a row
-  still needs one; each row then returns its partial sum at its own first
-  term below tolerance, so its arithmetic and its stop are those of the
-  term-by-term loop, whatever its batch-mates need.
-* pedal maps: every vehicle's command is read off the acceleration rows of
-  A(w) and c(w) (:func:`cacc_input`), and all vehicles of all rows advance
-  together through the pedal maps and the exact lag update
-  (:func:`platoon_lab.maps.step_empirical`) in one loop
-  (:func:`_empirical_states`).
+  otherwise every row takes a machine-precision Taylor action on the states,
+  each row stopping at its own term whatever its batch-mates need.
+* pedal maps (:class:`_MapStepper`): every vehicle's command is read off the
+  acceleration rows of A(w) and c(w) (:func:`cacc_input`), and all vehicles
+  of all rows advance together through the pedal maps and the exact lag
+  update (:func:`platoon_lab.maps.step_empirical`).
 
-Both loops take one config per row (rows differ at most in seed, headway
-and gamma/mu) and (n_steps, R, n_links) weights, read each row's law off
-:func:`_row_laws`, and yield (R, n) states, so :func:`simulate` is R = 1 on
-either engine, :func:`monte_carlo` and :func:`seed_peaks` stack seeds as
-rows, and :func:`simulate_panels` stacks the gamma-deterministic panels of
-a suite.  A row goes through the same operations as its lone run and is
-bitwise that run, with one exception: a point-mass row whose table is
-constant, inside a batch whose tables are not, takes the Taylor action
-where its lone run takes the exponential, within 1e-9 m.
+One driver, :func:`_row_states`, takes one config per row (rows differ at
+most in seed, headway and gamma/mu) and (n_steps, R, n_links) weights,
+builds the stepper of the configs' model and owns the rest of the time
+loop: the equilibrium start, the time base, the lead's input, the
+point-mass idle lead-in, the velocity clamp and the divergence rule.  So
+:func:`simulate` is R = 1 on either engine, :func:`monte_carlo` and
+:func:`seed_peaks` stack seeds as rows, and :func:`simulate_panels` stacks
+the gamma-deterministic panels of a suite.
+A row goes through the same operations as its lone run and is bitwise that
+run, with one exception: a point-mass row whose table is constant, inside a
+batch whose tables are not, takes the Taylor action where its lone run
+takes the exponential, within 1e-9 m.
 
 Link tables come from :func:`_link_tables`, which gives each link its
 Gilbert parameters and its stream and draws them all with
@@ -45,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import expm
@@ -55,18 +55,23 @@ from .control import Gains, Scheme, SpacingPolicy
 from .dynamics import Maneuver, TimeGrid, VehicleState
 
 
-class SimulationDivergedError(RuntimeError):
-    def __init__(self, step: int, value: float):
-        super().__init__(f"state magnitude {value:.3e} exceeded 1e6 at step {step}")
-        self.step = step
-
-
 # Abort threshold on any state component.
 _DIVERGENCE_LIMIT = 1e6
+
+
+class SimulationDivergedError(RuntimeError):
+    def __init__(self, step: int, value: float):
+        what = (f"state magnitude {value:.3e} exceeded {_DIVERGENCE_LIMIT:g}"
+                if math.isfinite(value) else "state became non-finite")
+        super().__init__(f"{what} at step {step}")
+        self.step = step
+        self.value = value
 # Peak growth (m) from one follower to the next that still counts as stable.
 _PEAK_TOL = 1e-6
 # Last Taylor term a row of the point-mass step takes.
 _MAX_TERMS = 39
+# Steps of spacing errors monte_carlo holds at once.
+_ERROR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -406,41 +411,6 @@ def _row_weights(configs: list[PlatoonConfig]) -> np.ndarray:
     return weights
 
 
-def _point_mass_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
-    """Step R point-mass rows together, row r under ``configs[r]``; yield (R, n) states.
-
-    ``weights`` has shape (n_steps, R, n_links).  States are yielded for
-    steps 0..n_steps; the array is reused, so copy out what is kept.  Raises
-    :class:`SimulationDivergedError` at the first step where any row leaves
-    the divergence limit.
-    """
-    config = configs[0]
-    grid = config.grid
-    v0 = maneuver.initial_velocity
-    x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
-    prop = _Propagator(configs, weights)
-    yield x
-    t = 0.0
-    at_equilibrium = True
-    for k in range(grid.n_steps):
-        u_lead = maneuver.accel_at(t)
-        # in steady state every control input is zero for any link pattern, so
-        # idle lead-in segments reduce to uniform translation at v0
-        if at_equilibrium and u_lead == 0.0:
-            x[:, 0::3] += v0 * grid.dt
-        else:
-            at_equilibrium = False
-            x = prop.advance(x, u_lead, weights[k])
-            if config.velocity_clamp:
-                x[:, 1::3] = np.maximum(x[:, 1::3], 0.0)
-            if not np.abs(x).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
-                top = np.abs(x).max(axis=1)
-                first = (top <= _DIVERGENCE_LIMIT).argmin()
-                raise SimulationDivergedError(k, float(top[first]))
-        yield x
-        t += grid.dt
-
-
 def _spacing_errors(config: PlatoonConfig, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e_i = x_i - x_{i-1} + d + h_w v_i along the vehicle axis (first)."""
     return x[1:] - x[:-1] + config.policy.d + config.policy.h_w * v[1:]
@@ -467,16 +437,15 @@ def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
             for cfg, xs, vs, accs in zip(configs, *block)]
 
 
-def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.ndarray:
+def cacc_input(gain: np.ndarray, offset: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Every vehicle's command from the closed-loop law, u = gain X + a + offset.
 
-    The state arrays are (R, n_veh), one realization per row, and each row
-    has its own ``gain`` (R, n_veh, 3 n_veh) and ``offset`` (R, n_veh): tau
+    ``x`` holds R platoon states (R, n), one realization per row, and each
+    row has its own ``gain`` (R, n_veh, n) and ``offset`` (R, n_veh): tau
     times the acceleration rows of its A(w) and c(w), so one evaluation
     serves ACC, CACC and CACC+ alike.
     """
-    x_vec = np.stack((state.x, state.v, state.a), axis=-1).reshape(state.x.shape[0], -1)
-    return np.matmul(gain, x_vec[:, :, None])[:, :, 0] + state.a + offset
+    return np.matmul(gain, x[:, :, None])[:, :, 0] + x[:, 2::3] + offset
 
 
 # one law for every scheme; the CACC+ name stays a lookup site of the
@@ -484,55 +453,80 @@ def cacc_input(gain: np.ndarray, offset: np.ndarray, state: VehicleState) -> np.
 cacc_plus_input = cacc_input
 
 
-def _empirical_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
-    """Step R map-model rows together, row r under ``configs[r]``; yield (R, n) states.
+class _MapStepper:
+    """Pedal-map update of R platoon states at once, one link pattern per row.
 
-    The contract of :func:`_point_mass_states`.  Each step reads every row's
-    commands off its own closed loop, u = tau * A(w)[3i+2, :] X + a_i +
+    The contract of :meth:`_Propagator.advance`.  Each step reads every
+    row's commands off its own closed loop, u = tau * A(w)[3i+2, :] X + a_i +
     tau * c(w)[3i+2], replaces the lead's with the maneuver, and drives the
     vehicles of all rows through the pedal maps as one flat array (commands
-    held over each step).
+    held over the step).  Each vehicle keeps its branch flag across steps.
     """
-    config = configs[0]
-    grid = config.grid
-    n_rows = len(configs)
-    n_veh = config.n_followers + 1
-    tau = config.tau
-    v0 = maneuver.initial_velocity
-    (a0, da, c0, dc), row_of = _row_laws(configs)
-    acc_rows = slice(2, None, 3)
-    k0 = (tau * a0[:, acc_rows])[row_of]
-    dk = (tau * da[:, :, acc_rows]).reshape(len(a0), config.n_links, -1)[row_of]
-    c0, dc = c0[row_of], dc[row_of]
-    x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
-    state = VehicleState(*(np.ascontiguousarray(x[:, j::3]).ravel() for j in range(3)))
-    braking = np.zeros(n_rows * n_veh, dtype=bool)
-    yield x
-    t = 0.0
-    for k in range(grid.n_steps):
-        w = weights[k][:, None, :].astype(float, copy=False)
-        gain = k0 + np.matmul(w, dk).reshape(k0.shape)
-        offset = tau * (c0 + np.matmul(w, dc)[:, 0])[:, acc_rows]
-        u = cacc_input(gain, offset, VehicleState(*(f.reshape(n_rows, n_veh) for f in
-                                                    (state.x, state.v, state.a))))
-        u[:, 0] = maneuver.accel_at(t)
-        if config.u_clamp is not None:
-            u[:, 1:] = np.minimum(np.maximum(u[:, 1:], config.u_clamp[0]), config.u_clamp[1])
-        state, braking = maps_mod.step_empirical(config.throttle_map, config.brake_map,
-                                                 state, u.ravel(), braking, tau, grid.dt)
-        if config.velocity_clamp:
-            state = VehicleState(state.x, np.where(state.v < 0, 0.0, state.v), state.a)
-        top = max(abs(state.x).max(), abs(state.v).max())
-        if not np.isfinite(top) or top > _DIVERGENCE_LIMIT:
-            raise SimulationDivergedError(k, top)
-        yield np.stack((state.x, state.v, state.a), axis=-1).reshape(n_rows, -1)
-        t += grid.dt
+
+    def __init__(self, configs: list[PlatoonConfig]):
+        config = self._config = configs[0]
+        (a0, da, c0, dc), row_of = _row_laws(configs)
+        self._k0 = (config.tau * a0[:, 2::3])[row_of]
+        self._dk = (config.tau * da[:, :, 2::3]).reshape(len(a0), config.n_links, -1)[row_of]
+        self._c0, self._dc = c0[row_of], dc[row_of]
+        self._braking = np.zeros(len(configs) * (config.n_followers + 1), dtype=bool)
+
+    def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
+        """States (R, n) one step on, row r under the weights link_values[r]."""
+        cfg = self._config
+        w = link_values[:, None, :].astype(float, copy=False)
+        gain = self._k0 + np.matmul(w, self._dk).reshape(self._k0.shape)
+        offset = cfg.tau * (self._c0 + np.matmul(w, self._dc)[:, 0])[:, 2::3]
+        u = cacc_input(gain, offset, x)
+        u[:, 0] = u_lead
+        if cfg.u_clamp is not None:
+            u[:, 1:] = np.minimum(np.maximum(u[:, 1:], cfg.u_clamp[0]), cfg.u_clamp[1])
+        # an overflowed law: the row's state is non-finite, which the driver reports
+        lost = np.isnan(u).any(axis=1)
+        u[lost] = 0.0
+        state = VehicleState(*(x[:, j::3].ravel() for j in range(3)))
+        state, self._braking = maps_mod.step_empirical(cfg.throttle_map, cfg.brake_map, state,
+                                                       u.ravel(), self._braking, cfg.tau,
+                                                       cfg.grid.dt)
+        x = np.stack((state.x, state.v, state.a), axis=-1).reshape(x.shape)
+        x[lost] = np.nan
+        return x
 
 
 def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
-    """The rows' engine loop over (n_steps, R, n_links) weights."""
-    run = _empirical_states if configs[0].model == "empirical" else _point_mass_states
-    return run(configs, maneuver, weights)
+    """Step R rows together, row r under ``configs[r]``; yield (R, n) states.
+
+    ``weights`` has shape (n_steps, R, n_links).  States are yielded for
+    steps 0..n_steps; the array is reused, so copy out what is kept.  Raises
+    :class:`SimulationDivergedError` at the first step where any row leaves
+    the divergence limit.
+    """
+    config = configs[0]
+    grid = config.grid
+    v0 = maneuver.initial_velocity
+    point_mass = config.model == "point_mass"
+    stepper = _Propagator(configs, weights) if point_mass else _MapStepper(configs)
+    x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
+    yield x
+    t = 0.0
+    # in point-mass steady state every control input is zero for any link
+    # pattern, so idle lead-in segments reduce to uniform translation at v0;
+    # the map engine's coast-line clamp and rounding do not hold it that still
+    idle = point_mass
+    for k in range(grid.n_steps):
+        u_lead = maneuver.accel_at(t)
+        if idle and u_lead == 0.0:
+            x[:, 0::3] += v0 * grid.dt
+        else:
+            idle = False
+            x = stepper.advance(x, u_lead, weights[k])
+            if config.velocity_clamp:
+                x[:, 1::3] = np.maximum(x[:, 1::3], 0.0)
+        if not np.abs(x).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
+            top = np.abs(x).max(axis=1)
+            raise SimulationDivergedError(k, float(top[(top <= _DIVERGENCE_LIMIT).argmin()]))
+        yield x
+        t += grid.dt
 
 
 def simulate(config: PlatoonConfig, maneuver: Maneuver) -> SimOutput:
@@ -591,22 +585,24 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
         raise ValueError("need at least one realization")
     configs = _seed_configs(config, n_realizations)
     weights = _row_weights(configs)
-    # (T+1, R, n_followers): each step writes one contiguous block
-    errors = np.empty((config.grid.n_steps + 1, n_realizations, config.n_followers))
-    for k, x in enumerate(_row_states(configs, maneuver, weights)):
-        errors[k] = _row_errors(config, x)
-    mean_err = np.zeros((errors.shape[0], errors.shape[2]))
-    for r in range(n_realizations):
-        mean_err += errors[:, r]
+    peaks = np.zeros((n_realizations, config.n_followers))
+    mean_err = np.zeros((config.grid.n_steps + 1, config.n_followers))
+    states = _row_states(configs, maneuver, weights)
+    # the (steps, R, n_followers) errors of a block of steps at a time, their
+    # rows summed in realization order
+    for k in range(0, len(mean_err), _ERROR_BLOCK):
+        errors = np.array([_row_errors(config, x) for x in islice(states, _ERROR_BLOCK)])
+        np.maximum(peaks, np.abs(errors).max(axis=0), out=peaks)
+        for r in range(n_realizations):
+            mean_err[k:k + _ERROR_BLOCK] += errors[:, r]
     mean_err /= n_realizations
     mean_err = mean_err.T
-    gamma = gamma_of(config.channel)
-    mu = gamma_of(config.second_params())
-    det = simulate_deterministic(config, maneuver, gamma, mu)
+    det = simulate_deterministic(config, maneuver, gamma_of(config.channel),
+                                 gamma_of(config.second_params()))
     return EnsembleStats(
         n_realizations=n_realizations,
         mean_errors=mean_err,
-        peaks=np.abs(errors).max(axis=0),
+        peaks=peaks,
         mean_trajectory_peaks=np.abs(mean_err).max(axis=1),
         deterministic_peaks=det.peak_errors(),
         reception_rates=weights.mean(axis=(0, 1)),

@@ -284,8 +284,8 @@ def run_reference(config, maneuver, weight_table: np.ndarray):
             vehicles = [replace(veh, state=replace(veh.state, v=0.0)) if veh.state.v < 0 else veh
                         for veh in vehicles]
         record(k + 1)
-        top = max(abs(xs[:, k + 1]).max(), abs(vs[:, k + 1]).max())
-        if not np.isfinite(top) or top > 1e6:
+        top = float(np.abs([xs[:, k + 1], vs[:, k + 1], accs[:, k + 1]]).max())
+        if not top <= 1e6:  # NaN fails too
             raise SimulationDivergedError(k, top)
         t += grid.dt
     return xs, vs, accs, errs
@@ -352,15 +352,13 @@ def run_linear(config, maneuver, weight_table: np.ndarray):
         if at_equilibrium and u_lead == 0.0:
             x = x.copy()
             x[0::3] += v0 * grid.dt
-            record(k + 1, x)
-            t += grid.dt
-            continue
-        at_equilibrium = False
-        x = advance(prop, x, u_lead, weight_table[:, k])
-        if config.velocity_clamp:
-            x[1::3] = np.maximum(x[1::3], 0.0)
+        else:
+            at_equilibrium = False
+            x = advance(prop, x, u_lead, weight_table[:, k])
+            if config.velocity_clamp:
+                x[1::3] = np.maximum(x[1::3], 0.0)
         top = float(np.max(np.abs(x)))
-        if not np.isfinite(top) or top > 1e6:
+        if not top <= 1e6:  # NaN fails too
             raise SimulationDivergedError(k, top)
         record(k + 1, x)
         t += grid.dt

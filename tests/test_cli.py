@@ -315,6 +315,20 @@ class TestCliExitCodes:
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("edit, message", [
+        (("initial_velocity = 25.0", "initial_velocity = 1e6"),
+         "state magnitude 1.790e+06 exceeded 1e+06 at step 0"),
+        (("k_p = 1.0", "k_p = 1.7e308"), "state became non-finite at step 0"),
+    ], ids=["far_start", "overflowed_law"])
+    def test_map_model_divergence_exit_3(self, tmp_path, capsys, edit, message):
+        # the overflowed law once ended in a ValueError traceback (exit 1)
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical").replace(*edit)
+        with np.errstate(all="ignore"):
+            rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
+                           "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"simulation diverged: {message}\n"
+
     def test_montecarlo_divergence_exit_3(self, tmp_path):
         text = DIVERGENT.replace("deterministic_gamma = 0.0", "n_realizations = 3") + (
             "\n[channel]\np_gb = 0.2\nq_bg = 0.1\nr_recv_bad = 0.2\n")

@@ -725,3 +725,38 @@ class TestMapEngineMatchesReference:
         assert free.v.min() < -1.0 and out.v.min() == 0.0
         assert free.a[1:].min() < -5.0 and out.a[1:].min() >= -4.0 - 1e-9
         assert out.a[0].min() < -8.0  # the lead's maneuver is not clamped
+
+
+class TestOneDivergenceRule:
+    """Both engines step through one driver, which checks x, v and a after
+    every step, idle lead-in steps included, and reports the first diverging
+    row's magnitude."""
+
+    @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9"])  # point mass, maps
+    def test_far_start_diverges_at_step_zero(self, preset):
+        scen = load_scenario(preset)
+        far = replace(scen.maneuver, initial_velocity=1e6)
+        cfg = replace(scen.config, policy=replace(scen.config.policy, h_w=0.45),
+                      deterministic_gamma=1.0, mu=1.0)
+        # the last follower starts 6 (d + h v0) behind the lead, then moves v0 dt
+        last = abs(equilibrium_state(cfg, 1e6)[-3] + 1e6 * cfg.grid.dt)
+        assert last > 1e6 and cfg.n_followers == 6
+        with pytest.raises(SimulationDivergedError) as exc:
+            simulate(cfg, far)
+        assert (exc.value.step, exc.value.value) == (0, last)
+        assert str(exc.value) == "state magnitude 2.690e+06 exceeded 1e+06 at step 0"
+        # the stacked panels report the first row's magnitude, not the largest
+        with pytest.raises(SimulationDivergedError) as exc:
+            simulate_panels(cfg, far, [(0.45, 1.0, 1.0), (0.6, 1.0, 1.0)])
+        assert (exc.value.step, exc.value.value) == (0, last)
+
+    @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9"])
+    def test_overflowed_law_is_a_non_finite_divergence(self, preset):
+        # k_p / tau overflows, so the law reads inf * 0: a NaN command or state
+        scen = load_scenario(preset)
+        cfg = replace(scen.config, gains=replace(scen.config.gains, k_p=1.7e308),
+                      deterministic_gamma=1.0, mu=1.0)
+        with pytest.raises(SimulationDivergedError) as exc, np.errstate(all="ignore"):
+            simulate(cfg, scen.maneuver)
+        assert np.isnan(exc.value.value)
+        assert str(exc.value) == f"state became non-finite at step {exc.value.step}"
