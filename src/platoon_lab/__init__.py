@@ -17,9 +17,8 @@ from .sim import (EnsembleStats, PlatoonConfig, SimOutput,
                   empirical_string_stability, equilibrium_state, monte_carlo,
                   seed_peaks, simulate, simulate_deterministic, simulate_panels)
 from .stability import (PeakBound, RationalTF, StateSpace,
-                        UnstableTransferFunctionError, build_cacc_plus_tfs,
-                        build_cacc_tf, build_error_system, hinf_norm,
-                        impulse_l1_norm, lyapunov_gramian, peak_output_bound,
-                        string_stable_sum)
+                        UnstableTransferFunctionError, build_error_system,
+                        hinf_norm, impulse_l1_norm, lyapunov_gramian,
+                        peak_output_bound, string_stable_sum)
 
 __version__ = "0.1.0"

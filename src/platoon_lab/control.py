@@ -63,8 +63,8 @@ def min_headway_cacc(tau: float, gamma: float, k_a: float) -> float:
     """Lossy one-predecessor limit: 2*tau / (1 + gamma*k_a).
 
     This is the minimum achievable headway over (k_v, k_p), not the
-    string-stability threshold of one gain set.  For the propagation function
-    N/D of ``stability.build_cacc_tf``, |D(jw)|^2 - |N(jw)|^2 at
+    string-stability threshold of one gain set.  For the CACC propagation
+    function N/D of ``stability.build_error_system``, |D(jw)|^2 - |N(jw)|^2 at
     w^2 = k_p h / tau equals k_p w^2 (1 - gamma k_a) ((1 + gamma k_a) h / tau - 2),
     so for gamma k_a < 1 no k_v, k_p keeps |H| <= 1 below this headway.  It is
     the exact threshold at the designed gain k_v* = (1 - (gamma k_a)^2) / (2 tau),
@@ -81,7 +81,7 @@ def min_headway_cacc_plus(tau: float, gamma: float, k_a: float) -> float:
     """Lossy two-predecessor limit with a common reception rate gamma.
 
     This is the minimum achievable headway over (k_v, k_p) for the condition
-    |H_p1(jw)| <= H_p1(0) on the pair of ``stability.build_cacc_plus_tfs``.
+    |H_p1(jw)| <= H_p1(0) on the CACC+ pair of ``stability.build_error_system``.
     With h' = (1 + 2 gamma) h / (1 + gamma) and A1 = (1 + gamma) gamma k_a,
     evaluating (1 + gamma)^2 |N1|^2 <= |D|^2 as in ``min_headway_cacc`` (at
     w^2 = (1 + 2 gamma) k_p h / tau) asks for (1 + A1) h' >= 2 tau when A1 < 1.

@@ -31,12 +31,15 @@ from itertools import product
 
 import numpy as np
 
-from .channel import gamma_of
 from .sim import PlatoonConfig, link_decomposition
 
 
 # a block's 2^m assignments are enumerated exactly; refuse beyond this.
 MAX_ENUM_VARS = 20
+
+
+class NonFiniteExpectationError(ArithmeticError):
+    """E[A^k] or (E[A])^k, or their Frobenius norms, left the float range."""
 
 
 @dataclass(frozen=True)
@@ -145,14 +148,22 @@ def check_multilinearity(spec: RandomMatrixSpec, ks) -> list[tuple[bool, float]]
     """For each k in ``ks``: does E[A^k] equal (E[A])^k?  (holds, Frobenius gap).
 
     The identity holds when the gap is at most 1e-12 * max(1, ||(E[A])^k||_F).
+    Raises NonFiniteExpectationError where the gap or ||(E[A])^k||_F is not
+    finite (so either power is not), since no verdict follows from them.
     """
     ks = list(ks)
-    exacts = exact_expected_power(spec, ks)
-    mean = spec.mean_matrix()
-    powers = [np.linalg.matrix_power(mean, k) for k in ks]
-    gaps = [float(np.linalg.norm(e - p)) for e, p in zip(exacts, powers)]
-    return [(gap <= 1e-12 * max(1.0, float(np.linalg.norm(p))), gap)
-            for gap, p in zip(gaps, powers)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        exacts = exact_expected_power(spec, ks)
+        mean = spec.mean_matrix()
+        powers = [np.linalg.matrix_power(mean, k) for k in ks]
+        gaps = [float(np.linalg.norm(e - p)) for e, p in zip(exacts, powers)]
+        norms = [float(np.linalg.norm(p)) for p in powers]
+    for k, gap, norm in zip(ks, gaps, norms):
+        if not math.isfinite(gap + norm):
+            raise NonFiniteExpectationError(
+                f"k = {k}: E[A^k], (E[A])^k or their Frobenius norms are not finite "
+                f"(closed-loop entries up to {float(np.abs(mean).max()):.3g})")
+    return [(gap <= 1e-12 * max(1.0, norm), gap) for gap, norm in zip(gaps, norms)]
 
 
 def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
@@ -165,9 +176,8 @@ def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
     """
     base, da, _, _ = link_decomposition(config)
     n_f = config.n_followers
-    names = [f"w1_{i}" for i in range(1, n_f + 1)]
-    if config.scheme.value == "cacc_plus":
-        names += [f"w2_{i}" for i in range(2, n_f + 1)]
-    rates = (gamma_of(config.channel), gamma_of(config.second_params()))
+    names = ([f"w1_{i}" for i in range(1, n_f + 1)]
+             + [f"w2_{i}" for i in range(2, 2 + config.n_second_links)])
+    rates = config.link_rates()
     return RandomMatrixSpec(base=base, coeffs=dict(zip(names, da)),
                             probs={name: rates[li >= n_f] for li, name in enumerate(names)})

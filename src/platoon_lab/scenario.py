@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -71,12 +71,12 @@ class Scenario:
     def gamma_for_analysis(self) -> float:
         """The run's deterministic gamma, else the first-link reception rate."""
         gamma = self.config.deterministic_gamma
-        return gamma_of(self.config.channel) if gamma is None else gamma
+        return self.config.link_rates()[0] if gamma is None else gamma
 
     def mu_for_analysis(self) -> float:
         """The run's mu, else the second-link reception rate."""
         mu = self.config.mu
-        return gamma_of(self.config.second_params()) if mu is None else mu
+        return self.config.link_rates()[1] if mu is None else mu
 
 
 def _boolean(raw: str) -> bool:
@@ -339,8 +339,10 @@ def parse_scenario_text(text: str, name: str = "scenario",
             model=plat["model"],
             throttle_map=throttle,
             brake_map=brake,
-            scenario_id=name,
         )
+        # a suite runs the config at each panel's headway: check the law there too
+        for panel in values["suite"]["panels"]:
+            replace(config, policy=replace(config.policy, h_w=panel.headway))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -41,7 +41,6 @@ Gilbert parameters and its stream and draws them all with
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -95,7 +94,6 @@ class PlatoonConfig:
     model: str = "point_mass"  # or "empirical"
     throttle_map: maps_mod.PedalMap | None = None
     brake_map: maps_mod.PedalMap | None = None
-    scenario_id: str = ""
 
     def __post_init__(self):
         if self.n_followers < 1:
@@ -107,6 +105,13 @@ class PlatoonConfig:
             raise ValueError(f"master_seed {self.master_seed} must be non-negative")
         if not 0.0 < self.tau < math.inf:  # NaN fails too
             raise ValueError("tau must be positive and finite")
+        # every coefficient of the law (build_system_matrix, _offset_vector)
+        # is one of these over tau, all non-negative, so the largest decides
+        g, hw = self.gains, self.policy.h_w
+        law = (g.k_a, g.k_v, g.k_p, g.k_v + 2.0 * g.k_p * hw, 2.0 * g.k_p * self.policy.d)
+        if not math.isfinite(max(law) / self.tau):
+            raise ValueError("the gains overflow the control law: k_a/tau, k_v/tau, "
+                             "k_p/tau, (k_v + 2 k_p h_w)/tau and 2 k_p d/tau must be finite")
         if self.deterministic_gamma is not None and not 0.0 <= self.deterministic_gamma <= 1.0:
             raise ValueError("deterministic_gamma must lie in [0, 1]")
         if self.mu is not None and not 0.0 <= self.mu <= 1.0:
@@ -136,9 +141,9 @@ class PlatoonConfig:
     def second_params(self) -> GilbertParams:
         return self.channel_second if self.channel_second is not None else self.channel
 
-    def config_hash(self) -> str:
-        h = hashlib.sha256(repr(self).encode()).hexdigest()
-        return h[:16]
+    def link_rates(self) -> tuple[float, float]:
+        """Long-run reception rates (gamma_of) of the (i, i-1) and (i, i-2) links."""
+        return gamma_of(self.channel), gamma_of(self.second_params())
 
 
 @dataclass
@@ -151,8 +156,6 @@ class SimOutput:
     a: np.ndarray
     errors: np.ndarray            # (n_followers, T+1)
     seed: int
-    config_hash: str
-    scenario_id: str = ""
 
     def peak_errors(self) -> np.ndarray:
         return np.abs(self.errors).max(axis=1)
@@ -375,21 +378,15 @@ def _link_tables(config: PlatoonConfig, n_steps: int) -> np.ndarray:
                         n_steps, config.init_mode)
 
 
-def _weights_for(config: PlatoonConfig, gamma: float, mu: float) -> np.ndarray:
-    w = np.full(config.n_links, gamma)
-    if config.scheme is Scheme.CACC_PLUS:
-        w[config.n_followers:] = mu
-    return w
-
-
 def _weight_table(config: PlatoonConfig) -> np.ndarray:
     """(n_links, n_steps) link weights of one run: sampled flags, or gamma/mu."""
     steps = config.grid.n_steps
     if config.deterministic_gamma is None:
         return _link_tables(config, steps)
-    mu = config.mu if config.mu is not None else config.deterministic_gamma
-    w = _weights_for(config, config.deterministic_gamma, mu)
-    return np.broadcast_to(w.reshape(-1, 1), (config.n_links, steps))
+    w = np.full((config.n_links, 1), config.deterministic_gamma, dtype=float)
+    # only CACC+ has second-predecessor links
+    w[config.n_followers:] = config.mu if config.mu is not None else config.deterministic_gamma
+    return np.broadcast_to(w, (config.n_links, steps))
 
 
 def _seed_configs(config: PlatoonConfig, n_seeds: int) -> list[PlatoonConfig]:
@@ -432,8 +429,7 @@ def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
     for k, x in enumerate(states):
         block[:, :, :, k] = x.reshape(len(configs), n_veh, 3).transpose(2, 0, 1)
     return [SimOutput(time=grid.times(), x=xs, v=vs, a=accs,
-                      errors=_spacing_errors(cfg, xs, vs), seed=cfg.master_seed,
-                      config_hash=cfg.config_hash(), scenario_id=cfg.scenario_id)
+                      errors=_spacing_errors(cfg, xs, vs), seed=cfg.master_seed)
             for cfg, xs, vs, accs in zip(configs, *block)]
 
 
@@ -597,8 +593,7 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
             mean_err[k:k + _ERROR_BLOCK] += errors[:, r]
     mean_err /= n_realizations
     mean_err = mean_err.T
-    det = simulate_deterministic(config, maneuver, gamma_of(config.channel),
-                                 gamma_of(config.second_params()))
+    det = simulate_deterministic(config, maneuver, *config.link_rates())
     return EnsembleStats(
         n_realizations=n_realizations,
         mean_errors=mean_err,

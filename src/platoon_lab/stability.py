@@ -3,10 +3,11 @@
 Spacing errors propagate down a homogeneous platoon through rational transfer
 functions; the platoon is string stable in the L-infinity-certificate sense
 when the H-infinity norms of those functions (their sum, for multi-predecessor
-schemes) do not exceed one.  This module builds the error-propagation transfer
-functions for CACC and CACC+, computes their norms, and evaluates the
-Gramian-based upper bound on the peak spacing error of every vehicle given
-the lead vehicle's maneuver energy.
+schemes) do not exceed one.  This module writes the error-propagation law of
+every scheme once (:func:`build_error_system`: ACC is CACC at gamma = 0, and
+CACC is the CACC+ pair with its second link off), computes the norms of its
+transfer functions, and evaluates the Gramian-based upper bound on the peak
+spacing error of every vehicle given the lead vehicle's maneuver energy.
 
 * H-infinity norms are exact: the largest |H| over the stationary points of
   |H(j omega)|^2, found as polynomial roots (:func:`hinf_norm`).
@@ -95,7 +96,8 @@ class StateSpace:
     """Realization of the error-propagation chain.
 
     ``a`` is shared by every follower; ``b`` has one column per predecessor
-    tap (one for CACC, two for CACC+); ``c`` reads the spacing error.
+    tap, realizing the transfer function of the same index in ``tfs`` (one
+    for ACC and CACC, two for CACC+); ``c`` reads the spacing error.
     ``lead_tf`` is the map from the lead vehicle's achieved acceleration to
     the first follower's spacing error.  It is a transfer function because
     for CACC+ the first follower runs the one-predecessor law, so the map
@@ -106,10 +108,12 @@ class StateSpace:
     b: np.ndarray
     c: np.ndarray
     lead_tf: RationalTF
+    tfs: tuple[RationalTF, ...]
 
     def __post_init__(self):
         n = self.a.shape[0]
-        if self.a.shape != (n, n) or self.b.shape[0] != n or self.c.shape[1] != n:
+        if (self.a.shape != (n, n) or self.b.shape != (n, len(self.tfs))
+                or self.c.shape[1] != n):
             raise ValueError("inconsistent state-space dimensions")
 
 
@@ -136,42 +140,6 @@ class PeakBound:
 
     def evaluate(self, w0_l2: float) -> float:
         return self.m1 + self.m2 * w0_l2
-
-
-def build_cacc_tf(gains: Gains, tau: float, h_w: float, gamma: float) -> RationalTF:
-    """Spacing-error propagation H(s) for the gamma-weighted CACC law.
-
-    H(s) = (gamma K_a s^2 + K_v s + K_p)
-           / (tau s^3 + s^2 + (K_v + K_p h_w) s + K_p);  H(0) = 1.
-    """
-    if tau <= 0 or h_w <= 0:
-        raise ValueError("tau and h_w must be positive")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    num = (gamma * gains.k_a, gains.k_v, gains.k_p)
-    den = (tau, 1.0, gains.k_v + gains.k_p * h_w, gains.k_p)
-    return RationalTF(num, den)
-
-
-def build_cacc_plus_tfs(gains: Gains, tau: float, h_w: float,
-                        gamma: float) -> tuple[RationalTF, RationalTF]:
-    """Interior error-propagation pair (H_p1, H_p2) for gamma-weighted CACC+.
-
-    Both share the denominator
-        tau s^3 + s^2 + [(1+gamma) K_v + (1+2 gamma) K_p h_w] s + (1+gamma) K_p
-    and satisfy H_p1(0) + H_p2(0) = 1 identically.  At gamma = 0 the second
-    function vanishes and H_p1 degenerates to the ACC propagation.
-    """
-    if tau <= 0 or h_w <= 0:
-        raise ValueError("tau and h_w must be positive")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    den = (tau, 1.0,
-           (1.0 + gamma) * gains.k_v + (1.0 + 2.0 * gamma) * gains.k_p * h_w,
-           (1.0 + gamma) * gains.k_p)
-    num1 = (gamma * gains.k_a, gains.k_v, gains.k_p)
-    num2 = (gamma * gains.k_a, gamma * gains.k_v, gamma * gains.k_p)
-    return RationalTF(num1, den), RationalTF(num2, den)
 
 
 def _squared_magnitude(poly) -> np.ndarray:
@@ -314,34 +282,50 @@ def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _denominator(gains: Gains, tau: float, h_w: float, mu: float) -> tuple[float, ...]:
+    """tau s^3 + s^2 + [(1+mu) K_v + (1+2 mu) K_p h_w] s + (1+mu) K_p."""
+    kv, kp = gains.k_v, gains.k_p
+    return (tau, 1.0, (1.0 + mu) * kv + (1.0 + 2.0 * mu) * kp * h_w, (1.0 + mu) * kp)
+
+
 def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
                        scheme: Scheme) -> StateSpace:
-    """State-space realization of the error-propagation chain.
+    """Spacing-error propagation of every scheme, as transfer functions and
+    their state-space realization.
 
-    Observable canonical form of the shared denominator, so one A and C serve
-    every numerator: the predecessor taps become input columns B (ACC, CACC)
-    or B1, B2 (CACC+).  ACC is the CACC chain at gamma = 0, whatever the
-    channel.  The lead-to-first-error map (input = achieved lead
-    acceleration) is attached as ``lead_tf``:
+    ACC is CACC at gamma = 0, and CACC is the CACC+ pair with its second link
+    off: with mu = gamma for CACC+ and mu = 0 otherwise, the chain is
 
-        E1(s) / A0(s) = [(gamma K_a h_w - tau) s + (gamma K_a + K_v h_w - 1)]
-                        / (tau s^3 + s^2 + (K_v + K_p h_w) s + K_p)
+        H_p1(s) = (gamma K_a s^2 + K_v s + K_p) / D_mu(s)
+        H_p2(s) = mu (K_a s^2 + K_v s + K_p) / D_mu(s)
+
+    with D_mu of :func:`_denominator`; H_p1(0) + H_p2(0) = 1.  ``tfs`` holds
+    (H_p1,) for ACC and CACC, where H_p2 vanishes, and (H_p1, H_p2) for CACC+.
+    The observable canonical form of D_mu serves every numerator, so the taps
+    become the input columns of one (A, C).  The first follower runs the
+    one-predecessor law under every scheme, so the lead-to-first-error map
+    (input = achieved lead acceleration) is exact only as ``lead_tf``:
+
+        E1(s) / A0(s) = [(gamma K_a h_w - tau) s + (gamma K_a + K_v h_w - 1)] / D_0(s)
     """
+    if tau <= 0 or h_w <= 0:
+        raise ValueError("tau and h_w must be positive")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
     if scheme is Scheme.ACC:
         gamma = 0.0
+    plus = scheme is Scheme.CACC_PLUS
+    mu = gamma if plus else 0.0
     ka, kv, kp = gains.k_a, gains.k_v, gains.k_p
-    lead_num = (gamma * ka * h_w - tau, gamma * ka + kv * h_w - 1.0)
-    lead_den = (tau, 1.0, kv + kp * h_w, kp)
-    lead_tf = RationalTF(lead_num, lead_den)
-    if scheme is Scheme.CACC_PLUS:
-        # the first follower runs the CACC law, whose denominator differs from
-        # the chain's; the lead coupling is exact only as lead_tf
-        tfs = build_cacc_plus_tfs(gains, tau, h_w, gamma)
-    else:
-        tfs = [build_cacc_tf(gains, tau, h_w, gamma)]
+    den = _denominator(gains, tau, h_w, mu)
+    tfs = (RationalTF((gamma * ka, kv, kp), den),)
+    if plus:
+        tfs += (RationalTF((mu * ka, mu * kv, mu * kp), den),)
+    lead_tf = RationalTF((gamma * ka * h_w - tau, gamma * ka + kv * h_w - 1.0),
+                         _denominator(gains, tau, h_w, 0.0))
     a, _, c, _ = tf_to_ss(tfs[0])
     b = np.column_stack([tf_to_ss(tf)[1] for tf in tfs])
-    return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf)
+    return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf, tfs=tfs)
 
 
 def _sup_output_decay(a: np.ndarray, c: np.ndarray) -> float:
@@ -351,7 +335,7 @@ def _sup_output_decay(a: np.ndarray, c: np.ndarray) -> float:
     return max(float(np.linalg.norm(block, axis=1).max()) for block in blocks)
 
 
-def peak_output_bound(ss: StateSpace, alpha_star: float, w0_l2: float) -> PeakBound:
+def peak_output_bound(ss: StateSpace, alpha_star: float) -> PeakBound:
     """Gramian-based uniform peak bound on every follower's spacing error.
 
     J is the squared L2-to-Linf gain of the chain: the largest eigenvalue of
@@ -368,8 +352,6 @@ def peak_output_bound(ss: StateSpace, alpha_star: float, w0_l2: float) -> PeakBo
     """
     if alpha_star < 0:
         raise ValueError("alpha_star must be non-negative")
-    if w0_l2 < 0:
-        raise ValueError("w0_l2 must be non-negative")
     p = lyapunov_gramian(ss.a, ss.b)
     jmat = ss.c @ p @ ss.c.T
     j = max(float(np.max(np.linalg.eigvalsh(0.5 * (jmat + jmat.T)))), 0.0)

@@ -31,8 +31,7 @@ from platoon_lab.expectation import check_multilinearity, from_platoon
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import (PlatoonConfig, empirical_string_stability, monte_carlo,
                              seed_peaks, simulate_deterministic, simulate_panels)
-from platoon_lab.stability import (build_cacc_plus_tfs, build_cacc_tf,
-                                   build_error_system, hinf_norm, lyapunov_gramian,
+from platoon_lab.stability import (build_error_system, hinf_norm, lyapunov_gramian,
                                    peak_output_bound, string_stable_sum)
 
 BRAKE = Maneuver(((0.0, 0.0), (10.0, -9.0), (11.0, 0.0)), 25.0)
@@ -97,18 +96,22 @@ def test_criterion_3_frequency_domain_tightness():
         k_a = paper.k_a
         hm = min_headway_cacc(tau, gamma, k_a)
         star = replace(paper, k_v=designed_kv(gamma, k_a, tau))
-        norm_at_min = hinf_norm(build_cacc_tf(star, tau, hm, gamma))
+        def cacc_norm(gains, h):
+            (tf,) = build_error_system(gains, tau, h, gamma, pl.Scheme.CACC).tfs
+            return hinf_norm(tf)
+
+        norm_at_min = cacc_norm(star, hm)
         cacc_ok = abs(norm_at_min - 1.0) <= 1e-3
         for h in np.linspace(hm, 2 * hm, 20):
-            cacc_ok &= hinf_norm(build_cacc_tf(star, tau, h, gamma)) <= 1.0 + 1e-9
+            cacc_ok &= cacc_norm(star, h) <= 1.0 + 1e-9
         for gains in (star, paper):
-            cacc_ok &= hinf_norm(build_cacc_tf(gains, tau, 0.99 * hm, gamma)) > 1.0 + 1e-3
-        paper_norm = hinf_norm(build_cacc_tf(paper, tau, hm, gamma))
+            cacc_ok &= cacc_norm(gains, 0.99 * hm) > 1.0 + 1e-3
+        paper_norm = cacc_norm(paper, hm)
 
         hp = min_headway_cacc_plus(tau, gamma, k_a)
         plus = replace(paper, k_v=designed_kv_plus(gamma, k_a, tau))
         with_sum = (1.0 + gamma) * k_a <= 1.0
-        t1, t2 = build_cacc_plus_tfs(plus, tau, hp, gamma)
+        t1, t2 = build_error_system(plus, tau, hp, gamma, pl.Scheme.CACC_PLUS).tfs
         n1, n2 = hinf_norm(t1), hinf_norm(t2)
         p1_at_min = n1 / t1.dc_gain()
         sum_at_min = n1 + n2
@@ -116,14 +119,15 @@ def test_criterion_3_frequency_domain_tightness():
         if with_sum:
             plus_ok &= abs(sum_at_min - 1.0) <= 1e-3
         for h in np.linspace(hp, 2 * hp, 20):
-            t1, t2 = build_cacc_plus_tfs(plus, tau, h, gamma)
+            t1, t2 = build_error_system(plus, tau, h, gamma, pl.Scheme.CACC_PLUS).tfs
             plus_ok &= hinf_norm(t1) / t1.dc_gain() <= 1.0 + 1e-9
             if with_sum:
                 plus_ok &= string_stable_sum((hinf_norm(t1), hinf_norm(t2)))[0]
         for gains in (plus, paper):
-            t1, _ = build_cacc_plus_tfs(gains, tau, 0.99 * hp, gamma)
+            t1, _ = build_error_system(gains, tau, 0.99 * hp, gamma, pl.Scheme.CACC_PLUS).tfs
             plus_ok &= hinf_norm(t1) / t1.dc_gain() > 1.0 + 1e-3
-        paper_sum = sum(hinf_norm(tf) for tf in build_cacc_plus_tfs(paper, tau, hp, gamma))
+        paper_sum = sum(hinf_norm(tf) for tf in
+                        build_error_system(paper, tau, hp, gamma, pl.Scheme.CACC_PLUS).tfs)
         all_ok &= cacc_ok and plus_ok
         details.append(f"K_a={k_a}: |H|@hmin={norm_at_min:.4f}, "
                        f"|H_p1|/H_p1(0)@hmin={p1_at_min:.4f}, sum@hmin={sum_at_min:.4f}"
@@ -230,7 +234,7 @@ def test_criterion_7_lyapunov_peak_bound():
     worst_margin = np.inf
     gains_c, tau_c = Gains(0.8, 1.5, 2.0), 0.37
     ss = build_error_system(gains_c, tau_c, 0.6, gamma, pl.Scheme.CACC)
-    bound_c = peak_output_bound(ss, 0.0, 9.0).evaluate(9.0)
+    bound_c = peak_output_bound(ss, 0.0).evaluate(9.0)
     # seeds 4200-4299, stepped as the rows of one batch
     cfg = PlatoonConfig(n_followers=6, tau=tau_c, gains=gains_c,
                         policy=SpacingPolicy(h_w=0.6, d=5.0), scheme=pl.Scheme.CACC,
@@ -242,7 +246,7 @@ def test_criterion_7_lyapunov_peak_bound():
     # two-predecessor variant at a configuration satisfying the sum condition
     gains_p, tau_p, hw_p = Gains(0.2, 0.5, 1.0), 0.4, 1.0
     ssp = build_error_system(gains_p, tau_p, hw_p, gamma, pl.Scheme.CACC_PLUS)
-    bound_p = peak_output_bound(ssp, 0.0, 9.0).evaluate(9.0)
+    bound_p = peak_output_bound(ssp, 0.0).evaluate(9.0)
     # seeds 8800-8819
     cfg = PlatoonConfig(n_followers=6, tau=tau_p, gains=gains_p,
                         policy=SpacingPolicy(h_w=hw_p, d=5.0), scheme=pl.Scheme.CACC_PLUS,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from platoon_lab import cli
 from platoon_lab.control import Gains, Scheme
 from platoon_lab.output import write_timeseries_csv
-from platoon_lab.scenario import ScenarioError, load_scenario
+from platoon_lab.scenario import ScenarioError, load_scenario, preset_text
 from platoon_lab.sim import empirical_string_stability, simulate, simulate_deterministic
 from platoon_lab.stability import build_error_system, peak_output_bound
 
@@ -318,7 +319,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("edit, message", [
         (("initial_velocity = 25.0", "initial_velocity = 1e6"),
          "state magnitude 1.790e+06 exceeded 1e+06 at step 0"),
-        (("k_p = 1.0", "k_p = 1.7e308"), "state became non-finite at step 0"),
+        (("k_p = 1.0", "k_p = 1e306"), "state became non-finite at step 879"),
     ], ids=["far_start", "overflowed_law"])
     def test_map_model_divergence_exit_3(self, tmp_path, capsys, edit, message):
         # the overflowed law once ended in a ValueError traceback (exit 1)
@@ -328,6 +329,38 @@ class TestCliExitCodes:
                            "--out", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err == f"simulation diverged: {message}\n"
+
+    @pytest.mark.parametrize("command", ["headway", "simulate", "montecarlo",
+                                         "stability", "oracle"])
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",
+                                        "paper-fig10"])
+    def test_overflowing_gain_exit_2(self, tmp_path, capsys, preset, command):
+        # k_p / tau = inf: stability once ended in a LinAlgError traceback,
+        # simulate and montecarlo in RuntimeWarnings, and oracle wrote NaN
+        text = re.sub(r"(?m)^k_p = .*$", "k_p = 1.7e308", preset_text(preset))
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: the gains overflow the control law")
+
+    def test_panel_headway_overflowing_the_law_exit_2(self, tmp_path, capsys):
+        # the law is finite at the configured headway but not at a panel's
+        text = (preset_text("paper-fig8").replace("\nk_p = 1.0", "\nk_p = 5e306")
+                .replace("lossy:0.6", "lossy:10"))
+        rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "overflow the control law" in capsys.readouterr().err
+
+    def test_oracle_overflowing_powers_exit_4(self, tmp_path, capsys):
+        # (E[A])^5 overflows the float range: the gap read inf <= 1e-12 * inf,
+        # so "holds True (gap inf)" and exit 0
+        text = preset_text("paper-fig9").replace("\nk_p = 2.0", "\nk_p = 1e60")
+        rc = cli.main(["run", "oracle", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("analysis error: k = 5: E[A^k]")
 
     def test_montecarlo_divergence_exit_3(self, tmp_path):
         text = DIVERGENT.replace("deterministic_gamma = 0.0", "n_realizations = 3") + (
@@ -560,7 +593,7 @@ class TestCliCommands:
                               .read_text())["verdicts"]
         assert verdicts["peak_error_bound"] == pytest.approx(14.598, abs=5e-4)
         radio_free = build_error_system(Gains(0.5, 2.5, 1.0), 0.4, 1.0, 0.0, Scheme.CACC)
-        expected = peak_output_bound(radio_free, 0.0, 9.0).evaluate(9.0)
+        expected = peak_output_bound(radio_free, 0.0).evaluate(9.0)
         assert verdicts["peak_error_bound"] == verdicts["safe_standstill_distance"] == expected
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):

@@ -9,8 +9,9 @@ import reference_engine as ref
 from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import TimeGrid
-from platoon_lab.expectation import (RandomMatrixSpec, check_multilinearity,
-                                     exact_expected_power, from_platoon)
+from platoon_lab.expectation import (NonFiniteExpectationError, RandomMatrixSpec,
+                                     check_multilinearity, exact_expected_power,
+                                     from_platoon)
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import PlatoonConfig, build_system_matrix
 
@@ -113,6 +114,16 @@ class TestMultilinearity:
                                       spec.probs)
             checks = check_multilinearity(scaled, range(1, 7))
             assert [holds for holds, _ in checks] == expected, checks
+
+    @pytest.mark.parametrize("scale, first_bad", [(1e60, 3), (1e160, 1)])
+    def test_powers_out_of_float_range_refused(self, scale, first_bad):
+        # a gap of inf <= 1e-12 * inf once read as "holds".  (E[A])^k stays
+        # finite through k = 5 at 1e60 and k = 1 at 1e160, but its Frobenius
+        # norm overflows from k = 3 and k = 1
+        spec = RandomMatrixSpec(base=scale * np.ones((2, 2)), coeffs={"x": np.eye(2)},
+                                probs={"x": 0.5})
+        with pytest.raises(NonFiniteExpectationError, match=f"k = {first_bad}:"):
+            check_multilinearity(spec, range(1, 7))
 
     def test_gap_grows_with_power(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)

@@ -255,12 +255,12 @@ class TestEngineExactness:
 
     def test_spacing_errors_satisfy_printed_recursions(self):
         # FFT check that simulated errors obey E_i = H1 E_{i-1} (+ H2 E_{i-2})
-        from platoon_lab.stability import build_cacc_plus_tfs, build_cacc_tf
+        from platoon_lab.stability import build_error_system
         g = 0.467
         cfg = make_config(Scheme.CACC_PLUS, n_followers=6, h_w=0.6, horizon=60.0)
         out = simulate_deterministic(cfg, BRAKE, g)
         freqs = np.fft.rfftfreq(out.errors.shape[1], 0.01) * 2 * np.pi
-        t1, t2 = build_cacc_plus_tfs(cfg.gains, cfg.tau, 0.6, g)
+        t1, t2 = build_error_system(cfg.gains, cfg.tau, 0.6, g, Scheme.CACC_PLUS).tfs
         f = np.fft.rfft(out.errors, axis=1)
         sel = freqs < 20.0
         for i in (3, 4, 5, 6):
@@ -271,7 +271,7 @@ class TestEngineExactness:
         cfg_c = make_config(Scheme.CACC, n_followers=4, tau=0.37,
                             gains=Gains(0.8, 1.5, 2.0), h_w=0.6, horizon=60.0)
         out_c = simulate_deterministic(cfg_c, BRAKE, g)
-        tf = build_cacc_tf(cfg_c.gains, cfg_c.tau, 0.6, g)
+        tf = build_error_system(cfg_c.gains, cfg_c.tau, 0.6, g, Scheme.CACC).tfs[0]
         f = np.fft.rfft(out_c.errors, axis=1)
         for i in (2, 3, 4):
             lhs = f[i - 1][sel]
@@ -666,7 +666,7 @@ def stacked_suite(preset):
     scen = load_scenario(preset)
     cfg = scen.config
     assert cfg.grid.horizon == 40.0
-    lossy = (pl.gamma_of(cfg.channel), pl.gamma_of(cfg.second_params()))
+    lossy = cfg.link_rates()
     panels = [(p.headway, *((1.0, 1.0) if p.mode == "ideal" else lossy)) for p in scen.suite]
     cfgs = [replace(cfg, policy=replace(cfg.policy, h_w=hw), deterministic_gamma=g, mu=mu)
             for hw, g, mu in panels]
@@ -696,7 +696,6 @@ class TestMapEngineMatchesReference:
             for got, want in ((out.x, lone.x), (out.v, lone.v), (out.a, lone.a),
                               (out.errors, lone.errors)):
                 np.testing.assert_array_equal(got, want)
-            assert out.config_hash == lone.config_hash
 
     @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
     def test_stochastic_link_table(self, preset):
@@ -752,9 +751,10 @@ class TestOneDivergenceRule:
 
     @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9"])
     def test_overflowed_law_is_a_non_finite_divergence(self, preset):
-        # k_p / tau overflows, so the law reads inf * 0: a NaN command or state
+        # every coefficient of the law is finite, but the state it drives
+        # overflows and the law then reads inf * 0: a NaN command or state
         scen = load_scenario(preset)
-        cfg = replace(scen.config, gains=replace(scen.config.gains, k_p=1.7e308),
+        cfg = replace(scen.config, gains=replace(scen.config.gains, k_p=1e306),
                       deterministic_gamma=1.0, mu=1.0)
         with pytest.raises(SimulationDivergedError) as exc, np.errstate(all="ignore"):
             simulate(cfg, scen.maneuver)

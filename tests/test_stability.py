@@ -9,7 +9,6 @@ from designed_gains import designed_kv, designed_kv_plus
 from platoon_lab.control import Gains, Scheme, min_headway_cacc_plus
 from platoon_lab.stability import (PeakBound, RationalTF, StateSpace,
                                    UnstableTransferFunctionError,
-                                   build_cacc_plus_tfs, build_cacc_tf,
                                    build_error_system, hinf_norm, impulse_l1_norm,
                                    lyapunov_gramian, peak_output_bound,
                                    string_stable_sum, tf_to_ss, _response_blocks)
@@ -42,16 +41,16 @@ class TestBuildCaccTf:
     def test_dc_gain_is_one(self):
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.0, 0.3, 0.467, 1.0):
-                tf = build_cacc_tf(gains, tau, 0.6, g)
+                tf = build_error_system(gains, tau, 0.6, g, Scheme.CACC).tfs[0]
                 assert tf.dc_gain() == pytest.approx(1.0, abs=1e-15)
 
     def test_gamma_zero_drops_numerator_degree(self):
-        tf = build_cacc_tf(Gains(0.8, 1.5, 2.0), 0.37, 0.6, 0.0)
+        tf = build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.6, 0.0, Scheme.CACC).tfs[0]
         assert len(tf.num) == 2  # K_v s + K_p only
 
     def test_coefficients(self):
         g = Gains(0.2, 2.5, 1.0)
-        tf = build_cacc_tf(g, 0.4, 0.45, 0.467)
+        tf = build_error_system(g, 0.4, 0.45, 0.467, Scheme.CACC).tfs[0]
         assert tf.num == (0.467 * 0.2, 2.5, 1.0)
         assert tf.den == (0.4, 1.0, 2.5 + 1.0 * 0.45, 1.0)
 
@@ -60,24 +59,65 @@ class TestBuildCaccTf:
         # set sits far above the closed-form minimum, so both h=0.45 and h=0.7
         # still peak above one (frozen values from the sweep oracle)
         g = Gains(0.2, 2.5, 1.0)
-        assert hinf_norm(build_cacc_tf(g, 0.4, 0.45, 1.0)) == pytest.approx(1.2436, abs=2e-3)
-        assert hinf_norm(build_cacc_tf(g, 0.4, 0.70, 1.0)) == pytest.approx(1.1606, abs=2e-3)
+        (low,) = build_error_system(g, 0.4, 0.45, 1.0, Scheme.CACC).tfs
+        (high,) = build_error_system(g, 0.4, 0.70, 1.0, Scheme.CACC).tfs
+        assert hinf_norm(low) == pytest.approx(1.2436, abs=2e-3)
+        assert hinf_norm(high) == pytest.approx(1.1606, abs=2e-3)
+
+
+class TestOneFormula:
+    """build_error_system against the three coefficient sets it replaced,
+    written out by hand: CACC's H, the CACC+ pair and the lead map."""
+
+    @staticmethod
+    def cacc(ka, kv, kp, tau, hw, g):
+        return RationalTF((g * ka, kv, kp), (tau, 1.0, kv + kp * hw, kp))
+
+    @staticmethod
+    def cacc_plus(ka, kv, kp, tau, hw, g):
+        den = (tau, 1.0, (1.0 + g) * kv + (1.0 + 2.0 * g) * kp * hw, (1.0 + g) * kp)
+        return RationalTF((g * ka, kv, kp), den), RationalTF((g * ka, g * kv, g * kp), den)
+
+    @staticmethod
+    def lead(ka, kv, kp, tau, hw, g):
+        return RationalTF((g * ka * hw - tau, g * ka + kv * hw - 1.0),
+                          (tau, 1.0, kv + kp * hw, kp))
+
+    @pytest.mark.parametrize("gains, tau", PAPER_GAIN_SETS[:2])
+    @pytest.mark.parametrize("g", [0.0, 0.467, 1.0])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_equal_to_the_hand_written_coefficients(self, gains, tau, g, scheme):
+        hw = 0.45
+        ss = build_error_system(gains, tau, hw, g, scheme)
+        # ACC is CACC at gamma = 0, whatever the channel
+        radio = 0.0 if scheme is Scheme.ACC else g
+        args = (gains.k_a, gains.k_v, gains.k_p, tau, hw, radio)
+        tfs = self.cacc_plus(*args) if scheme is Scheme.CACC_PLUS else (self.cacc(*args),)
+        assert ss.tfs == tfs
+        assert ss.lead_tf == self.lead(*args)
+        assert ss.b.shape == (3, len(tfs))
+
+    def test_columns_must_match_the_transfer_functions(self):
+        tf = RationalTF((1.0,), (1.0, 1.0))
+        with pytest.raises(ValueError, match="inconsistent"):
+            StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
+                       lead_tf=tf, tfs=(tf, tf))
 
 
 class TestBuildCaccPlusTfs:
     def test_dc_gains_sum_to_one(self):
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.1, 0.467, 1.0):
-                t1, t2 = build_cacc_plus_tfs(gains, tau, 0.5, g)
+                t1, t2 = build_error_system(gains, tau, 0.5, g, Scheme.CACC_PLUS).tfs
                 assert t1.dc_gain() + t2.dc_gain() == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_zero_kills_second_path(self):
-        t1, t2 = build_cacc_plus_tfs(Gains(0.2, 2.5, 1.0), 0.4, 0.5, 0.0)
+        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.5, 0.0, Scheme.CACC_PLUS).tfs
         assert t2.is_zero()
 
     def test_printed_coefficients(self):
         ka, kv, kp, tau, hw, g = 0.75, 2.5, 1.5, 0.37, 0.4, 0.467
-        t1, t2 = build_cacc_plus_tfs(Gains(ka, kv, kp), tau, hw, g)
+        t1, t2 = build_error_system(Gains(ka, kv, kp), tau, hw, g, Scheme.CACC_PLUS).tfs
         den = (tau, 1.0, (1 + g) * kv + (1 + 2 * g) * kp * hw, (1 + g) * kp)
         assert t1.den == pytest.approx(den)
         assert t1.num == pytest.approx((g * ka, kv, kp))
@@ -108,9 +148,11 @@ class TestHinfNorm:
                                (0.5, 1.5, 0.3, 0.7)):
             gains = Gains(ka, designed_kv(g, ka, tau), kp)
             hmin = 2 * tau / (1 + g * ka)
-            assert hinf_norm(build_cacc_tf(gains, tau, hmin, g)) == pytest.approx(1.0, abs=1e-6)
-            assert hinf_norm(build_cacc_tf(gains, tau, 1.3 * hmin, g)) <= 1.0 + 1e-9
-            assert hinf_norm(build_cacc_tf(gains, tau, 0.9 * hmin, g)) > 1.0 + 1e-3
+            at, above, below = (build_error_system(gains, tau, h, g, Scheme.CACC).tfs[0]
+                                for h in (hmin, 1.3 * hmin, 0.9 * hmin))
+            assert hinf_norm(at) == pytest.approx(1.0, abs=1e-6)
+            assert hinf_norm(above) <= 1.0 + 1e-9
+            assert hinf_norm(below) > 1.0 + 1e-3
 
     def test_tight_at_hmin_plus_for_designed_gains(self):
         # at k_v+ the closed-form CACC+ minimum is exactly the headway where
@@ -123,13 +165,13 @@ class TestHinfNorm:
             hp = min_headway_cacc_plus(tau, g, ka)
             ratio = []
             for h in (hp, 1.3 * hp, 0.9 * hp):
-                t1, _ = build_cacc_plus_tfs(gains, tau, h, g)
+                t1, _ = build_error_system(gains, tau, h, g, Scheme.CACC_PLUS).tfs
                 ratio.append(hinf_norm(t1) / t1.dc_gain())
             assert ratio[0] == pytest.approx(1.0, abs=1e-6)
             assert ratio[1] <= 1.0 + 1e-9
             assert ratio[2] > 1.0 + 1e-3
             if sum_exact:
-                t1, t2 = build_cacc_plus_tfs(gains, tau, hp, g)
+                t1, t2 = build_error_system(gains, tau, hp, g, Scheme.CACC_PLUS).tfs
                 assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0, abs=1e-6)
 
     def test_sum_above_one_at_hmin_plus_although_a2_below_one(self):
@@ -140,7 +182,8 @@ class TestHinfNorm:
         assert (1 + g) * ka <= 1.0
         hp = min_headway_cacc_plus(tau, g, ka)
         assert hp == pytest.approx(0.2665, abs=5e-5)
-        t1, t2 = build_cacc_plus_tfs(Gains(ka, designed_kv_plus(g, ka, tau), kp), tau, hp, g)
+        gains = Gains(ka, designed_kv_plus(g, ka, tau), kp)
+        t1, t2 = build_error_system(gains, tau, hp, g, Scheme.CACC_PLUS).tfs
         assert hinf_norm(t1) / t1.dc_gain() == pytest.approx(1.0, abs=1e-6)
         assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0334, abs=5e-5)
 
@@ -170,9 +213,10 @@ def random_hurwitz_tfs(rng, n_cacc=60, n_plus=40, n_biproper=40):
         gains = Gains(rng.uniform(0.0, 1.0), rng.uniform(0.05, 3.0), rng.uniform(0.2, 3.0))
         tau, h, g = rng.uniform(0.1, 1.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0)
         if len(tfs) < n_cacc:
-            new = [build_cacc_tf(gains, tau, h, g)]
+            new = [build_error_system(gains, tau, h, g, Scheme.CACC).tfs[0]]
         else:
-            new = [tf for tf in build_cacc_plus_tfs(gains, tau, h, g) if not tf.is_zero()]
+            new = [tf for tf in build_error_system(gains, tau, h, g, Scheme.CACC_PLUS).tfs
+                   if not tf.is_zero()]
         tfs += [tf for tf in new if np.roots(tf.den).real.max() < -1e-6]
     for _ in range(n_biproper // 2):
         # a lead or lag (s + z) / (s + p), and a biproper second-order function
@@ -214,7 +258,7 @@ class TestStringStableSum:
     def test_no_peaking_cacc_plus_config(self):
         # small velocity gain keeps both propagation magnitudes below DC,
         # so the sum condition holds with margin ~ 0
-        t1, t2 = build_cacc_plus_tfs(Gains(0.2, 0.5, 1.0), 0.4, 1.0, 0.467)
+        t1, t2 = build_error_system(Gains(0.2, 0.5, 1.0), 0.4, 1.0, 0.467, Scheme.CACC_PLUS).tfs
         ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-6)
@@ -223,7 +267,7 @@ class TestStringStableSum:
         # frozen truth: at the paper gain set the sum condition is violated
         # even at the stable-verdict headway (the closed-form minimum is not
         # the sum-condition threshold for these gains)
-        t1, t2 = build_cacc_plus_tfs(Gains(0.2, 2.5, 1.0), 0.4, 0.6, 0.467)
+        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.6, 0.467, Scheme.CACC_PLUS).tfs
         ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert not ok
         assert 1.0 - margin == pytest.approx(1.3147, abs=5e-3)
@@ -259,12 +303,12 @@ class TestImpulseL1:
         # H(0) <= ||H||_inf <= ||h||_1 for every platoon propagation function
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.3, 1.0):
-                tf = build_cacc_tf(gains, tau, 0.8, g)
+                tf = build_error_system(gains, tau, 0.8, g, Scheme.CACC).tfs[0]
                 dc, ninf = abs(tf.dc_gain()), hinf_norm(tf)
                 l1 = impulse_l1_norm(tf)
                 assert dc <= ninf + 1e-3
                 assert ninf <= l1 + 1e-3
-                t1, t2 = build_cacc_plus_tfs(gains, tau, 0.8, g)
+                t1, t2 = build_error_system(gains, tau, 0.8, g, Scheme.CACC_PLUS).tfs
                 assert hinf_norm(t1) <= impulse_l1_norm(t1) + 1e-3
 
 
@@ -274,7 +318,8 @@ class TestResponseSampler:
     CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, Scheme.CACC_PLUS),
              build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, 0.467, Scheme.CACC),
              StateSpace(a=np.array([[-5.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
-                        lead_tf=RationalTF((1.0,), (1.0, 5.0))))
+                        lead_tf=RationalTF((1.0,), (1.0, 5.0)),
+                        tfs=(RationalTF((1.0,), (1.0, 5.0)),)))
 
     @pytest.mark.parametrize("ss", CASES)
     def test_blocks_match_stepped_loop(self, ss):
@@ -287,7 +332,7 @@ class TestResponseSampler:
         np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_impulse_l1_matches_stepped_trapezoid(self):
-        for tf in build_cacc_plus_tfs(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467):
+        for tf in build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, Scheme.CACC_PLUS).tfs:
             a, b, c, _ = tf_to_ss(tf)
             dt, blocks = _response_blocks(a, c, 1e-3)
             h = np.abs(stepped_response(a, c, dt, sum(len(x) for x in blocks)) @ b[:, 0])
@@ -346,8 +391,9 @@ class TestTfToSs:
 class TestPeakOutputBound:
     def test_zero_output_matrix(self):
         ss = StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
-                        c=np.array([[0.0]]), lead_tf=RationalTF((0.0,), (1.0, 1.0)))
-        bound = peak_output_bound(ss, alpha_star=2.0, w0_l2=1.0)
+                        c=np.array([[0.0]]), lead_tf=RationalTF((0.0,), (1.0, 1.0)),
+                        tfs=(RationalTF((0.0,), (1.0, 1.0)),))
+        bound = peak_output_bound(ss, alpha_star=2.0)
         assert bound.j_value == pytest.approx(0.0, abs=1e-15)
         assert bound.m2 == 0.0
         assert bound.m1 == pytest.approx(bound.eta * 2.0, abs=1e-12)
@@ -356,8 +402,9 @@ class TestPeakOutputBound:
         # for a = -1, b = c = 1: J = C P C^T = 0.5 and the L2->Linf gain
         # sqrt(J) is attained by the time-reversed impulse response input
         ss = StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
-                        c=np.array([[1.0]]), lead_tf=RationalTF((1.0,), (1.0, 1.0)))
-        bound = peak_output_bound(ss, alpha_star=0.0, w0_l2=1.0)
+                        c=np.array([[1.0]]), lead_tf=RationalTF((1.0,), (1.0, 1.0)),
+                        tfs=(RationalTF((1.0,), (1.0, 1.0)),))
+        bound = peak_output_bound(ss, alpha_star=0.0)
         assert bound.j_value == pytest.approx(0.5, abs=1e-12)
         dt, horizon = 1e-3, 14.0
         t = np.arange(0.0, horizon, dt)
@@ -373,9 +420,10 @@ class TestPeakOutputBound:
 
     def test_unstable_rejected(self):
         ss = StateSpace(a=np.array([[1.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
-                        lead_tf=RationalTF((1.0,), (1.0, -1.0)))
+                        lead_tf=RationalTF((1.0,), (1.0, -1.0)),
+                        tfs=(RationalTF((1.0,), (1.0, -1.0)),))
         with pytest.raises(UnstableTransferFunctionError):
-            peak_output_bound(ss, 0.0, 1.0)
+            peak_output_bound(ss, 0.0)
 
     def test_cacc_lead_tf_consistent_with_embedded_column(self):
         # for CACC the lead map shares the chain's denominator, so it is also
@@ -391,7 +439,7 @@ class TestPeakOutputBound:
     def test_theorem_two_doubles_constants(self):
         gains, tau = Gains(0.2, 0.5, 1.0), 0.4
         sp = build_error_system(gains, tau, 1.0, 0.467, Scheme.CACC_PLUS)
-        bound = peak_output_bound(sp, alpha_star=0.5, w0_l2=9.0)
+        bound = peak_output_bound(sp, alpha_star=0.5)
         assert bound.m2 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.gamma2, abs=1e-12)
         assert bound.m1 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.beta2 * 0.5, abs=1e-12)
 
