@@ -3,9 +3,8 @@ minimum time-headway selection, and peak spacing-error bounds."""
 
 from .channel import (ChannelMode, GilbertParams, gamma_of, link_streams,
                       sample_links)
-from .control import (Gains, Scheme, SpacingPolicy, min_headway_acc,
-                      min_headway_cacc, min_headway_cacc_plus,
-                      min_headway_cacc_plus_mu)
+from .control import (Gains, Scheme, SpacingPolicy, min_headway,
+                      scheme_rates)
 from .dynamics import Maneuver, TimeGrid, VehicleState, step_lag
 from .expectation import (RandomMatrixSpec, check_multilinearity,
                           exact_expected_power, from_platoon)

@@ -44,23 +44,19 @@ def _out_dir(arg: str | None) -> Path:
 
 def _headway_table(scenario: Scenario) -> dict:
     cfg = scenario.config
-    gamma = scenario.gamma_for_analysis()
-    mu = scenario.mu_for_analysis()
+    gamma, mu = scenario.analysis_rates()
     tau, ka = cfg.tau, cfg.gains.k_a
-    table = {
-        "gamma": gamma,
-        "h_min_acc": control.min_headway_acc(tau),
-        "h_min_cacc": control.min_headway_cacc(tau, gamma, ka),
-        "h_min_cacc_plus": control.min_headway_cacc_plus(tau, gamma, ka),
-    }
+    table = {"gamma": gamma}
+    for scheme in Scheme:
+        table[f"h_min_{scheme.value}"] = control.min_headway(
+            tau, *control.scheme_rates(scheme, gamma, gamma), ka)
     if mu != gamma:
         table["mu"] = mu
-        table["h_min_cacc_plus_mu"] = control.min_headway_cacc_plus_mu(tau, gamma, mu, ka)
-    key = {Scheme.ACC: "h_min_acc", Scheme.CACC: "h_min_cacc",
-           Scheme.CACC_PLUS: "h_min_cacc_plus"}[cfg.scheme]
+        table["h_min_cacc_plus_mu"] = control.min_headway(tau, gamma, mu, ka)
     table["scheme"] = cfg.scheme.value
     table["configured_headway"] = cfg.policy.h_w
-    table["headway_sufficient"] = cfg.policy.h_w >= table[key]
+    table["headway_sufficient"] = cfg.policy.h_w >= control.min_headway(
+        tau, *control.scheme_rates(cfg.scheme, gamma, mu), ka)
     return table
 
 
@@ -198,8 +194,8 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
 def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
     cfg = scenario.config
     verdicts = _headway_table(scenario)
-    ss = stability.build_error_system(cfg.gains, cfg.tau, cfg.policy.h_w,
-                                      scenario.gamma_for_analysis(), cfg.scheme)
+    ss = stability.build_error_system(cfg.gains, cfg.tau, cfg.policy.h_w, cfg.scheme,
+                                      *scenario.analysis_rates())
     norms = [stability.hinf_norm(tf) for tf in ss.tfs]
     ok, margin = stability.string_stable_sum(norms)
     l1 = [stability.impulse_l1_norm(tf) for tf in ss.tfs]

@@ -68,15 +68,13 @@ class Scenario:
     suite: list[Panel]
     config_hash: str
 
-    def gamma_for_analysis(self) -> float:
-        """The run's deterministic gamma, else the first-link reception rate."""
-        gamma = self.config.deterministic_gamma
-        return self.config.link_rates()[0] if gamma is None else gamma
-
-    def mu_for_analysis(self) -> float:
-        """The run's mu, else the second-link reception rate."""
-        mu = self.config.mu
-        return self.config.link_rates()[1] if mu is None else mu
+    def analysis_rates(self) -> tuple[float, float]:
+        """(gamma, mu) the analyses read: the run's deterministic gamma and
+        its mu where set, else the link types' reception rates."""
+        cfg = self.config
+        gamma, mu = cfg.link_rates()
+        return (gamma if cfg.deterministic_gamma is None else cfg.deterministic_gamma,
+                mu if cfg.mu is None else cfg.mu)
 
 
 def _boolean(raw: str) -> bool:

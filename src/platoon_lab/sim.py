@@ -515,7 +515,9 @@ def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.nd
             x[:, 0::3] += v0 * grid.dt
         else:
             idle = False
-            x = stepper.advance(x, u_lead, weights[k])
+            # an overflowing state is reported by the divergence rule below
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = stepper.advance(x, u_lead, weights[k])
             if config.velocity_clamp:
                 x[:, 1::3] = np.maximum(x[:, 1::3], 0.0)
         if not np.abs(x).max() <= _DIVERGENCE_LIMIT:  # NaN fails too

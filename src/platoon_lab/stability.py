@@ -4,8 +4,9 @@ Spacing errors propagate down a homogeneous platoon through rational transfer
 functions; the platoon is string stable in the L-infinity-certificate sense
 when the H-infinity norms of those functions (their sum, for multi-predecessor
 schemes) do not exceed one.  This module writes the error-propagation law of
-every scheme once (:func:`build_error_system`: ACC is CACC at gamma = 0, and
-CACC is the CACC+ pair with its second link off), computes the norms of its
+every scheme once (:func:`build_error_system`, at the rates of
+:func:`platoon_lab.control.scheme_rates`: ACC is the CACC+ pair with both
+links off, CACC with its second link off), computes the norms of its
 transfer functions, and evaluates the Gramian-based upper bound on the peak
 spacing error of every vehicle given the lead vehicle's maneuver energy.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .control import Gains, Scheme
+from .control import Gains, Scheme, scheme_rates
 
 
 class UnstableTransferFunctionError(ValueError):
@@ -288,13 +289,13 @@ def _denominator(gains: Gains, tau: float, h_w: float, mu: float) -> tuple[float
     return (tau, 1.0, (1.0 + mu) * kv + (1.0 + 2.0 * mu) * kp * h_w, (1.0 + mu) * kp)
 
 
-def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
-                       scheme: Scheme) -> StateSpace:
+def build_error_system(gains: Gains, tau: float, h_w: float, scheme: Scheme,
+                       gamma: float, mu: float) -> StateSpace:
     """Spacing-error propagation of every scheme, as transfer functions and
     their state-space realization.
 
-    ACC is CACC at gamma = 0, and CACC is the CACC+ pair with its second link
-    off: with mu = gamma for CACC+ and mu = 0 otherwise, the chain is
+    With (gamma, mu) taken through :func:`platoon_lab.control.scheme_rates`
+    (ACC at (0, 0), CACC at (gamma, 0), CACC+ at (gamma, mu)), the chain is
 
         H_p1(s) = (gamma K_a s^2 + K_v s + K_p) / D_mu(s)
         H_p2(s) = mu (K_a s^2 + K_v s + K_p) / D_mu(s)
@@ -310,16 +311,11 @@ def build_error_system(gains: Gains, tau: float, h_w: float, gamma: float,
     """
     if tau <= 0 or h_w <= 0:
         raise ValueError("tau and h_w must be positive")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if scheme is Scheme.ACC:
-        gamma = 0.0
-    plus = scheme is Scheme.CACC_PLUS
-    mu = gamma if plus else 0.0
+    gamma, mu = scheme_rates(scheme, gamma, mu)
     ka, kv, kp = gains.k_a, gains.k_v, gains.k_p
     den = _denominator(gains, tau, h_w, mu)
     tfs = (RationalTF((gamma * ka, kv, kp), den),)
-    if plus:
+    if scheme is Scheme.CACC_PLUS:
         tfs += (RationalTF((mu * ka, mu * kv, mu * kp), den),)
     lead_tf = RationalTF((gamma * ka * h_w - tau, gamma * ka + kv * h_w - 1.0),
                          _denominator(gains, tau, h_w, 0.0))

@@ -21,11 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 import platoon_lab as pl
-from designed_gains import designed_kv, designed_kv_plus
+from designed_gains import designed_kv
 from platoon_lab import cli
 from platoon_lab.channel import GilbertParams, gamma_of
-from platoon_lab.control import (Gains, SpacingPolicy, min_headway_acc,
-                                 min_headway_cacc, min_headway_cacc_plus)
+from platoon_lab.control import Gains, SpacingPolicy, min_headway
 from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.expectation import check_multilinearity, from_platoon
 from platoon_lab.scenario import load_scenario
@@ -55,12 +54,12 @@ def test_criterion_1_gamma_formula():
 
 def test_criterion_2_headway_formulas():
     cases = [
-        ("ideal CACC+ 0.38 s", lambda: min_headway_cacc_plus(0.4, 1.0, 0.2), 0.38, 0.005),
-        ("lossy CACC+ 0.53 s", lambda: min_headway_cacc_plus(0.4, 0.467, 0.2), 0.53, 0.01),
-        ("lossy CACC 0.538 s", lambda: min_headway_cacc(0.37, 0.467, 0.8), 0.538, 0.002),
-        ("ACC 0.74 s", lambda: min_headway_acc(0.37), 0.74, 0.0),
-        ("ACC 0.8 s", lambda: min_headway_acc(0.4), 0.8, 0.0),
-        ("high-fidelity CACC+ 0.371 s", lambda: min_headway_cacc_plus(0.37, 0.467, 0.75),
+        ("ideal CACC+ 0.38 s", lambda: min_headway(0.4, 1.0, 1.0, 0.2), 0.38, 0.005),
+        ("lossy CACC+ 0.53 s", lambda: min_headway(0.4, 0.467, 0.467, 0.2), 0.53, 0.01),
+        ("lossy CACC 0.538 s", lambda: min_headway(0.37, 0.467, 0.0, 0.8), 0.538, 0.002),
+        ("ACC 0.74 s", lambda: min_headway(0.37, 0.0, 0.0, 0.0), 0.74, 0.0),
+        ("ACC 0.8 s", lambda: min_headway(0.4, 0.0, 0.0, 0.0), 0.8, 0.0),
+        ("high-fidelity CACC+ 0.371 s", lambda: min_headway(0.37, 0.467, 0.467, 0.75),
          0.371, 0.002),
     ]
     all_ok = True
@@ -85,7 +84,7 @@ def test_criterion_3_frequency_domain_tightness():
     # paper's own k_v must not be string stable below the minimum either.
     # For CACC+ the norm is |H_p1| over its DC gain; the sum certificate is
     # checked where (1 + gamma) k_a <= 1, since above that no gain and headway
-    # meet it (see min_headway_cacc_plus), and sum@hmin is printed for all sets
+    # meet it (see min_headway), and sum@hmin is printed for all sets
     t0 = time.perf_counter()
     gamma = 0.467
     gain_sets = ((Gains(0.2, 2.5, 1.0), 0.4), (Gains(0.8, 1.5, 2.0), 0.37),
@@ -94,10 +93,10 @@ def test_criterion_3_frequency_domain_tightness():
     details = []
     for paper, tau in gain_sets:
         k_a = paper.k_a
-        hm = min_headway_cacc(tau, gamma, k_a)
-        star = replace(paper, k_v=designed_kv(gamma, k_a, tau))
+        hm = min_headway(tau, gamma, 0.0, k_a)
+        star = replace(paper, k_v=designed_kv(gamma, 0.0, k_a, tau))
         def cacc_norm(gains, h):
-            (tf,) = build_error_system(gains, tau, h, gamma, pl.Scheme.CACC).tfs
+            (tf,) = build_error_system(gains, tau, h, pl.Scheme.CACC, gamma, 0.0).tfs
             return hinf_norm(tf)
 
         norm_at_min = cacc_norm(star, hm)
@@ -108,10 +107,10 @@ def test_criterion_3_frequency_domain_tightness():
             cacc_ok &= cacc_norm(gains, 0.99 * hm) > 1.0 + 1e-3
         paper_norm = cacc_norm(paper, hm)
 
-        hp = min_headway_cacc_plus(tau, gamma, k_a)
-        plus = replace(paper, k_v=designed_kv_plus(gamma, k_a, tau))
+        hp = min_headway(tau, gamma, gamma, k_a)
+        plus = replace(paper, k_v=designed_kv(gamma, gamma, k_a, tau))
         with_sum = (1.0 + gamma) * k_a <= 1.0
-        t1, t2 = build_error_system(plus, tau, hp, gamma, pl.Scheme.CACC_PLUS).tfs
+        t1, t2 = build_error_system(plus, tau, hp, pl.Scheme.CACC_PLUS, gamma, gamma).tfs
         n1, n2 = hinf_norm(t1), hinf_norm(t2)
         p1_at_min = n1 / t1.dc_gain()
         sum_at_min = n1 + n2
@@ -119,15 +118,16 @@ def test_criterion_3_frequency_domain_tightness():
         if with_sum:
             plus_ok &= abs(sum_at_min - 1.0) <= 1e-3
         for h in np.linspace(hp, 2 * hp, 20):
-            t1, t2 = build_error_system(plus, tau, h, gamma, pl.Scheme.CACC_PLUS).tfs
+            t1, t2 = build_error_system(plus, tau, h, pl.Scheme.CACC_PLUS, gamma, gamma).tfs
             plus_ok &= hinf_norm(t1) / t1.dc_gain() <= 1.0 + 1e-9
             if with_sum:
                 plus_ok &= string_stable_sum((hinf_norm(t1), hinf_norm(t2)))[0]
         for gains in (plus, paper):
-            t1, _ = build_error_system(gains, tau, 0.99 * hp, gamma, pl.Scheme.CACC_PLUS).tfs
+            t1, _ = build_error_system(gains, tau, 0.99 * hp, pl.Scheme.CACC_PLUS,
+                                       gamma, gamma).tfs
             plus_ok &= hinf_norm(t1) / t1.dc_gain() > 1.0 + 1e-3
         paper_sum = sum(hinf_norm(tf) for tf in
-                        build_error_system(paper, tau, hp, gamma, pl.Scheme.CACC_PLUS).tfs)
+                        build_error_system(paper, tau, hp, pl.Scheme.CACC_PLUS, gamma, gamma).tfs)
         all_ok &= cacc_ok and plus_ok
         details.append(f"K_a={k_a}: |H|@hmin={norm_at_min:.4f}, "
                        f"|H_p1|/H_p1(0)@hmin={p1_at_min:.4f}, sum@hmin={sum_at_min:.4f}"
@@ -223,7 +223,7 @@ def test_criterion_7_lyapunov_peak_bound():
     res_ok = True
     for gains, tau, scheme in ((Gains(0.8, 1.5, 2.0), 0.37, pl.Scheme.CACC),
                                (Gains(0.2, 2.5, 1.0), 0.4, pl.Scheme.CACC_PLUS)):
-        ss = build_error_system(gains, tau, 0.6, gamma, scheme)
+        ss = build_error_system(gains, tau, 0.6, scheme, gamma, gamma)
         p = lyapunov_gramian(ss.a, ss.b)
         res = np.linalg.norm(ss.a @ p + p @ ss.a.T + ss.b @ ss.b.T)
         res_ok &= res < 1e-8 * np.linalg.norm(ss.b @ ss.b.T)
@@ -233,7 +233,7 @@ def test_criterion_7_lyapunov_peak_bound():
     checked = 0
     worst_margin = np.inf
     gains_c, tau_c = Gains(0.8, 1.5, 2.0), 0.37
-    ss = build_error_system(gains_c, tau_c, 0.6, gamma, pl.Scheme.CACC)
+    ss = build_error_system(gains_c, tau_c, 0.6, pl.Scheme.CACC, gamma, 0.0)
     bound_c = peak_output_bound(ss, 0.0).evaluate(9.0)
     # seeds 4200-4299, stepped as the rows of one batch
     cfg = PlatoonConfig(n_followers=6, tau=tau_c, gains=gains_c,
@@ -245,7 +245,7 @@ def test_criterion_7_lyapunov_peak_bound():
     worst_margin = min(worst_margin, bound_c - peaks.max())
     # two-predecessor variant at a configuration satisfying the sum condition
     gains_p, tau_p, hw_p = Gains(0.2, 0.5, 1.0), 0.4, 1.0
-    ssp = build_error_system(gains_p, tau_p, hw_p, gamma, pl.Scheme.CACC_PLUS)
+    ssp = build_error_system(gains_p, tau_p, hw_p, pl.Scheme.CACC_PLUS, gamma, gamma)
     bound_p = peak_output_bound(ssp, 0.0).evaluate(9.0)
     # seeds 8800-8819
     cfg = PlatoonConfig(n_followers=6, tau=tau_p, gains=gains_p,

@@ -16,7 +16,7 @@ from platoon_lab.control import Gains, Scheme
 from platoon_lab.output import write_timeseries_csv
 from platoon_lab.scenario import ScenarioError, load_scenario, preset_text
 from platoon_lab.sim import empirical_string_stability, simulate, simulate_deterministic
-from platoon_lab.stability import build_error_system, peak_output_bound
+from platoon_lab.stability import build_error_system, hinf_norm, peak_output_bound
 
 BASE = """
 [platoon]
@@ -125,8 +125,7 @@ class TestScenarioParsing:
         path = write(tmp_path, plus, "plus.ini")
         scen = load_scenario(path)
         assert scen.config.mu == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert scen.mu_for_analysis() == scen.config.mu
-        assert scen.gamma_for_analysis() == scen.config.deterministic_gamma
+        assert scen.analysis_rates() == (scen.config.deterministic_gamma, scen.config.mu)
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 0
         peaks = json.loads((tmp_path / "o" / "base-report.json").read_text())["verdicts"]["peaks"]
@@ -137,7 +136,7 @@ class TestScenarioParsing:
         # an explicit mu still wins
         scen = load_scenario(write(tmp_path, plus.replace(
             "deterministic_gamma = auto", "deterministic_gamma = auto\nmu = 0.3"), "mu.ini"))
-        assert scen.config.mu == 0.3 and scen.mu_for_analysis() == 0.3
+        assert scen.config.mu == 0.3 and scen.analysis_rates()[1] == 0.3
 
     def test_presets_all_load(self):
         for name in ("paper-fig4", "paper-fig8", "paper-fig9", "paper-fig10"):
@@ -324,11 +323,25 @@ class TestCliExitCodes:
     def test_map_model_divergence_exit_3(self, tmp_path, capsys, edit, message):
         # the overflowed law once ended in a ValueError traceback (exit 1)
         text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical").replace(*edit)
-        with np.errstate(all="ignore"):
-            rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
-                           "--out", str(tmp_path / "o")])
+        rc = cli.main(["run", "simulate", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err == f"simulation diverged: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",
+                                        "paper-fig10"])
+    def test_overflowed_state_exit_3_without_warnings(self, tmp_path, capsys, preset,
+                                                      command):
+        # the law's coefficients are finite but the state overflows; numpy's
+        # overflow and invalid-value warnings once came before the one line
+        text = re.sub(r"(?m)^k_p = .*$", "k_p = 1e306", preset_text(preset))
+        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("simulation diverged: state became non-finite at step ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["headway", "simulate", "montecarlo",
                                          "stability", "oracle"])
@@ -592,9 +605,32 @@ class TestCliCommands:
         verdicts = json.loads((tmp_path / "o" / "base-stability-report.json")
                               .read_text())["verdicts"]
         assert verdicts["peak_error_bound"] == pytest.approx(14.598, abs=5e-4)
-        radio_free = build_error_system(Gains(0.5, 2.5, 1.0), 0.4, 1.0, 0.0, Scheme.CACC)
+        radio_free = build_error_system(Gains(0.5, 2.5, 1.0), 0.4, 1.0, Scheme.CACC, 0.0, 0.0)
         expected = peak_output_bound(radio_free, 0.0).evaluate(9.0)
         assert verdicts["peak_error_bound"] == verdicts["safe_standstill_distance"] == expected
+
+    def test_second_channel_rates_reach_headway_and_stability(self, tmp_path):
+        # fig8 with its own (i, i-2) channel: gamma = 7/15, mu = 1/6.  Both
+        # commands read the same (gamma, mu); stability once took mu = gamma
+        # (hinf_h_p1 0.938, hinf_h_p2 0.440) and h_min_cacc_plus_mu had a
+        # (1 + gamma) numerator (0.7936 s)
+        text = preset_text("paper-fig8").replace(
+            "r_recv_bad = 0.2", "r_recv_bad = 0.2\np_gb_2 = 0.5\nq_bg_2 = 0.1\nr_recv_bad_2 = 0.0")
+        path = write(tmp_path, text)
+        for command in ("headway", "stability"):
+            rc = cli.main(["run", command, "--scenario", path, "--out", str(tmp_path / "o")])
+            assert rc == 0
+        headway, stab = (json.loads((tmp_path / "o" / f"fig8-{c}-report.json").read_text())
+                         ["verdicts"] for c in ("headway", "stability"))
+        assert headway == {key: stab[key] for key in headway}
+        assert headway["mu"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert headway["h_min_cacc_plus_mu"] == pytest.approx(0.6313, abs=5e-5)
+        cfg = load_scenario(path).config
+        ss = build_error_system(cfg.gains, cfg.tau, cfg.policy.h_w, Scheme.CACC_PLUS,
+                                headway["gamma"], headway["mu"])
+        assert [stab["hinf_h_p1"], stab["hinf_h_p2"]] == [hinf_norm(tf) for tf in ss.tfs]
+        assert stab["hinf_h_p1"] == pytest.approx(1.1067, abs=5e-5)
+        assert stab["hinf_h_p2"] == pytest.approx(0.1840, abs=5e-5)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATOON_LAB_OUT", str(tmp_path / "envout"))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from platoon_lab.control import (Gains, SpacingPolicy, min_headway_acc, min_headway_cacc,
-                                 min_headway_cacc_plus, min_headway_cacc_plus_mu)
+from designed_gains import designed_kv
+from platoon_lab.control import Gains, Scheme, SpacingPolicy, min_headway, scheme_rates
 from platoon_lab.dynamics import VehicleState
+from platoon_lab.stability import build_error_system, hinf_norm
 from reference_engine import (LinkSample, acc_input, cacc_input, cacc_plus_input,
                               first_follower_input)
 
@@ -78,48 +81,93 @@ def test_first_follower_delegates_to_cacc():
             cacc_input(ego, pred, w, GAINS, POLICY)
 
 
+# each scheme's minimum headway at its rates, CACC+ with a common rate
+def acc(tau):
+    return min_headway(tau, 0.0, 0.0, 0.8)
+
+
+def cacc(tau, g, ka):
+    return min_headway(tau, g, 0.0, ka)
+
+
+def cacc_plus(tau, g, ka):
+    return min_headway(tau, g, g, ka)
+
+
 class TestMinHeadways:
+    def test_scheme_closed_forms_exactly(self):
+        # each scheme's rates give its closed form to the last bit
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            tau, g, ka = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0)
+            mu = rng.uniform(0.0, 1.0)
+            assert min_headway(tau, *scheme_rates(Scheme.ACC, g, mu), ka) == 2.0 * tau
+            assert min_headway(tau, *scheme_rates(Scheme.CACC, g, mu), ka) == \
+                2.0 * tau / (1.0 + g * ka)
+            assert min_headway(tau, *scheme_rates(Scheme.CACC_PLUS, g, g), ka) == \
+                2.0 * tau * (1.0 + g) / ((1.0 + 2.0 * g) * (1.0 + g * (1.0 + g) * ka))
+
+    def test_scheme_rates(self):
+        assert scheme_rates(Scheme.ACC, 0.4, 0.3) == (0.0, 0.0)
+        assert scheme_rates(Scheme.CACC, 0.4, 0.3) == (0.4, 0.0)
+        assert scheme_rates(Scheme.CACC_PLUS, 0.4, 0.3) == (0.4, 0.3)
+
     def test_acc_paper_values(self):
-        assert min_headway_acc(0.37) == pytest.approx(0.74, abs=1e-12)
-        assert min_headway_acc(0.4) == pytest.approx(0.8, abs=1e-12)
-        assert min_headway_acc(0.0) == 0.0
+        assert acc(0.37) == pytest.approx(0.74, abs=1e-12)
+        assert acc(0.4) == pytest.approx(0.8, abs=1e-12)
+        assert acc(0.0) == 0.0
 
     def test_cacc_paper_value(self):
-        assert min_headway_cacc(0.37, 0.467, 0.8) == pytest.approx(0.538, abs=0.002)
+        assert cacc(0.37, 0.467, 0.8) == pytest.approx(0.538, abs=0.002)
 
     def test_cacc_gamma_zero_falls_back_to_acc(self):
         for tau in (0.2, 0.37, 0.4):
-            assert min_headway_cacc(tau, 0.0, 0.8) == min_headway_acc(tau)
+            assert cacc(tau, 0.0, 0.8) == acc(tau)
 
     def test_cacc_bracket_for_small_gain(self):
         lo = 2 * 0.4 / (1 + 0.05)
-        val = min_headway_cacc(0.4, 0.467, 0.05)
+        val = cacc(0.4, 0.467, 0.05)
         assert lo < val < 2 * 0.4
 
     def test_cacc_plus_paper_values(self):
-        assert min_headway_cacc_plus(0.4, 0.467, 0.2) == pytest.approx(0.53, abs=0.01)
-        assert min_headway_cacc_plus(0.4, 1.0, 0.2) == pytest.approx(0.381, abs=0.002)
-        assert min_headway_cacc_plus(0.37, 0.467, 0.75) == pytest.approx(0.371, abs=0.002)
+        assert cacc_plus(0.4, 0.467, 0.2) == pytest.approx(0.53, abs=0.01)
+        assert cacc_plus(0.4, 1.0, 0.2) == pytest.approx(0.381, abs=0.002)
+        assert cacc_plus(0.37, 0.467, 0.75) == pytest.approx(0.371, abs=0.002)
 
     def test_cacc_plus_gamma_zero_is_acc(self):
         for tau in (0.37, 0.4):
-            assert min_headway_cacc_plus(tau, 0.0, 0.6) == pytest.approx(2 * tau, abs=1e-12)
+            assert cacc_plus(tau, 0.0, 0.6) == pytest.approx(2 * tau, abs=1e-12)
 
     def test_mu_equal_gamma_reduces(self):
         for g in (0.0, 0.3, 0.467, 1.0):
-            assert min_headway_cacc_plus_mu(0.4, g, g, 0.2) == \
-                pytest.approx(min_headway_cacc_plus(0.4, g, 0.2), abs=1e-15)
+            assert min_headway(0.4, g, g, 0.2) == cacc_plus(0.4, g, 0.2)
 
     def test_mu_zero_substitution(self):
+        # with its second link off the two-predecessor law is CACC
         g, tau, ka = 0.7, 0.4, 0.3
-        assert min_headway_cacc_plus_mu(tau, g, 0.0, ka) == \
-            pytest.approx(2 * tau * (1 + g) / (1 + g * ka), abs=1e-15)
+        assert min_headway(tau, g, 0.0, ka) == 2.0 * tau / (1.0 + g * ka)
 
     def test_mu_variant_direct_substitution(self):
         # independent evaluation of the printed expression at one point
         tau, g, mu, ka = 0.4, 0.467, 0.2, 0.2
-        expected = 2 * tau * (1 + g) / ((1 + 2 * mu) * (1 + g * (1 + mu) * ka))
-        assert min_headway_cacc_plus_mu(tau, g, mu, ka) == pytest.approx(expected, abs=1e-15)
+        expected = 2 * tau * (1 + mu) / ((1 + 2 * mu) * (1 + g * (1 + mu) * ka))
+        assert min_headway(tau, g, mu, ka) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0 / 6.0, 0.467, 0.8])
+    def test_exact_threshold_at_designed_gain(self, mu):
+        # at the designed k_v, |H_p1| / H_p1(0) touches 1 at h_min and
+        # exceeds it just below, for every k_p (hinf_norm is the oracle)
+        tau, g, ka = 0.4, 0.467, 0.2
+        hm = min_headway(tau, g, mu, ka)
+        for kp in (0.5, 1.0, 3.0):
+            gains = Gains(ka, designed_kv(g, mu, ka, tau), kp)
+
+            def ratio(h):
+                tf = build_error_system(gains, tau, h, Scheme.CACC_PLUS, g, mu).tfs[0]
+                return hinf_norm(tf) * (1.0 + mu)
+
+            assert ratio(hm) <= 1.0 + 1e-9
+            assert ratio(0.99 * hm) > 1.0
 
     def test_monotone_decreasing_in_gamma_and_gain(self):
         rng = np.random.default_rng(8)
@@ -129,28 +177,28 @@ class TestMinHeadways:
             g1, g2 = sorted(rng.uniform(0.01, 1.0, size=2))
             if g1 == g2:
                 continue
-            assert min_headway_cacc(tau, g2, ka) < min_headway_cacc(tau, g1, ka)
-            assert min_headway_cacc_plus(tau, g2, ka) < min_headway_cacc_plus(tau, g1, ka)
+            assert cacc(tau, g2, ka) < cacc(tau, g1, ka)
+            assert cacc_plus(tau, g2, ka) < cacc_plus(tau, g1, ka)
             ka2 = ka + rng.uniform(0.05, 0.5)
-            assert min_headway_cacc(tau, g1, ka2) < min_headway_cacc(tau, g1, ka)
+            assert cacc(tau, g1, ka2) < cacc(tau, g1, ka)
 
     def test_scheme_ordering_at_paper_gain_sets(self):
         # CACC+ <= CACC <= ACC across gamma, for the paper's gain sets
         for ka in (0.2, 0.75, 0.8):
             for tau in (0.37, 0.4):
                 for g in np.linspace(0.05, 1.0, 12):
-                    acc = min_headway_acc(tau)
-                    cacc = min_headway_cacc(tau, g, ka)
-                    caccp = min_headway_cacc_plus(tau, g, ka)
-                    assert caccp <= cacc <= acc
+                    assert cacc_plus(tau, g, ka) <= cacc(tau, g, ka) <= acc(tau)
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            min_headway_cacc(0.4, 1.5, 0.2)
-        with pytest.raises(ValueError):
-            min_headway_cacc(0.4, 0.5, -0.2)
-        with pytest.raises(ValueError):
-            min_headway_cacc_plus_mu(0.4, 0.5, 1.2, 0.2)
+        for args in ((0.4, 1.5, 0.0, 0.2), (0.4, 0.5, 0.0, -0.2), (0.4, 0.5, 1.2, 0.2),
+                     (-0.1, 0.5, 0.5, 0.2), (math.nan, 0.5, 0.5, 0.2),
+                     (0.4, math.nan, 0.5, 0.2), (0.4, 0.5, math.nan, 0.2),
+                     (0.4, 0.5, 0.5, math.nan), (0.4, 0.5, 0.5, math.inf)):
+            with pytest.raises(ValueError):
+                min_headway(*args)
+        for rates in ((1.5, 0.0), (0.5, math.nan), (math.nan, 0.5)):
+            with pytest.raises(ValueError):
+                scheme_rates(Scheme.CACC, *rates)
 
 
 class TestTypes:

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import solve_lyapunov
 from scipy.signal import ss2tf
 
-from designed_gains import designed_kv, designed_kv_plus
-from platoon_lab.control import Gains, Scheme, min_headway_cacc_plus
+from designed_gains import designed_kv
+from platoon_lab.control import Gains, Scheme, min_headway
 from platoon_lab.stability import (PeakBound, RationalTF, StateSpace,
                                    UnstableTransferFunctionError,
                                    build_error_system, hinf_norm, impulse_l1_norm,
@@ -41,16 +41,16 @@ class TestBuildCaccTf:
     def test_dc_gain_is_one(self):
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.0, 0.3, 0.467, 1.0):
-                tf = build_error_system(gains, tau, 0.6, g, Scheme.CACC).tfs[0]
+                tf = build_error_system(gains, tau, 0.6, Scheme.CACC, g, 0.0).tfs[0]
                 assert tf.dc_gain() == pytest.approx(1.0, abs=1e-15)
 
     def test_gamma_zero_drops_numerator_degree(self):
-        tf = build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.6, 0.0, Scheme.CACC).tfs[0]
+        tf = build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.6, Scheme.CACC, 0.0, 0.0).tfs[0]
         assert len(tf.num) == 2  # K_v s + K_p only
 
     def test_coefficients(self):
         g = Gains(0.2, 2.5, 1.0)
-        tf = build_error_system(g, 0.4, 0.45, 0.467, Scheme.CACC).tfs[0]
+        tf = build_error_system(g, 0.4, 0.45, Scheme.CACC, 0.467, 0.0).tfs[0]
         assert tf.num == (0.467 * 0.2, 2.5, 1.0)
         assert tf.den == (0.4, 1.0, 2.5 + 1.0 * 0.45, 1.0)
 
@@ -59,8 +59,8 @@ class TestBuildCaccTf:
         # set sits far above the closed-form minimum, so both h=0.45 and h=0.7
         # still peak above one (frozen values from the sweep oracle)
         g = Gains(0.2, 2.5, 1.0)
-        (low,) = build_error_system(g, 0.4, 0.45, 1.0, Scheme.CACC).tfs
-        (high,) = build_error_system(g, 0.4, 0.70, 1.0, Scheme.CACC).tfs
+        (low,) = build_error_system(g, 0.4, 0.45, Scheme.CACC, 1.0, 0.0).tfs
+        (high,) = build_error_system(g, 0.4, 0.70, Scheme.CACC, 1.0, 0.0).tfs
         assert hinf_norm(low) == pytest.approx(1.2436, abs=2e-3)
         assert hinf_norm(high) == pytest.approx(1.1606, abs=2e-3)
 
@@ -88,7 +88,7 @@ class TestOneFormula:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_equal_to_the_hand_written_coefficients(self, gains, tau, g, scheme):
         hw = 0.45
-        ss = build_error_system(gains, tau, hw, g, scheme)
+        ss = build_error_system(gains, tau, hw, scheme, g, g)
         # ACC is CACC at gamma = 0, whatever the channel
         radio = 0.0 if scheme is Scheme.ACC else g
         args = (gains.k_a, gains.k_v, gains.k_p, tau, hw, radio)
@@ -108,16 +108,16 @@ class TestBuildCaccPlusTfs:
     def test_dc_gains_sum_to_one(self):
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.1, 0.467, 1.0):
-                t1, t2 = build_error_system(gains, tau, 0.5, g, Scheme.CACC_PLUS).tfs
+                t1, t2 = build_error_system(gains, tau, 0.5, Scheme.CACC_PLUS, g, g).tfs
                 assert t1.dc_gain() + t2.dc_gain() == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_zero_kills_second_path(self):
-        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.5, 0.0, Scheme.CACC_PLUS).tfs
+        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.5, Scheme.CACC_PLUS, 0.0, 0.0).tfs
         assert t2.is_zero()
 
     def test_printed_coefficients(self):
         ka, kv, kp, tau, hw, g = 0.75, 2.5, 1.5, 0.37, 0.4, 0.467
-        t1, t2 = build_error_system(Gains(ka, kv, kp), tau, hw, g, Scheme.CACC_PLUS).tfs
+        t1, t2 = build_error_system(Gains(ka, kv, kp), tau, hw, Scheme.CACC_PLUS, g, g).tfs
         den = (tau, 1.0, (1 + g) * kv + (1 + 2 * g) * kp * hw, (1 + g) * kp)
         assert t1.den == pytest.approx(den)
         assert t1.num == pytest.approx((g * ka, kv, kp))
@@ -146,9 +146,9 @@ class TestHinfNorm:
         # threshold when k_v is chosen per the derivation
         for ka, kp, tau, g in ((0.8, 2.0, 0.37, 0.467), (0.2, 1.0, 0.4, 1.0),
                                (0.5, 1.5, 0.3, 0.7)):
-            gains = Gains(ka, designed_kv(g, ka, tau), kp)
+            gains = Gains(ka, designed_kv(g, 0.0, ka, tau), kp)
             hmin = 2 * tau / (1 + g * ka)
-            at, above, below = (build_error_system(gains, tau, h, g, Scheme.CACC).tfs[0]
+            at, above, below = (build_error_system(gains, tau, h, Scheme.CACC, g, 0.0).tfs[0]
                                 for h in (hmin, 1.3 * hmin, 0.9 * hmin))
             assert hinf_norm(at) == pytest.approx(1.0, abs=1e-6)
             assert hinf_norm(above) <= 1.0 + 1e-9
@@ -161,29 +161,29 @@ class TestHinfNorm:
         for ka, kp, tau, g, sum_exact in ((0.8, 2.0, 0.37, 0.467, False),
                                           (0.2, 1.0, 0.4, 0.467, True),
                                           (0.5, 1.5, 0.3, 0.7, False)):
-            gains = Gains(ka, designed_kv_plus(g, ka, tau), kp)
-            hp = min_headway_cacc_plus(tau, g, ka)
+            gains = Gains(ka, designed_kv(g, g, ka, tau), kp)
+            hp = min_headway(tau, g, g, ka)
             ratio = []
             for h in (hp, 1.3 * hp, 0.9 * hp):
-                t1, _ = build_error_system(gains, tau, h, g, Scheme.CACC_PLUS).tfs
+                t1, _ = build_error_system(gains, tau, h, Scheme.CACC_PLUS, g, g).tfs
                 ratio.append(hinf_norm(t1) / t1.dc_gain())
             assert ratio[0] == pytest.approx(1.0, abs=1e-6)
             assert ratio[1] <= 1.0 + 1e-9
             assert ratio[2] > 1.0 + 1e-3
             if sum_exact:
-                t1, t2 = build_error_system(gains, tau, hp, g, Scheme.CACC_PLUS).tfs
+                t1, t2 = build_error_system(gains, tau, hp, Scheme.CACC_PLUS, g, g).tfs
                 assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0, abs=1e-6)
 
     def test_sum_above_one_at_hmin_plus_although_a2_below_one(self):
         # (1 + gamma) k_a = 0.85 <= 1 clears H_p2 at the one frequency of the
         # derivation, yet H_p2 peaks above its DC gain elsewhere, so the sum
-        # certificate fails at the closed-form headway (min_headway_cacc_plus)
+        # certificate fails at the closed-form headway (min_headway)
         ka, kp, tau, g = 0.5, 1.5, 0.3, 0.7
         assert (1 + g) * ka <= 1.0
-        hp = min_headway_cacc_plus(tau, g, ka)
+        hp = min_headway(tau, g, g, ka)
         assert hp == pytest.approx(0.2665, abs=5e-5)
-        gains = Gains(ka, designed_kv_plus(g, ka, tau), kp)
-        t1, t2 = build_error_system(gains, tau, hp, g, Scheme.CACC_PLUS).tfs
+        gains = Gains(ka, designed_kv(g, g, ka, tau), kp)
+        t1, t2 = build_error_system(gains, tau, hp, Scheme.CACC_PLUS, g, g).tfs
         assert hinf_norm(t1) / t1.dc_gain() == pytest.approx(1.0, abs=1e-6)
         assert hinf_norm(t1) + hinf_norm(t2) == pytest.approx(1.0334, abs=5e-5)
 
@@ -213,9 +213,9 @@ def random_hurwitz_tfs(rng, n_cacc=60, n_plus=40, n_biproper=40):
         gains = Gains(rng.uniform(0.0, 1.0), rng.uniform(0.05, 3.0), rng.uniform(0.2, 3.0))
         tau, h, g = rng.uniform(0.1, 1.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0)
         if len(tfs) < n_cacc:
-            new = [build_error_system(gains, tau, h, g, Scheme.CACC).tfs[0]]
+            new = [build_error_system(gains, tau, h, Scheme.CACC, g, 0.0).tfs[0]]
         else:
-            new = [tf for tf in build_error_system(gains, tau, h, g, Scheme.CACC_PLUS).tfs
+            new = [tf for tf in build_error_system(gains, tau, h, Scheme.CACC_PLUS, g, g).tfs
                    if not tf.is_zero()]
         tfs += [tf for tf in new if np.roots(tf.den).real.max() < -1e-6]
     for _ in range(n_biproper // 2):
@@ -258,7 +258,8 @@ class TestStringStableSum:
     def test_no_peaking_cacc_plus_config(self):
         # small velocity gain keeps both propagation magnitudes below DC,
         # so the sum condition holds with margin ~ 0
-        t1, t2 = build_error_system(Gains(0.2, 0.5, 1.0), 0.4, 1.0, 0.467, Scheme.CACC_PLUS).tfs
+        t1, t2 = build_error_system(Gains(0.2, 0.5, 1.0), 0.4, 1.0, Scheme.CACC_PLUS,
+                                    0.467, 0.467).tfs
         ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-6)
@@ -267,7 +268,8 @@ class TestStringStableSum:
         # frozen truth: at the paper gain set the sum condition is violated
         # even at the stable-verdict headway (the closed-form minimum is not
         # the sum-condition threshold for these gains)
-        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.6, 0.467, Scheme.CACC_PLUS).tfs
+        t1, t2 = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.6, Scheme.CACC_PLUS,
+                                    0.467, 0.467).tfs
         ok, margin = string_stable_sum([hinf_norm(t1), hinf_norm(t2)])
         assert not ok
         assert 1.0 - margin == pytest.approx(1.3147, abs=5e-3)
@@ -303,20 +305,20 @@ class TestImpulseL1:
         # H(0) <= ||H||_inf <= ||h||_1 for every platoon propagation function
         for gains, tau in PAPER_GAIN_SETS:
             for g in (0.3, 1.0):
-                tf = build_error_system(gains, tau, 0.8, g, Scheme.CACC).tfs[0]
+                tf = build_error_system(gains, tau, 0.8, Scheme.CACC, g, 0.0).tfs[0]
                 dc, ninf = abs(tf.dc_gain()), hinf_norm(tf)
                 l1 = impulse_l1_norm(tf)
                 assert dc <= ninf + 1e-3
                 assert ninf <= l1 + 1e-3
-                t1, t2 = build_error_system(gains, tau, 0.8, g, Scheme.CACC_PLUS).tfs
+                t1, t2 = build_error_system(gains, tau, 0.8, Scheme.CACC_PLUS, g, g).tfs
                 assert hinf_norm(t1) <= impulse_l1_norm(t1) + 1e-3
 
 
 class TestResponseSampler:
     # the blocked sampler against the per-sample loop it replaced, on a chain
     # long enough for three 4096-row blocks and on one short of a single block
-    CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, Scheme.CACC_PLUS),
-             build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, 0.467, Scheme.CACC),
+    CASES = (build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, Scheme.CACC_PLUS, 0.467, 0.467),
+             build_error_system(Gains(0.8, 1.5, 2.0), 0.37, 0.45, Scheme.CACC, 0.467, 0.0),
              StateSpace(a=np.array([[-5.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
                         lead_tf=RationalTF((1.0,), (1.0, 5.0)),
                         tfs=(RationalTF((1.0,), (1.0, 5.0)),)))
@@ -332,7 +334,8 @@ class TestResponseSampler:
         np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_impulse_l1_matches_stepped_trapezoid(self):
-        for tf in build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, 0.467, Scheme.CACC_PLUS).tfs:
+        for tf in build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, Scheme.CACC_PLUS,
+                                     0.467, 0.467).tfs:
             a, b, c, _ = tf_to_ss(tf)
             dt, blocks = _response_blocks(a, c, 1e-3)
             h = np.abs(stepped_response(a, c, dt, sum(len(x) for x in blocks)) @ b[:, 0])
@@ -355,7 +358,7 @@ class TestLyapunovGramian:
     def test_residual_and_psd_on_error_dynamics(self):
         for gains, tau in PAPER_GAIN_SETS:
             for scheme in (Scheme.CACC, Scheme.CACC_PLUS):
-                ss = build_error_system(gains, tau, 0.8, 0.467, scheme)
+                ss = build_error_system(gains, tau, 0.8, scheme, 0.467, 0.467)
                 p = lyapunov_gramian(ss.a, ss.b)
                 res = np.linalg.norm(ss.a @ p + p @ ss.a.T + ss.b @ ss.b.T)
                 assert res < 1e-8 * np.linalg.norm(ss.b @ ss.b.T)
@@ -430,7 +433,7 @@ class TestPeakOutputBound:
         # realized by the column (0, n1, n0) / tau of its numerator
         # n1 s + n0 in the chain's (a, c)
         gains, tau = Gains(0.8, 1.5, 2.0), 0.37
-        ss = build_error_system(gains, tau, 0.6, 0.467, Scheme.CACC)
+        ss = build_error_system(gains, tau, 0.6, Scheme.CACC, 0.467, 0.0)
         column = np.array([[0.0], [ss.lead_tf.num[0]], [ss.lead_tf.num[1]]]) / tau
         num, den = ss2tf(ss.a, column, ss.c, np.zeros((1, 1)))
         embedded = RationalTF(tuple(num[0]), tuple(den))
@@ -438,7 +441,7 @@ class TestPeakOutputBound:
 
     def test_theorem_two_doubles_constants(self):
         gains, tau = Gains(0.2, 0.5, 1.0), 0.4
-        sp = build_error_system(gains, tau, 1.0, 0.467, Scheme.CACC_PLUS)
+        sp = build_error_system(gains, tau, 1.0, Scheme.CACC_PLUS, 0.467, 0.467)
         bound = peak_output_bound(sp, alpha_star=0.5)
         assert bound.m2 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.gamma2, abs=1e-12)
         assert bound.m1 == pytest.approx(2.0 * math.sqrt(bound.j_value) * bound.beta2 * 0.5, abs=1e-12)
@@ -471,7 +474,7 @@ class TestLeadTransferFunction:
             grid=TimeGrid(0.01, 80.0), channel=pl.GilbertParams(0.2, 0.1, 0.2))
         man = Maneuver(((0.0, 0.0), (5.0, -2.0), (6.0, 0.0)), 25.0)
         out = pl.simulate_deterministic(cfg, man, g)
-        ss = build_error_system(gains, tau, hw, g, Scheme.CACC)
+        ss = build_error_system(gains, tau, hw, Scheme.CACC, g, 0.0)
         w0 = out.a[0]        # achieved lead acceleration
         e1 = out.errors[0]
         freqs = np.fft.rfftfreq(len(w0), 0.01) * 2 * np.pi
