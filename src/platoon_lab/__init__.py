@@ -14,7 +14,7 @@ from .maps import (MapFormatError, PedalMap, actuate, affine_maps, interp,
 from .sim import (EnsembleStats, PlatoonConfig, SimOutput,
                   SimulationDivergedError, build_system_matrix,
                   empirical_string_stability, equilibrium_state, monte_carlo,
-                  seed_peaks, simulate, simulate_deterministic, simulate_panels)
+                  simulate, simulate_panels)
 from .stability import (PeakBound, RationalTF, StateSpace,
                         UnstableTransferFunctionError, build_error_system,
                         hinf_norm, impulse_l1_norm, lyapunov_gramian,

@@ -26,7 +26,7 @@ from . import control, expectation, output, stability
 from .control import Scheme
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sim import (SimOutput, SimulationDivergedError, empirical_string_stability,
-                  monte_carlo, seed_peaks, simulate, simulate_panels)
+                  monte_carlo, simulate, simulate_panels)
 
 DEFAULT_SEED = 20201
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _out_dir(arg: str | None) -> Path:
 
 def _headway_table(scenario: Scenario) -> dict:
     cfg = scenario.config
-    gamma, mu = scenario.analysis_rates()
+    gamma, mu = scenario.analysis_rates
     tau, ka = cfg.tau, cfg.gains.k_a
     table = {"gamma": gamma}
     for scheme in Scheme:
@@ -55,8 +55,10 @@ def _headway_table(scenario: Scenario) -> dict:
         table["h_min_cacc_plus_mu"] = control.min_headway(tau, gamma, mu, ka)
     table["scheme"] = cfg.scheme.value
     table["configured_headway"] = cfg.policy.h_w
-    table["headway_sufficient"] = cfg.policy.h_w >= control.min_headway(
-        tau, *control.scheme_rates(cfg.scheme, gamma, mu), ka)
+    g, m = control.scheme_rates(cfg.scheme, gamma, mu)
+    # past A1 = (1 + mu) gamma k_a >= 1 no headway is string stable (see min_headway)
+    table["headway_sufficient"] = ((1.0 + m) * g * ka < 1.0
+                                   and cfg.policy.h_w >= control.min_headway(tau, g, m, ka))
     return table
 
 
@@ -104,9 +106,8 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
                  "gamma": gamma, "stable": stable,
                  "peaks": [float(p) for p in peaks]}
         if panel.mode == "lossy" and n_seeds > 0:
-            pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway),
-                           deterministic_gamma=None)
-            pk = seed_peaks(pcfg, scenario.maneuver, n_seeds)
+            pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway), rates=None)
+            pk = monte_carlo(pcfg, scenario.maneuver, n_seeds).peaks
             entry["stochastic_last_exceeds_first"] = (
                 int(np.count_nonzero(pk[:, -1] > pk[:, 0])) / n_seeds)
         verdicts["panels"].append(entry)
@@ -150,11 +151,13 @@ def _link_reception(cfg, rates) -> list[dict]:
 
 
 def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
-    stats = monte_carlo(scenario.config, scenario.maneuver,
-                        scenario.analysis.n_realizations)
+    cfg = scenario.config
+    stats = monte_carlo(cfg, scenario.maneuver, scenario.analysis.n_realizations)
+    det = simulate(replace(cfg, rates=cfg.link_rates()), scenario.maneuver)
+    det_peaks = det.peak_errors()
     last = -1
     peak_mean = float(stats.mean_trajectory_peaks[last])
-    peak_det = float(stats.deterministic_peaks[last])
+    peak_det = float(det_peaks[last])
     # no relative gap to a gamma system with zero peak; JSON has no infinity
     rel_gap = abs(peak_mean - peak_det) / peak_det if peak_det else None
     report = output.RunReport("montecarlo", scenario.config_hash, {
@@ -163,12 +166,11 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
         "last_vehicle_gamma_system_peak": peak_det,
         "relative_peak_gap": rel_gap,
         "mean_trajectory_peaks": [float(p) for p in stats.mean_trajectory_peaks],
-        "deterministic_peaks": [float(p) for p in stats.deterministic_peaks],
-        "link_reception": _link_reception(scenario.config, stats.reception_rates),
+        "deterministic_peaks": [float(p) for p in det_peaks],
+        "link_reception": _link_reception(cfg, stats.reception_rates),
     })
     prefix = scenario.output.prefix
     if scenario.output.csv:
-        det = stats.deterministic_output
         n_f = stats.mean_errors.shape[0]
         table = np.column_stack((det.time, stats.mean_errors.T, det.errors.T))
         with open(outdir / f"{prefix}-ensemble.csv", "w", encoding="utf-8") as fh:
@@ -178,7 +180,6 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
                 fh.write(",".join(map(repr, row.tolist())) + "\n")
         report.artifacts.append(str(outdir / f"{prefix}-ensemble.csv"))
     if scenario.output.svg:
-        det = stats.deterministic_output
         p = output.write_svg(outdir / f"{prefix}-ensemble.svg", det.time,
                              {"ensemble mean (last)": stats.mean_errors[last],
                               "gamma system (last)": det.errors[last]},
@@ -195,7 +196,7 @@ def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
     cfg = scenario.config
     verdicts = _headway_table(scenario)
     ss = stability.build_error_system(cfg.gains, cfg.tau, cfg.policy.h_w, cfg.scheme,
-                                      *scenario.analysis_rates())
+                                      *scenario.analysis_rates)
     norms = [stability.hinf_norm(tf) for tf in ss.tfs]
     ok, margin = stability.string_stable_sum(norms)
     l1 = [stability.impulse_l1_norm(tf) for tf in ss.tfs]
@@ -278,7 +279,11 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = _out_dir(args.out)
+    try:
+        outdir = _out_dir(args.out)
+    except OSError as exc:
+        print(f"configuration error: cannot use output directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         _COMMANDS[args.command](scenario, outdir)
     except SimulationDivergedError as exc:

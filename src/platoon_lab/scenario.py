@@ -67,14 +67,7 @@ class Scenario:
     output: OutputOptions
     suite: list[Panel]
     config_hash: str
-
-    def analysis_rates(self) -> tuple[float, float]:
-        """(gamma, mu) the analyses read: the run's deterministic gamma and
-        its mu where set, else the link types' reception rates."""
-        cfg = self.config
-        gamma, mu = cfg.link_rates()
-        return (gamma if cfg.deterministic_gamma is None else cfg.deterministic_gamma,
-                mu if cfg.mu is None else cfg.mu)
+    analysis_rates: tuple[float, float]  # the (gamma, mu) headway and stability read
 
 
 def _boolean(raw: str) -> bool:
@@ -275,7 +268,10 @@ def load_scenario(source: str, master_seed: int | None = None) -> Scenario:
     """Load from a file path, or from a bundled preset when the name matches."""
     path = Path(source)
     if path.exists():
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario {source!r}: {exc}") from exc
         name = path.stem
     else:
         text = preset_text(source)
@@ -305,12 +301,17 @@ def parse_scenario_text(text: str, name: str = "scenario",
     if second is not None:
         second = _channel(second, "_2")
 
-    # a deterministic run fixes both link weights here: 'auto' takes each
-    # link type's reception rate, a number serves as mu too unless mu is set
-    det_gamma = det_mu = ana["deterministic_gamma"]
-    if det_gamma == "auto":
-        det_gamma, det_mu = gamma_of(channel), gamma_of(second or channel)
-    mu = det_mu if ana["mu"] is None else ana["mu"]
+    # the one reading of the rates.  deterministic_gamma fixes both link
+    # weights of the run: 'auto' takes each link type's reception rate, a
+    # number serves as mu too unless mu is set.  Without it the run samples
+    # its channels, and the analyses take the link rates, with mu where set.
+    det, mu = ana["deterministic_gamma"], ana["mu"]
+    for key in ("deterministic_gamma", "mu"):
+        if isinstance(ana[key], float) and not 0.0 <= ana[key] <= 1.0:  # NaN fails too
+            raise ScenarioError(f"[analysis] {key} = {ana[key]} must lie in [0, 1]")
+    gamma, mu_default = ((gamma_of(channel), gamma_of(second or channel))
+                         if det in (None, "auto") else (det, det))
+    analysis_rates = (gamma, mu_default if mu is None else mu)
     lows = {"n_realizations": 1, "stochastic_seeds": 0, "alpha_star": 0.0, "w0_l2": 0.0}
     for key, low in lows.items():
         if not ana[key] >= low:  # NaN fails too
@@ -329,8 +330,7 @@ def parse_scenario_text(text: str, name: str = "scenario",
             channel=channel,
             channel_second=second,
             master_seed=master_seed if master_seed is not None else 0,
-            deterministic_gamma=det_gamma,
-            mu=mu,
+            rates=None if det is None else analysis_rates,
             init_mode=chan["init_mode"],
             velocity_clamp=plat["velocity_clamp"],
             u_clamp=u_clamp,
@@ -353,4 +353,5 @@ def parse_scenario_text(text: str, name: str = "scenario",
     digest = hashlib.sha256("\n".join(canonical).encode()).hexdigest()[:16]
 
     return Scenario(name=name, config=config, maneuver=maneuver, analysis=analysis,
-                    output=out, suite=list(values["suite"]["panels"]), config_hash=digest)
+                    output=out, suite=list(values["suite"]["panels"]), config_hash=digest,
+                    analysis_rates=analysis_rates)

@@ -1,4 +1,4 @@
-"""Full-platoon simulation: stochastic packet losses, deterministic-gamma
+"""Full-platoon simulation: stochastic packet losses, fixed-rate (gamma/mu)
 equivalents, and Monte Carlo ensembles.
 
 The platoon state is X = (x_0, v_0, a_0, ..., x_N, v_N, a_N).  The ACC / CACC /
@@ -21,22 +21,24 @@ link weights:
   of all rows advance together through the pedal maps and the exact lag
   update (:func:`platoon_lab.maps.step_empirical`).
 
+A run's link weights come from one field, :attr:`PlatoonConfig.rates`: None
+samples every link's Gilbert channel (:func:`_link_tables`, which gives each
+link its parameters and its stream and draws them all with
+:func:`platoon_lab.channel.sample_links`), and (gamma, mu) holds the (i, i-1)
+links at gamma and the (i, i-2) links at mu for the whole run.
+
 One driver, :func:`_row_states`, takes one config per row (rows differ at
-most in seed, headway and gamma/mu) and (n_steps, R, n_links) weights,
+most in seed, headway and rates) and (n_steps, R, n_links) weights,
 builds the stepper of the configs' model and owns the rest of the time
 loop: the equilibrium start, the time base, the lead's input, the
-point-mass idle lead-in, the velocity clamp and the divergence rule.  So
-:func:`simulate` is R = 1 on either engine, :func:`monte_carlo` and
-:func:`seed_peaks` stack seeds as rows, and :func:`simulate_panels` stacks
-the gamma-deterministic panels of a suite.
+point-mass idle lead-in, the velocity clamp and the divergence rule.  Three
+entry points use it: :func:`simulate` is R = 1 on either engine,
+:func:`monte_carlo` stacks seeds as rows, and :func:`simulate_panels` stacks
+the fixed-rate panels of a suite.
 A row goes through the same operations as its lone run and is bitwise that
 run, with one exception: a point-mass row whose table is constant, inside a
 batch whose tables are not, takes the Taylor action where its lone run
 takes the exponential, within 1e-9 m.
-
-Link tables come from :func:`_link_tables`, which gives each link its
-Gilbert parameters and its stream and draws them all with
-:func:`platoon_lab.channel.sample_links`.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ class PlatoonConfig:
     channel: GilbertParams
     channel_second: GilbertParams | None = None  # (i, i-2) links, defaults to `channel`
     master_seed: int = 0
-    deterministic_gamma: float | None = None
-    mu: float | None = None
+    rates: tuple[float, float] | None = None  # fixed (gamma, mu) weights; None samples
     init_mode: ChannelMode | None = None  # None = stationary draw
     velocity_clamp: bool = False
     u_clamp: tuple[float, float] | None = None
@@ -112,10 +113,6 @@ class PlatoonConfig:
         if not math.isfinite(max(law) / self.tau):
             raise ValueError("the gains overflow the control law: k_a/tau, k_v/tau, "
                              "k_p/tau, (k_v + 2 k_p h_w)/tau and 2 k_p d/tau must be finite")
-        if self.deterministic_gamma is not None and not 0.0 <= self.deterministic_gamma <= 1.0:
-            raise ValueError("deterministic_gamma must lie in [0, 1]")
-        if self.mu is not None and not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
         if self.model not in ("point_mass", "empirical"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "empirical" and (self.throttle_map is None or self.brake_map is None):
@@ -169,9 +166,7 @@ class EnsembleStats:
     mean_errors: np.ndarray       # (n_followers, T+1) pointwise mean
     peaks: np.ndarray             # (n_realizations, n_followers)
     mean_trajectory_peaks: np.ndarray   # (n_followers,) peak of the mean
-    deterministic_peaks: np.ndarray     # (n_followers,) gamma-system peaks
     reception_rates: np.ndarray         # (n_links,) mean of each link's weights
-    deterministic_output: SimOutput | None = None
 
 
 def build_system_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
@@ -180,7 +175,7 @@ def build_system_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
     ``link_values`` holds one weight per link, first-predecessor links
     (i = 1..N) first, then second-predecessor links (i = 2..N) for CACC+.
     Binary weights give a stochastic realization; fractional weights give the
-    gamma/mu-deterministic system.  ACC zeroes the radio terms regardless.
+    fixed-rate (gamma, mu) system.  ACC zeroes the radio terms regardless.
     """
     w = np.asarray(link_values, dtype=float)
     if w.shape != (config.n_links,):
@@ -379,13 +374,13 @@ def _link_tables(config: PlatoonConfig, n_steps: int) -> np.ndarray:
 
 
 def _weight_table(config: PlatoonConfig) -> np.ndarray:
-    """(n_links, n_steps) link weights of one run: sampled flags, or gamma/mu."""
+    """(n_links, n_steps) link weights of one run: sampled flags, or its rates."""
     steps = config.grid.n_steps
-    if config.deterministic_gamma is None:
+    if config.rates is None:
         return _link_tables(config, steps)
-    w = np.full((config.n_links, 1), config.deterministic_gamma, dtype=float)
-    # only CACC+ has second-predecessor links
-    w[config.n_followers:] = config.mu if config.mu is not None else config.deterministic_gamma
+    gamma, mu = config.rates
+    w = np.full((config.n_links, 1), gamma, dtype=float)
+    w[config.n_followers:] = mu  # only CACC+ has second-predecessor links
     return np.broadcast_to(w, (config.n_links, steps))
 
 
@@ -400,7 +395,7 @@ def _row_weights(configs: list[PlatoonConfig]) -> np.ndarray:
     Sampled tables stay boolean, an eighth of the float64 footprint; the
     loops cast one step's rows to float where they use them.
     """
-    sampled = all(cfg.deterministic_gamma is None for cfg in configs)
+    sampled = all(cfg.rates is None for cfg in configs)
     weights = np.empty((configs[0].grid.n_steps, len(configs), configs[0].n_links),
                        dtype=bool if sampled else float)
     for r, cfg in enumerate(configs):
@@ -528,56 +523,35 @@ def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.nd
 
 
 def simulate(config: PlatoonConfig, maneuver: Maneuver) -> SimOutput:
-    """One platoon run; samples the channels unless deterministic_gamma is set."""
+    """One platoon run; samples the channels unless ``config.rates`` is set."""
     weights = _weight_table(config).T[:, None, :]
     return _collect([config], _row_states([config], maneuver, weights))[0]
 
 
-def simulate_deterministic(config: PlatoonConfig, maneuver: Maneuver,
-                           gamma: float, mu: float | None = None) -> SimOutput:
-    """Run the gamma-equivalent system (mu for the second-predecessor links)."""
-    cfg = replace(config, deterministic_gamma=gamma, mu=gamma if mu is None else mu)
-    return simulate(cfg, maneuver)
-
-
 def simulate_panels(config: PlatoonConfig, maneuver: Maneuver, panels) -> list[SimOutput]:
-    """Gamma-deterministic runs of one platoon, one per (h_w, gamma, mu) panel.
+    """Fixed-rate runs of one platoon, one per (h_w, gamma, mu) panel.
 
     The panels step together as the rows of one run on either engine.  Their
     tables are constant, so on the point-mass engine each row takes its
-    exponential once, and each output is bitwise the
-    :func:`simulate_deterministic` run of its panel.
+    exponential once, and each output is bitwise the :func:`simulate` run of
+    its panel.
     """
-    cfgs = [replace(config, policy=replace(config.policy, h_w=hw),
-                    deterministic_gamma=gamma, mu=mu) for hw, gamma, mu in panels]
+    cfgs = [replace(config, policy=replace(config.policy, h_w=hw), rates=(gamma, mu))
+            for hw, gamma, mu in panels]
     return _collect(cfgs, _row_states(cfgs, maneuver, _row_weights(cfgs)))
-
-
-def seed_peaks(config: PlatoonConfig, maneuver: Maneuver, n_seeds: int) -> np.ndarray:
-    """(n_seeds, n_followers) peak |e| of the runs with seeds master_seed + i.
-
-    The seeds step together as the rows of one run, and each row keeps only
-    a running maximum.  A row is bitwise the lone :func:`simulate` of its
-    seed, except a point-mass seed whose table alone is constant (within
-    1e-9 m, see the module docstring).
-    """
-    configs = _seed_configs(config, n_seeds)
-    peaks = np.zeros((n_seeds, config.n_followers))
-    for x in _row_states(configs, maneuver, _row_weights(configs)):
-        np.maximum(peaks, np.abs(_row_errors(config, x)), out=peaks)
-    return peaks
 
 
 def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
                 n_realizations: int) -> EnsembleStats:
     """Seeded ensemble: realization i runs with master_seed + i.
 
-    All realizations are stepped together as the rows of one run (see
-    :func:`seed_peaks` for how a row compares with a lone run), and the
-    pointwise mean is accumulated in realization order.  The
-    gamma-deterministic companion is a lone run on a constant table, so it
-    takes its one exponential; it uses gamma from the channel parameters
-    (and mu from the second-link parameters when they differ).
+    All realizations are stepped together as the rows of one run, each
+    keeping a running maximum of its |e|, and the pointwise mean is
+    accumulated in realization order.  A row is bitwise the lone
+    :func:`simulate` of its seed, except a point-mass seed whose table alone
+    is constant (within 1e-9 m, see the module docstring).  The gamma system
+    to compare the mean with is a separate run,
+    ``simulate(replace(config, rates=config.link_rates()), maneuver)``.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -595,15 +569,12 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
             mean_err[k:k + _ERROR_BLOCK] += errors[:, r]
     mean_err /= n_realizations
     mean_err = mean_err.T
-    det = simulate_deterministic(config, maneuver, *config.link_rates())
     return EnsembleStats(
         n_realizations=n_realizations,
         mean_errors=mean_err,
         peaks=peaks,
         mean_trajectory_peaks=np.abs(mean_err).max(axis=1),
-        deterministic_peaks=det.peak_errors(),
         reception_rates=weights.mean(axis=(0, 1)),
-        deterministic_output=det,
     )
 
 

@@ -368,10 +368,10 @@ def run_linear(config, maneuver, weight_table: np.ndarray):
 def monte_carlo(config, maneuver, n_realizations: int):
     """Point-mass ensemble one seed at a time, reduced in seed order.
 
-    Each seed takes the step its own table chooses; the gamma companion is
-    a lone run.  Returns (mean_errors, peaks,
-    mean_trajectory_peaks, deterministic_peaks) as
-    ``platoon_lab.sim.monte_carlo`` defines them.
+    Each seed takes the step its own table chooses.  Returns (mean_errors,
+    peaks, mean_trajectory_peaks) as ``platoon_lab.sim.monte_carlo`` defines
+    them, then the peaks of the gamma system, a lone run at each link type's
+    reception rate.
     """
     mean_err = np.zeros((config.n_followers, config.grid.n_steps + 1))
     peaks = np.empty((n_realizations, config.n_followers))
@@ -381,8 +381,8 @@ def monte_carlo(config, maneuver, n_realizations: int):
         mean_err += errs
         peaks[i] = np.abs(errs).max(axis=1)
     mean_err /= n_realizations
-    det_cfg = replace(config, deterministic_gamma=gamma_of(config.channel),
-                      mu=gamma_of(config.second_params()))
+    det_cfg = replace(config, rates=(gamma_of(config.channel),
+                                     gamma_of(config.second_params())))
     det = run_linear(det_cfg, maneuver, _weight_table(det_cfg))[3]
     return mean_err, peaks, np.abs(mean_err).max(axis=1), np.abs(det).max(axis=1)
 

@@ -29,7 +29,7 @@ from platoon_lab.dynamics import Maneuver, TimeGrid
 from platoon_lab.expectation import check_multilinearity, from_platoon
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import (PlatoonConfig, empirical_string_stability, monte_carlo,
-                             seed_peaks, simulate_deterministic, simulate_panels)
+                             simulate, simulate_panels)
 from platoon_lab.stability import (build_error_system, hinf_norm, lyapunov_gramian,
                                    peak_output_bound, string_stable_sum)
 
@@ -164,7 +164,7 @@ def test_criterion_4_scenario_verdicts():
     pcfg = replace(scen.config, policy=replace(scen.config.policy, h_w=mid.headway),
                    grid=TimeGrid(0.01, 30.0))
     # seeds DEFAULT_SEED + 0..49, stepped together as the rows of one run
-    pk = seed_peaks(replace(pcfg, master_seed=cli.DEFAULT_SEED), scen.maneuver, 50)
+    pk = monte_carlo(replace(pcfg, master_seed=cli.DEFAULT_SEED), scen.maneuver, 50).peaks
     wins = int(np.count_nonzero(pk[:, -1] > pk[:, 0]))
     frac = wins / 50
     elapsed = time.perf_counter() - t0
@@ -184,9 +184,10 @@ def test_criterion_4_scenario_verdicts():
 def test_criterion_5_monte_carlo_convergence():
     t0 = time.perf_counter()
     scen = load_scenario("paper-fig4", master_seed=5000)
-    stats = monte_carlo(scen.config, scen.maneuver, 100)
+    cfg = scen.config
+    stats = monte_carlo(cfg, scen.maneuver, 100)
     peak_mean = stats.mean_trajectory_peaks[-1]
-    peak_det = stats.deterministic_peaks[-1]
+    peak_det = simulate(replace(cfg, rates=cfg.link_rates()), scen.maneuver).peak_errors()[-1]
     rel = abs(peak_mean - peak_det) / peak_det
     elapsed = time.perf_counter() - t0
     ok = rel < 0.10 and elapsed < 60.0
@@ -239,7 +240,7 @@ def test_criterion_7_lyapunov_peak_bound():
     cfg = PlatoonConfig(n_followers=6, tau=tau_c, gains=gains_c,
                         policy=SpacingPolicy(h_w=0.6, d=5.0), scheme=pl.Scheme.CACC,
                         grid=TimeGrid(0.01, 30.0), channel=CHANNEL, master_seed=4200)
-    peaks = seed_peaks(cfg, BRAKE, 100)
+    peaks = monte_carlo(cfg, BRAKE, 100).peaks
     checked += peaks.size
     violations += int(np.sum(peaks > bound_c))
     worst_margin = min(worst_margin, bound_c - peaks.max())
@@ -251,7 +252,7 @@ def test_criterion_7_lyapunov_peak_bound():
     cfg = PlatoonConfig(n_followers=6, tau=tau_p, gains=gains_p,
                         policy=SpacingPolicy(h_w=hw_p, d=5.0), scheme=pl.Scheme.CACC_PLUS,
                         grid=TimeGrid(0.01, 30.0), channel=CHANNEL, master_seed=8800)
-    peaks = seed_peaks(cfg, BRAKE, 20)
+    peaks = monte_carlo(cfg, BRAKE, 20).peaks
     checked += peaks.size
     violations += int(np.sum(peaks > bound_p))
     elapsed = time.perf_counter() - t0
@@ -267,7 +268,7 @@ def test_criterion_8_stochastic_mean_equivalence():
     cfg = PlatoonConfig(n_followers=6, tau=0.4, gains=Gains(0.2, 2.5, 1.0),
                         policy=SpacingPolicy(h_w=0.7, d=5.0), scheme=pl.Scheme.CACC,
                         grid=TimeGrid(0.01, 30.0), channel=CHANNEL, master_seed=777)
-    det = simulate_deterministic(cfg, BRAKE, gamma_of(CHANNEL))
+    det = simulate(replace(cfg, rates=(gamma_of(CHANNEL),) * 2), BRAKE)
     gaps = {}
     for n in (20, 200):
         stats = monte_carlo(cfg, BRAKE, n)

@@ -6,16 +6,18 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from platoon_lab import cli
-from platoon_lab.control import Gains, Scheme
+from platoon_lab.channel import GilbertParams, gamma_of
+from platoon_lab.control import Gains, Scheme, min_headway
 from platoon_lab.output import write_timeseries_csv
 from platoon_lab.scenario import ScenarioError, load_scenario, preset_text
-from platoon_lab.sim import empirical_string_stability, simulate, simulate_deterministic
+from platoon_lab.sim import empirical_string_stability, simulate
 from platoon_lab.stability import build_error_system, hinf_norm, peak_output_bound
 
 BASE = """
@@ -115,7 +117,7 @@ class TestScenarioParsing:
     def test_gamma_auto(self, tmp_path):
         text = BASE.replace("horizon = 20.0", "horizon = 20.0\ndeterministic_gamma = auto")
         scen = load_scenario(write(tmp_path, text))
-        assert scen.config.deterministic_gamma == pytest.approx(0.466667, abs=1e-6)
+        assert scen.config.rates == pytest.approx((0.466667,) * 2, abs=1e-6)
         # the (i, i-2) links run at their own channel's rate mu = 1/6 in
         # `simulate` too, as in the analyses; they once ran at gamma
         plus = (text.replace("n_followers = 3", "n_followers = 4")
@@ -124,19 +126,18 @@ class TestScenarioParsing:
                          "p_gb_2 = 0.5\nq_bg_2 = 0.1\nr_recv_bad_2 = 0"))
         path = write(tmp_path, plus, "plus.ini")
         scen = load_scenario(path)
-        assert scen.config.mu == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert scen.analysis_rates() == (scen.config.deterministic_gamma, scen.config.mu)
+        assert scen.config.rates[1] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert scen.analysis_rates == scen.config.rates
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 0
         peaks = json.loads((tmp_path / "o" / "base-report.json").read_text())["verdicts"]["peaks"]
-        expected = simulate_deterministic(scen.config, scen.maneuver,
-                                          7.0 / 15.0, 1.0 / 6.0)
+        expected = simulate(replace(scen.config, rates=(7.0 / 15.0, 1.0 / 6.0)), scen.maneuver)
         np.testing.assert_allclose(peaks, empirical_string_stability(expected)[1],
                                    rtol=1e-12)
         # an explicit mu still wins
         scen = load_scenario(write(tmp_path, plus.replace(
             "deterministic_gamma = auto", "deterministic_gamma = auto\nmu = 0.3"), "mu.ini"))
-        assert scen.config.mu == 0.3 and scen.analysis_rates()[1] == 0.3
+        assert scen.config.rates[1] == 0.3 and scen.analysis_rates[1] == 0.3
 
     def test_presets_all_load(self):
         for name in ("paper-fig4", "paper-fig8", "paper-fig9", "paper-fig10"):
@@ -176,7 +177,6 @@ class TestScenarioParsing:
 class TestCsvFidelity:
     def test_roundtrip_exact(self, tmp_path):
         scen = load_scenario("paper-fig8", master_seed=7)
-        from dataclasses import replace
         from platoon_lab.dynamics import TimeGrid
         cfg = replace(scen.config, grid=TimeGrid(0.01, 15.0))
         out = simulate(cfg, scen.maneuver)
@@ -210,6 +210,48 @@ class TestCliExitCodes:
         rc = cli.main(["run", "simulate", "--scenario", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def assert_one_config_error(self, capsys, argv, *words):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+        return err
+
+    # each of the next three once ended in a traceback (exit 1)
+    def test_scenario_directory_exit_2(self, tmp_path, capsys):
+        (tmp_path / "scen.ini").mkdir()
+        self.assert_one_config_error(capsys, ["run", "headway", "--scenario",
+                                              str(tmp_path / "scen.ini"), "--out",
+                                              str(tmp_path / "o")], "cannot read scenario")
+
+    def test_scenario_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scen.ini"
+        path.write_bytes(BASE.replace("prefix = base", "prefix = b\xe4se").encode("latin-1"))
+        self.assert_one_config_error(capsys, ["run", "headway", "--scenario", str(path),
+                                              "--out", str(tmp_path / "o")],
+                                     "cannot read scenario", "utf-8")
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "o").write_text("not a directory")
+        self.assert_one_config_error(capsys, ["run", "headway", "--scenario",
+                                              write(tmp_path, BASE), "--out",
+                                              str(tmp_path / "o")], "output directory")
+
+    @pytest.mark.parametrize("setting, key", [
+        ("mu = 1.5", "mu"),
+        ("deterministic_gamma = 0.4\nmu = 1.5", "mu"),
+        ("mu = nan", "mu"),
+        ("deterministic_gamma = 1.5", "deterministic_gamma"),
+    ], ids=["mu", "mu_with_gamma", "mu_nan", "gamma"])
+    @pytest.mark.parametrize("command", ["headway", "simulate"])
+    def test_rate_out_of_range_exit_2(self, tmp_path, capsys, setting, key, command):
+        text = BASE.replace("[analysis]", "[analysis]\n" + setting)
+        err = self.assert_one_config_error(capsys, ["run", command, "--scenario",
+                                                    write(tmp_path, text), "--out",
+                                                    str(tmp_path / "o")])
+        assert re.search(rf"\b{key}\b.* must lie in \[0, 1\]", err)
 
     @pytest.mark.parametrize("command", ["headway", "simulate", "stability",
                                          "montecarlo", "oracle"])
@@ -456,7 +498,7 @@ class TestCliExitCodes:
         def no_run(*args, **kwargs):
             raise AssertionError("simulated before rejecting the scenario")
 
-        for name in ("simulate", "simulate_panels", "seed_peaks"):
+        for name in ("simulate", "simulate_panels", "monte_carlo"):
             monkeypatch.setattr(cli, name, no_run)
         rc = cli.main(["run", "simulate", "--scenario", path, "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -631,6 +673,52 @@ class TestCliCommands:
         assert [stab["hinf_h_p1"], stab["hinf_h_p2"]] == [hinf_norm(tf) for tf in ss.tfs]
         assert stab["hinf_h_p1"] == pytest.approx(1.1067, abs=5e-5)
         assert stab["hinf_h_p2"] == pytest.approx(0.1840, abs=5e-5)
+
+    def test_no_headway_suffices_past_a1_of_one(self, tmp_path, capsys):
+        # fig10 at gamma = mu = 1 has A1 = (1 + mu) gamma k_a = 1.5, where
+        # min_headway's 0.197 s is no threshold; its 0.3 s headway was once
+        # reported sufficient while |H_p1| = 1.109 exceeds H_p1(0) = 0.5
+        text = preset_text("paper-fig10").replace("[analysis]",
+                                                  "[analysis]\ndeterministic_gamma = 1")
+        path = write(tmp_path, text)
+        for command in ("headway", "stability"):
+            assert cli.main(["run", command, "--scenario", path,
+                             "--out", str(tmp_path / "o")]) == 0
+        assert ("configured headway 0.3 s is insufficient for scheme cacc_plus"
+                in capsys.readouterr().out)
+        headway, stab = (json.loads((tmp_path / "o" / f"fig10-{c}-report.json").read_text())
+                         ["verdicts"] for c in ("headway", "stability"))
+        assert headway["configured_headway"] > headway["h_min_cacc_plus"]
+        assert headway["headway_sufficient"] is stab["headway_sufficient"] is False
+        assert stab["hinf_h_p1"] == pytest.approx(1.109, abs=5e-4)
+
+    def test_analysis_only_mu_reaches_the_analyses_not_the_run(self, tmp_path):
+        # mu without deterministic_gamma: headway and stability read
+        # (gamma_of(channel), mu), while the run samples its channels as if
+        # mu were not there (a shorter horizon keeps the suite quick)
+        plain = preset_text("paper-fig8").replace("horizon = 40.0", "horizon = 10.0")
+        texts = {"plain": plain, "mu": plain.replace("[analysis]", "[analysis]\nmu = 0.3")}
+        for name, text in texts.items():
+            path = write(tmp_path, text, f"{name}.ini")
+            for command in ("headway", "stability", "simulate"):
+                assert cli.main(["run", command, "--scenario", path,
+                                 "--out", str(tmp_path / name)]) == 0
+        verdicts = {(name, c): json.loads((tmp_path / name / f"fig8-{c}.json").read_text())
+                    ["verdicts"] for name in texts
+                    for c in ("headway-report", "stability-report", "report")}
+        headway, stab = verdicts["mu", "headway-report"], verdicts["mu", "stability-report"]
+        gamma = gamma_of(GilbertParams(0.2, 0.1, 0.2))
+        assert (headway["gamma"], headway["mu"]) == (gamma, 0.3)
+        assert headway["h_min_cacc_plus_mu"] == min_headway(0.4, gamma, 0.3, 0.2)
+        assert headway == {key: stab[key] for key in headway}
+        ss = build_error_system(Gains(0.2, 2.5, 1.0), 0.4, 0.45, Scheme.CACC_PLUS, gamma, 0.3)
+        assert [stab["hinf_h_p1"], stab["hinf_h_p2"]] == [hinf_norm(tf) for tf in ss.tfs]
+        assert "mu" not in verdicts["plain", "headway-report"]
+        assert verdicts["mu", "report"] == verdicts["plain", "report"]
+        csvs = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+        assert len(csvs) == 6
+        for name in csvs:
+            assert (tmp_path / "mu" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATOON_LAB_OUT", str(tmp_path / "envout"))

@@ -281,7 +281,7 @@ class TestEmpiricalPlatoonVerdicts:
         # linear analysis predicts when the headway crosses the lossy minimum
         import platoon_lab as pl
         from platoon_lab.dynamics import Maneuver, TimeGrid
-        from platoon_lab.sim import PlatoonConfig, simulate_deterministic
+        from platoon_lab.sim import PlatoonConfig, simulate
 
         man = Maneuver(((0.0, 0.0), (5.0, -9.0), (6.0, 0.0)), 25.0)
         peaks = {}
@@ -291,8 +291,8 @@ class TestEmpiricalPlatoonVerdicts:
                 policy=pl.SpacingPolicy(h_w=hw, d=5.0), scheme=pl.Scheme.CACC_PLUS,
                 grid=TimeGrid(0.01, 30.0), channel=pl.GilbertParams(0.2, 0.1, 0.2),
                 model="empirical", throttle_map=synthetic_throttle_map(),
-                brake_map=synthetic_brake_map())
-            out = simulate_deterministic(cfg, man, 0.4667)
+                brake_map=synthetic_brake_map(), rates=(0.4667, 0.4667))
+            out = simulate(cfg, man)
             peaks[hw] = out.peak_errors()
         # the two-predecessor recursion governs vehicles 3..N (vehicle 1 runs
         # the one-predecessor law, vehicle 2 couples directly to the lead), so

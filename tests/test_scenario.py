@@ -88,7 +88,7 @@ def test_defaults_without_a_written_form():
     assert scen.suite == []
     cfg = scen.config
     assert cfg.u_clamp is None and cfg.channel_second is None
-    assert cfg.deterministic_gamma is None and cfg.mu is None
+    assert cfg.rates is None and scen.analysis_rates == (1.0, 1.0)
     assert cfg.throttle_map is None and cfg.brake_map is None
 
 
@@ -177,17 +177,23 @@ def test_deterministic_gamma_auto_number_or_refused():
                ("channel", "r_recv_bad"): "0.2"}
     second = {("channel", "p_gb_2"): "0.5", ("channel", "q_bg_2"): "0.1",
               ("channel", "r_recv_bad_2"): "0"}
+    gamma, mu = gamma_of(GilbertParams(0.2, 0.1, 0.2)), gamma_of(GilbertParams(0.5, 0.1, 0.0))
+
+    def rates(keys):
+        scen = load(with_keys(keys))
+        return scen.config.rates, scen.analysis_rates
+
     for auto in ("auto", "AUTO"):
-        cfg = load(with_keys({**channel, ("analysis", "deterministic_gamma"): auto})).config
-        assert cfg.deterministic_gamma == cfg.mu == gamma_of(GilbertParams(0.2, 0.1, 0.2))
-    cfg = load(with_keys({**channel, **second,
-                          ("analysis", "deterministic_gamma"): "auto"})).config
-    assert cfg.mu == gamma_of(GilbertParams(0.5, 0.1, 0.0))
-    cfg = load(with_keys({("analysis", "deterministic_gamma"): "0.4"})).config
-    assert cfg.deterministic_gamma == cfg.mu == 0.4
-    cfg = load(with_keys({("analysis", "deterministic_gamma"): "0.4",
-                          ("analysis", "mu"): "0.3"})).config
-    assert (cfg.deterministic_gamma, cfg.mu) == (0.4, 0.3)
+        assert rates({**channel, ("analysis", "deterministic_gamma"): auto}) == ((gamma,) * 2,) * 2
+    assert rates({**channel, **second, ("analysis", "deterministic_gamma"): "auto"}) == (
+        (gamma, mu), (gamma, mu))
+    assert rates({("analysis", "deterministic_gamma"): "0.4"}) == ((0.4, 0.4),) * 2
+    assert rates({("analysis", "deterministic_gamma"): "0.4",
+                  ("analysis", "mu"): "0.3"}) == ((0.4, 0.3),) * 2
+    # without deterministic_gamma the run samples its channels; mu reaches
+    # the analyses only
+    assert rates({**channel, **second}) == (None, (gamma, mu))
+    assert rates({**channel, **second, ("analysis", "mu"): "0.3"}) == (None, (gamma, 0.3))
     with pytest.raises(ScenarioError, match="must be a number or 'auto'"):
         load(with_keys({("analysis", "deterministic_gamma"): "junk"}))
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import platoon_lab as pl
 import platoon_lab.sim as sim_mod
 import reference_engine as ref
 from platoon_lab.channel import ChannelMode, GilbertParams
@@ -17,8 +16,7 @@ from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _collect,
                              _row_weights, _seed_configs, _weight_table,
                              build_system_matrix,
                              empirical_string_stability, equilibrium_state,
-                             link_decomposition, monte_carlo, seed_peaks, simulate,
-                             simulate_deterministic, simulate_panels)
+                             link_decomposition, monte_carlo, simulate, simulate_panels)
 
 CHANNEL = GilbertParams(0.2, 0.1, 0.2)
 BRAKE = Maneuver(((0.0, 0.0), (10.0, -9.0), (11.0, 0.0)), 25.0)
@@ -141,13 +139,13 @@ class TestSimulate:
         lossless = GilbertParams(0.3, 0.2, 1.0)  # received everywhere
         cfg = make_config(Scheme.CACC, n_followers=3, horizon=20.0, channel=lossless)
         stoch = simulate(cfg, BRAKE)
-        det = simulate_deterministic(cfg, BRAKE, 1.0)
+        det = simulate(replace(cfg, rates=(1.0, 1.0)), BRAKE)
         assert np.array_equal(stoch.errors, det.errors)
 
     def test_deterministic_gamma_zero_cacc_equals_acc(self):
         cfg = make_config(Scheme.CACC, n_followers=3, horizon=20.0)
         acc = make_config(Scheme.ACC, n_followers=3, horizon=20.0)
-        a = simulate_deterministic(cfg, BRAKE, 0.0)
+        a = simulate(replace(cfg, rates=(0.0, 0.0)), BRAKE)
         b = simulate(acc, BRAKE)
         np.testing.assert_array_equal(a.errors, b.errors)
 
@@ -164,7 +162,7 @@ class TestSimulate:
     def test_stable_cacc_config_has_decreasing_peaks(self):
         cfg = make_config(Scheme.CACC, n_followers=6, tau=0.37,
                           gains=Gains(0.8, 1.5, 2.0), h_w=0.7, horizon=35.0)
-        out = simulate_deterministic(cfg, BRAKE, 1.0)
+        out = simulate(replace(cfg, rates=(1.0, 1.0)), BRAKE)
         ok, peaks = empirical_string_stability(out)
         assert ok
         assert np.all(np.diff(peaks) < 0)
@@ -175,7 +173,7 @@ class TestSimulate:
         # |H|_inf = 1.16 > 1 at this headway (the exact threshold for this
         # gain set is h ~ 1.37, far above the closed-form minimum)
         cfg = make_config(Scheme.CACC, n_followers=6, h_w=0.7, horizon=40.0)
-        peaks = simulate_deterministic(cfg, BRAKE, 1.0).peak_errors()
+        peaks = simulate(replace(cfg, rates=(1.0, 1.0)), BRAKE).peak_errors()
         assert np.all(np.diff(peaks[1:]) < 0)
         assert 0.0 < peaks[1] - peaks[0] < 0.02
 
@@ -184,13 +182,13 @@ class TestSimulate:
         cfg = make_config(Scheme.CACC, n_followers=2, tau=2.0,
                           gains=Gains(0.0001, 0.01, 5.0), h_w=0.01, horizon=120.0)
         with pytest.raises(SimulationDivergedError):
-            simulate_deterministic(cfg, BRAKE, 0.0)
+            simulate(replace(cfg, rates=(0.0, 0.0)), BRAKE)
 
     def test_velocity_clamp(self):
         stop = Maneuver(((0.0, 0.0), (1.0, -9.0), (4.0, 0.0)), 20.0)
         cfg = make_config(Scheme.CACC, n_followers=2, h_w=0.6, horizon=20.0,
                           velocity_clamp=True)
-        out = simulate_deterministic(cfg, stop, 0.467)
+        out = simulate(replace(cfg, rates=(0.467, 0.467)), stop)
         assert out.v.min() >= 0.0
 
 
@@ -240,7 +238,7 @@ class TestEngineExactness:
         cfg = make_config(Scheme.CACC, n_followers=2, h_w=0.7, horizon=8.0)
         man = Maneuver(((0.0, 0.0), (1.0, -3.0), (2.0, 0.0)), 20.0)
         g = 0.467
-        out = simulate_deterministic(cfg, man, g)
+        out = simulate(replace(cfg, rates=(g, g)), man)
         a = build_system_matrix(cfg, np.full(2, g))
         c = _offset_vector(cfg, np.full(2, g))
         b = np.zeros(9)
@@ -258,7 +256,7 @@ class TestEngineExactness:
         from platoon_lab.stability import build_error_system
         g = 0.467
         cfg = make_config(Scheme.CACC_PLUS, n_followers=6, h_w=0.6, horizon=60.0)
-        out = simulate_deterministic(cfg, BRAKE, g)
+        out = simulate(replace(cfg, rates=(g, g)), BRAKE)
         freqs = np.fft.rfftfreq(out.errors.shape[1], 0.01) * 2 * np.pi
         t1, t2 = build_error_system(cfg.gains, cfg.tau, 0.6, Scheme.CACC_PLUS, g, g).tfs
         f = np.fft.rfft(out.errors, axis=1)
@@ -270,7 +268,7 @@ class TestEngineExactness:
 
         cfg_c = make_config(Scheme.CACC, n_followers=4, tau=0.37,
                             gains=Gains(0.8, 1.5, 2.0), h_w=0.6, horizon=60.0)
-        out_c = simulate_deterministic(cfg_c, BRAKE, g)
+        out_c = simulate(replace(cfg_c, rates=(g, g)), BRAKE)
         tf = build_error_system(cfg_c.gains, cfg_c.tau, 0.6, Scheme.CACC, g, 0.0).tfs[0]
         f = np.fft.rfft(out_c.errors, axis=1)
         for i in (2, 3, 4):
@@ -343,7 +341,7 @@ class TestMonteCarlo:
 
     def test_mean_converges_to_gamma_system_for_cacc(self):
         cfg = make_config(Scheme.CACC, n_followers=3, h_w=0.7, horizon=25.0, seed=777)
-        det = simulate_deterministic(cfg, BRAKE, pl.gamma_of(CHANNEL))
+        det = simulate(replace(cfg, rates=cfg.link_rates()), BRAKE)
         gaps = {}
         for n in (10, 80):
             stats = monte_carlo(cfg, BRAKE, n)
@@ -352,7 +350,7 @@ class TestMonteCarlo:
 
     def test_map_model_ensemble_matches_per_seed_runs(self):
         scen = load_scenario("paper-fig9", master_seed=17)
-        cfg = replace(scen.config, grid=TimeGrid(0.01, 4.0), deterministic_gamma=None)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 4.0), rates=None)
         maneuver = Maneuver(((0.0, 0.0), (1.0, -6.0), (2.0, 0.0)), 20.0)
         stats = monte_carlo(cfg, maneuver, 3)
         runs = [simulate(replace(cfg, master_seed=17 + i), maneuver).errors for i in range(3)]
@@ -368,13 +366,14 @@ class TestMonteCarlo:
 
 
 def assert_ensemble_matches_reference(cfg, maneuver, n_realizations):
-    """Batched ensemble against the per-seed loop, bit for bit."""
+    """Batched ensemble and its gamma system against the per-seed loop, bit for bit."""
     stats = monte_carlo(cfg, maneuver, n_realizations)
     mean, peaks, mean_peaks, det_peaks = ref.monte_carlo(cfg, maneuver, n_realizations)
     np.testing.assert_array_equal(stats.mean_errors, mean)
     np.testing.assert_array_equal(stats.peaks, peaks)
     np.testing.assert_array_equal(stats.mean_trajectory_peaks, mean_peaks)
-    np.testing.assert_array_equal(stats.deterministic_peaks, det_peaks)
+    det = simulate(replace(cfg, rates=cfg.link_rates()), maneuver)
+    np.testing.assert_array_equal(det.peak_errors(), det_peaks)
     return stats
 
 
@@ -386,7 +385,7 @@ class TestBatchedEnsembleMatchesReference:
     @pytest.mark.parametrize("gamma", [None, 0.467])
     def test_single_run_matches_reference(self, n_followers, gamma):
         cfg = make_config(Scheme.CACC_PLUS, n_followers=n_followers, horizon=12.0,
-                          seed=2, deterministic_gamma=gamma)
+                          seed=2, rates=None if gamma is None else (gamma, gamma))
         out = simulate(cfg, BRAKE)
         for got, want in zip((out.x, out.v, out.a, out.errors),
                              ref.run_linear(cfg, BRAKE, _weight_table(cfg))):
@@ -467,17 +466,20 @@ class TestBatchedRowsMatchLoneRuns:
         scen = load_scenario("paper-fig8", master_seed=20201)
         cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0),
                       policy=replace(scen.config.policy, h_w=scen.suite[1].headway))
-        peaks = seed_peaks(cfg, scen.maneuver, 6)
+        peaks = monte_carlo(cfg, scen.maneuver, 6).peaks
         lone = np.array([simulate(replace(cfg, master_seed=20201 + i), scen.maneuver)
                          .peak_errors() for i in range(6)])
         np.testing.assert_array_equal(peaks, lone)
 
     def test_batched_ensemble_calls_expm_only_for_the_gamma_run(self, monkeypatch):
+        # the ensemble of `run montecarlo` and then its gamma system
         calls = count_expm(monkeypatch)
         for n_followers in (6, 7):  # 11 and 13 links
             cfg = make_config(Scheme.CACC_PLUS, n_followers=n_followers, horizon=14.0, seed=4)
             calls.clear()
             monte_carlo(cfg, BRAKE, 6)
+            assert calls == []
+            simulate(replace(cfg, rates=cfg.link_rates()), BRAKE)
             assert len(calls) == 1
 
 
@@ -491,7 +493,7 @@ class TestStepRule:
 
     def test_gamma_run_calls_expm_once_per_row(self, monkeypatch):
         calls = count_expm(monkeypatch)
-        simulate(replace(self.WIDE, deterministic_gamma=0.467, mu=0.6), BRAKE)
+        simulate(replace(self.WIDE, rates=(0.467, 0.6)), BRAKE)
         assert len(calls) == 1
         calls.clear()
         simulate_panels(self.WIDE, BRAKE, [(0.6, 1.0, 1.0), (0.6, 0.467, 0.6), (0.8, 0.467, 0.6)])
@@ -502,7 +504,7 @@ class TestStepRule:
         cfg = replace(self.WIDE, n_followers=n_followers)
         calls = count_expm(monkeypatch)
         simulate(cfg, BRAKE)
-        seed_peaks(cfg, BRAKE, 3)
+        monte_carlo(cfg, BRAKE, 3)
         assert calls == []
 
     @pytest.mark.parametrize("scheme, channel", [(Scheme.CACC_PLUS, LOSSLESS),
@@ -514,14 +516,14 @@ class TestStepRule:
         simulate(cfg, BRAKE)
         assert len(calls) == 1
         calls.clear()
-        seed_peaks(cfg, BRAKE, 3)
+        monte_carlo(cfg, BRAKE, 3)
         assert len(calls) == 3
 
     def test_constant_row_in_a_sampled_batch_stays_near_its_lone_run(self):
         # the one row that is not bitwise its lone run: its table is constant
         # and the batch's is not, so it takes the Taylor action where its lone
         # run takes the exponential (measured gap: 5.3e-12 m)
-        gamma = replace(self.WIDE, deterministic_gamma=0.467, mu=0.6)
+        gamma = replace(self.WIDE, rates=(0.467, 0.6))
         rows = [gamma, self.WIDE]
         det, sampled = _collect(rows, _row_states(rows, BRAKE, _row_weights(rows)))
         lone = simulate(gamma, BRAKE)
@@ -537,7 +539,7 @@ class TestBooleanLinkTables:
         sampled = _row_weights(_seed_configs(cfg, 3))
         assert sampled.dtype == bool
         assert sampled.shape == (cfg.grid.n_steps, 3, cfg.n_links)
-        det = _row_weights(_seed_configs(replace(cfg, deterministic_gamma=0.7, mu=0.6), 2))
+        det = _row_weights(_seed_configs(replace(cfg, rates=(0.7, 0.6)), 2))
         assert det.dtype == np.float64
         np.testing.assert_array_equal(det[:, :, :3], 0.7)
         np.testing.assert_array_equal(det[:, :, 3:], 0.6)
@@ -554,7 +556,7 @@ class TestBooleanLinkTables:
     def test_pedal_maps_step_alike_on_flags_and_floats(self):
         scen = load_scenario("paper-fig9", master_seed=3)
         cfg = replace(scen.config, grid=TimeGrid(scen.config.grid.dt, 12.0),
-                      deterministic_gamma=None, mu=None)
+                      rates=None)
         rows = _seed_configs(cfg, 3)
         flags = _row_weights(rows)
         assert flags.dtype == bool
@@ -668,7 +670,7 @@ def stacked_suite(preset):
     assert cfg.grid.horizon == 40.0
     lossy = cfg.link_rates()
     panels = [(p.headway, *((1.0, 1.0) if p.mode == "ideal" else lossy)) for p in scen.suite]
-    cfgs = [replace(cfg, policy=replace(cfg.policy, h_w=hw), deterministic_gamma=g, mu=mu)
+    cfgs = [replace(cfg, policy=replace(cfg.policy, h_w=hw), rates=(g, mu))
             for hw, g, mu in panels]
     return scen, cfgs, simulate_panels(cfg, scen.maneuver, panels)
 
@@ -692,7 +694,7 @@ class TestMapEngineMatchesReference:
         scen, cfgs, outs = stacked_suite(preset)
         assert len({cfg.policy.h_w for cfg in cfgs}) > 1
         for cfg, out in zip(cfgs, outs):
-            lone = simulate_deterministic(cfg, scen.maneuver, cfg.deterministic_gamma, cfg.mu)
+            lone = simulate(cfg, scen.maneuver)
             for got, want in ((out.x, lone.x), (out.v, lone.v), (out.a, lone.a),
                               (out.errors, lone.errors)):
                 np.testing.assert_array_equal(got, want)
@@ -700,7 +702,7 @@ class TestMapEngineMatchesReference:
     @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
     def test_stochastic_link_table(self, preset):
         scen = load_scenario(preset, master_seed=31)
-        cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0), deterministic_gamma=None,
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 20.0), rates=None,
                       policy=replace(scen.config.policy, h_w=scen.suite[1].headway))
         table = _weight_table(cfg)
         assert 0.0 < table.mean() < 1.0
@@ -709,13 +711,13 @@ class TestMapEngineMatchesReference:
     def test_acc_platoon(self):
         scen = load_scenario("paper-fig9")
         cfg = replace(scen.config, scheme=Scheme.ACC, grid=TimeGrid(0.01, 20.0),
-                      policy=replace(scen.config.policy, h_w=1.0), deterministic_gamma=None)
+                      policy=replace(scen.config.policy, h_w=1.0), rates=None)
         assert_matches_reference(cfg, scen.maneuver)
 
     def test_command_and_velocity_clamps(self):
         scen = load_scenario("paper-fig9")
         stop = Maneuver(((0.0, 0.0), (1.0, -9.0), (3.0, 0.0)), 6.0)
-        cfg = replace(scen.config, grid=TimeGrid(0.01, 8.0), deterministic_gamma=0.5,
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 8.0), rates=(0.5, 0.5),
                       velocity_clamp=True, u_clamp=(-4.0, 2.0))
         out, _ = assert_matches_reference(cfg, stop)
         free = simulate(replace(cfg, velocity_clamp=False, u_clamp=None), stop)
@@ -736,7 +738,7 @@ class TestOneDivergenceRule:
         scen = load_scenario(preset)
         far = replace(scen.maneuver, initial_velocity=1e6)
         cfg = replace(scen.config, policy=replace(scen.config.policy, h_w=0.45),
-                      deterministic_gamma=1.0, mu=1.0)
+                      rates=(1.0, 1.0))
         # the last follower starts 6 (d + h v0) behind the lead, then moves v0 dt
         last = abs(equilibrium_state(cfg, 1e6)[-3] + 1e6 * cfg.grid.dt)
         assert last > 1e6 and cfg.n_followers == 6
@@ -755,7 +757,7 @@ class TestOneDivergenceRule:
         # overflows and the law then reads inf * 0: a NaN command or state
         scen = load_scenario(preset)
         cfg = replace(scen.config, gains=replace(scen.config.gains, k_p=1e306),
-                      deterministic_gamma=1.0, mu=1.0)
+                      rates=(1.0, 1.0))
         with pytest.raises(SimulationDivergedError) as exc:
             simulate(cfg, scen.maneuver)
         assert np.isnan(exc.value.value)

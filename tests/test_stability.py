@@ -471,9 +471,10 @@ class TestLeadTransferFunction:
         cfg = pl.PlatoonConfig(
             n_followers=2, tau=tau, gains=gains,
             policy=pl.SpacingPolicy(h_w=hw, d=5.0), scheme=pl.Scheme.CACC,
-            grid=TimeGrid(0.01, 80.0), channel=pl.GilbertParams(0.2, 0.1, 0.2))
+            grid=TimeGrid(0.01, 80.0), channel=pl.GilbertParams(0.2, 0.1, 0.2),
+            rates=(g, g))
         man = Maneuver(((0.0, 0.0), (5.0, -2.0), (6.0, 0.0)), 25.0)
-        out = pl.simulate_deterministic(cfg, man, g)
+        out = pl.simulate(cfg, man)
         ss = build_error_system(gains, tau, hw, Scheme.CACC, g, 0.0)
         w0 = out.a[0]        # achieved lead acceleration
         e1 = out.errors[0]
