@@ -98,7 +98,11 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
     outs = simulate_panels(cfg, scenario.maneuver,
                            [(panel.headway, gamma, mu)
                             for panel, (gamma, mu) in zip(scenario.suite, rates)])
+    # every lossy panel's stochastic seeds, stepped as one batch
     n_seeds = scenario.analysis.stochastic_seeds
+    headways = [panel.headway for panel in scenario.suite if panel.mode == "lossy"]
+    seeds = iter(monte_carlo(replace(cfg, rates=None), scenario.maneuver, n_seeds, headways)
+                 if n_seeds > 0 and headways else ())
     verdicts: dict = {"panels": []}
     for panel, (gamma, _), out in zip(scenario.suite, rates, outs):
         stable, peaks = empirical_string_stability(out)
@@ -106,8 +110,7 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
                  "gamma": gamma, "stable": stable,
                  "peaks": [float(p) for p in peaks]}
         if panel.mode == "lossy" and n_seeds > 0:
-            pcfg = replace(cfg, policy=replace(cfg.policy, h_w=panel.headway), rates=None)
-            pk = monte_carlo(pcfg, scenario.maneuver, n_seeds).peaks
+            pk = next(seeds).peaks
             entry["stochastic_last_exceeds_first"] = (
                 int(np.count_nonzero(pk[:, -1] > pk[:, 0])) / n_seeds)
         verdicts["panels"].append(entry)
@@ -152,6 +155,10 @@ def _link_reception(cfg, rates) -> list[dict]:
 
 def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     cfg = scenario.config
+    if cfg.rates is not None:
+        # R copies of one fixed-rate run would compare the gamma system with itself
+        raise ScenarioError("montecarlo samples every link's channel, but [analysis] "
+                            "deterministic_gamma fixes the link weights; remove it")
     stats = monte_carlo(cfg, scenario.maneuver, scenario.analysis.n_realizations)
     det = simulate(replace(cfg, rates=cfg.link_rates()), scenario.maneuver)
     det_peaks = det.peak_errors()

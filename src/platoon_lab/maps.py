@@ -167,7 +167,7 @@ def actuate(throttle: PedalMap, brake: PedalMap, u: np.ndarray, v: np.ndarray,
             braking: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Achieved commands and branch flags for desired accelerations ``u``.
 
-    The 1-D arrays run over vehicles.  Commands above the coast line (the
+    The equal-shape arrays run over vehicles.  Commands above the coast line (the
     zero-throttle acceleration at the current speed) select the throttle map,
     below it the brake map, and inside a +-``COAST_HYSTERESIS`` band each
     vehicle keeps its previous branch ``braking``.  Inverting a command to a

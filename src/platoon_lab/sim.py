@@ -15,7 +15,11 @@ link weights:
   row's weights on the links that reach its matrix change over the run (a
   gamma run, a lossless channel, ACC), each row takes its exponential once;
   otherwise every row takes a machine-precision Taylor action on the states,
-  each row stopping at its own term whatever its batch-mates need.
+  each row stopping at its own term whatever its batch-mates need.  One
+  Taylor series serves both steps: the exponential (:func:`expm`) and the
+  action sum its terms under one stop rule (:func:`_converged`), and a step
+  matrix whose norm calls for it is scaled and squared, so neither needs
+  scipy.
 * pedal maps (:class:`_MapStepper`): every vehicle's command is read off the
   acceleration rows of A(w) and c(w) (:func:`cacc_input`), and all vehicles
   of all rows advance together through the pedal maps and the exact lag
@@ -38,7 +42,9 @@ the fixed-rate panels of a suite.
 A row goes through the same operations as its lone run and is bitwise that
 run, with one exception: a point-mass row whose table is constant, inside a
 batch whose tables are not, takes the Taylor action where its lone run
-takes the exponential, within 1e-9 m.
+takes the exponential, within 1e-9 m.  The same 1e-9 m bound holds between
+a constant-rate run and that run stepped with ``scipy.linalg.expm`` (the
+oracle in ``tests/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import maps as maps_mod
 from .channel import ChannelMode, GilbertParams, gamma_of, link_streams, sample_links
@@ -71,6 +76,9 @@ class SimulationDivergedError(RuntimeError):
 _PEAK_TOL = 1e-6
 # Last Taylor term a row of the point-mass step takes.
 _MAX_TERMS = 39
+# Largest infinity norm of a step matrix whose Taylor series is taken
+# unscaled: within it every series meets the stop rule by term 25.
+_THETA = 2.0
 # Steps of spacing errors monte_carlo holds at once.
 _ERROR_BLOCK = 256
 
@@ -255,6 +263,57 @@ def _row_laws(configs: list[PlatoonConfig]):
     return tuple(np.stack(part) for part in zip(*laws)), row_of
 
 
+def _fixed_law(weights: np.ndarray, reach: np.ndarray) -> bool:
+    """Whether no row's weights on the links that reach its law change over
+    the (n_steps, R, n_links) ``weights``; ``reach`` (R, n_links) marks them."""
+    # min and max over time reduce the table without copying it
+    return bool(((weights.min(axis=0) == weights.max(axis=0)) | ~reach).all())
+
+
+def _converged(term_top, sum_top):
+    """The Taylor stop rule: a term's largest entry is at most 1e-16 of
+    max(1, the partial sum's largest entry)."""
+    return term_top <= 1e-16 * np.maximum(1.0, sum_top)
+
+
+def _halvings(m: np.ndarray) -> int:
+    """Halvings that bring the infinity norm of ``m`` within _THETA; none for
+    a non-finite norm, whose series is non-finite anyway."""
+    norm = float(np.abs(m).sum(axis=-1).max())
+    return math.ceil(math.log2(norm / _THETA)) if _THETA < norm < math.inf else 0
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """e^m from its Taylor series: the point-mass step's exponential.
+
+    The terms t_k = m t_{k-1} / k from t_0 = I are summed up to the first
+    that meets the stop rule of the Taylor action (:func:`_converged`),
+    term :data:`_MAX_TERMS` at the latest.  A matrix of infinity norm above
+    :data:`_THETA` is first halved s times to within it and the sum squared
+    s times (scaling and squaring; Moler & Van Loan 2003), so the result
+    holds at any dt / tau.  Overflow is quiet: a non-finite exponential
+    gives a non-finite state, which the driver reports as a divergence.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _halvings(m)
+        scaled = np.ldexp(m, -s)
+        term = total = np.eye(len(m))
+        for k in range(1, _MAX_TERMS + 1):
+            term = scaled @ term / k
+            total = total + term
+            if _converged(np.abs(term).max(), np.abs(total).max()):
+                break
+        for _ in range(s):
+            total = total @ total
+    return total
+
+
+def _zoh(e: np.ndarray, x: np.ndarray, u_lead: float) -> np.ndarray:
+    """States (R, n) one step on under the (R, n+2, n+2) augmented exponentials."""
+    n = x.shape[1]
+    return np.matmul(e[:, :n, :n], x[:, :, None])[:, :, 0] + e[:, :n, n] * u_lead + e[:, :n, n + 1]
+
+
 class _Propagator:
     """Exact ZOH update of R platoon states at once, one link pattern per row.
 
@@ -262,18 +321,20 @@ class _Propagator:
     in its link weights, so it is its base matrix with the weight-dependent
     entries patched.  If no row's weights on the links that reach its matrix
     change over the run's (n_steps, R, n_links) weights, :attr:`steps` holds
-    each row's exponential; otherwise it is None and every step takes the
-    Taylor action, exact to machine precision because the per-step matrix
-    norm is far below one.
+    each row's exponential (:func:`expm`); otherwise it is None and every
+    step takes the Taylor action, exact to machine precision because the
+    per-step matrix norm is at most :data:`_THETA`.  A row whose matrix can
+    exceed that norm under weights in [0, 1] (a large dt / tau) takes its
+    scaled and squared exponential every step instead.
 
     The Taylor action computes terms t_k = M t_{k-1} / k and partial sums
     s_k = s_{k-1} + t_k of every row into preallocated (terms, sums)
     buffers, a block at a time: each step first takes as many terms as the
     previous step's slowest row needed, then one more at a time while some
-    row has not stopped.  Row r stops at its first k with max|t_k| <=
-    1e-16 max(1, max|s_k|), at k = :data:`_MAX_TERMS` at the latest, and
-    returns its own s_k.  A row's terms and its stop do not depend on the
-    other rows, so a batched row is bitwise its lone run.
+    row has not stopped.  Row r stops at its first k that meets the stop
+    rule of :func:`expm` (:func:`_converged`) and returns its own s_k.  A
+    row's terms and its stop do not depend on the other rows, so a batched
+    row is bitwise its lone run.
     """
 
     def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray):
@@ -294,14 +355,17 @@ class _Propagator:
         self._link_of, self._idx = np.nonzero(delta.any(axis=0))
         self._coef = delta[:, self._link_of, self._idx][row_of]
         self._base_at = self._matrices.reshape(len(configs), -1)[:, self._idx]
-        # min and max over time reduce the table without copying it
-        fixed = (weights.min(axis=0) == weights.max(axis=0)) | ~delta.any(axis=2)[row_of]
-        self.steps = self.step_matrix(weights[0]) if fixed.all() else None
+        fixed = _fixed_law(weights, delta.any(axis=2)[row_of])
+        self.steps = self.step_matrix(weights[0]) if fixed else None
         if self.steps is None:
+            # entrywise bounds on each law's matrix over weights in [0, 1]
+            top = np.abs(base * dt) + np.abs(delta).sum(axis=1).reshape(base.shape)
+            wide = np.array([_halvings(t) > 0 for t in top])[row_of]
+            self._wide, self._narrow = np.flatnonzero(wide), np.flatnonzero(~wide)
             # terms buf[k, 0] and partial sums buf[k, 1], k = 0.._MAX_TERMS
-            self._buf = np.empty((_MAX_TERMS + 1, 2, len(configs), n + 2))
+            self._buf = np.empty((_MAX_TERMS + 1, 2, len(self._narrow), n + 2))
             self._buf[0, 0, :, n + 1] = 1.0
-            self._rows = np.arange(len(configs))
+            self._rows = np.arange(len(self._narrow))
             self._block = 1
 
     def _matrices_dt(self, link_values: np.ndarray) -> np.ndarray:
@@ -321,13 +385,21 @@ class _Propagator:
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
         """States (R, n) one step on, row r under the weights link_values[r]."""
-        n = self.n
         if self.steps is not None:
-            e = self.steps
-            return (np.matmul(e[:, :n, :n], x[:, :, None])[:, :, 0]
-                    + e[:, :n, n] * u_lead + e[:, :n, n + 1])
-        # Taylor action of the augmented exponentials on [x; u; 1]
+            return _zoh(self.steps, x, u_lead)
         m = self._matrices_dt(link_values)
+        if not self._wide.size:
+            return self._taylor_action(m, x, u_lead)
+        out = np.empty_like(x)
+        narrow, wide = self._narrow, self._wide
+        if narrow.size:
+            out[narrow] = self._taylor_action(m[narrow], x[narrow], u_lead)
+        out[wide] = _zoh(np.array([expm(e) for e in m[wide]]), x[wide], u_lead)
+        return out
+
+    def _taylor_action(self, m: np.ndarray, x: np.ndarray, u_lead: float) -> np.ndarray:
+        """The augmented exponentials of ``m`` acting on [x; u; 1], row by row."""
+        n = self.n
         buf = self._buf
         buf[0, 0, :, :n] = x
         buf[0, 0, :, n] = u_lead
@@ -344,7 +416,7 @@ class _Propagator:
             # faster than along many short ones
             top = np.abs(buf[1:hi + 1]).reshape(-1, n + 2).T.copy().max(axis=0)
             top = top.reshape(hi, 2, -1)
-            small = top[:, 0] <= 1e-16 * np.maximum(1.0, top[:, 1])
+            small = _converged(top[:, 0], top[:, 1])
             done = small.any(axis=0)
             if done.all() or hi == _MAX_TERMS:
                 break
@@ -408,9 +480,9 @@ def _spacing_errors(config: PlatoonConfig, x: np.ndarray, v: np.ndarray) -> np.n
     return x[1:] - x[:-1] + config.policy.d + config.policy.h_w * v[1:]
 
 
-def _row_errors(config: PlatoonConfig, x: np.ndarray) -> np.ndarray:
-    """(R, n_followers) spacing errors of (R, n) states that share the headway."""
-    return _spacing_errors(config, x[:, 0::3].T, x[:, 1::3].T).T
+def _row_errors(d: float, h_w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(R, n_followers) spacing errors of (R, n) states, row r at headway h_w[r, 0]."""
+    return x[:, 3::3] - x[:, 0:-3:3] + d + h_w * x[:, 4::3]
 
 
 def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
@@ -450,38 +522,46 @@ class _MapStepper:
     The contract of :meth:`_Propagator.advance`.  Each step reads every
     row's commands off its own closed loop, u = tau * A(w)[3i+2, :] X + a_i +
     tau * c(w)[3i+2], replaces the lead's with the maneuver, and drives the
-    vehicles of all rows through the pedal maps as one flat array (commands
-    held over the step).  Each vehicle keeps its branch flag across steps.
+    (R, n_vehicles) vehicles of all rows through the pedal maps at once
+    (commands held over the step).  Each vehicle keeps its branch flag across
+    steps.  If no row's weights on the links that reach its law change over
+    the run, every row's law is taken once.
     """
 
-    def __init__(self, configs: list[PlatoonConfig]):
+    def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray):
         config = self._config = configs[0]
         (a0, da, c0, dc), row_of = _row_laws(configs)
-        self._k0 = (config.tau * a0[:, 2::3])[row_of]
-        self._dk = (config.tau * da[:, :, 2::3]).reshape(len(a0), config.n_links, -1)[row_of]
+        dk = (config.tau * da[:, :, 2::3]).reshape(len(a0), config.n_links, -1)
+        self._k0, self._dk = (config.tau * a0[:, 2::3])[row_of], dk[row_of]
         self._c0, self._dc = c0[row_of], dc[row_of]
-        self._braking = np.zeros(len(configs) * (config.n_followers + 1), dtype=bool)
+        self._braking = np.zeros((len(configs), config.n_followers + 1), dtype=bool)
+        fixed = _fixed_law(weights, (dk.any(axis=2) | dc.any(axis=2))[row_of])
+        self._law = self._law_at(weights[0]) if fixed else None
+
+    def _law_at(self, link_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's (gain, offset) of :func:`cacc_input` under (R, n_links) weights."""
+        w = link_values[:, None, :].astype(float, copy=False)
+        gain = self._k0 + np.matmul(w, self._dk).reshape(self._k0.shape)
+        offset = self._config.tau * (self._c0 + np.matmul(w, self._dc)[:, 0])[:, 2::3]
+        return gain, offset
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
         """States (R, n) one step on, row r under the weights link_values[r]."""
         cfg = self._config
-        w = link_values[:, None, :].astype(float, copy=False)
-        gain = self._k0 + np.matmul(w, self._dk).reshape(self._k0.shape)
-        offset = cfg.tau * (self._c0 + np.matmul(w, self._dc)[:, 0])[:, 2::3]
-        u = cacc_input(gain, offset, x)
+        u = cacc_input(*(self._law or self._law_at(link_values)), x)
         u[:, 0] = u_lead
         if cfg.u_clamp is not None:
             u[:, 1:] = np.minimum(np.maximum(u[:, 1:], cfg.u_clamp[0]), cfg.u_clamp[1])
         # an overflowed law: the row's state is non-finite, which the driver reports
         lost = np.isnan(u).any(axis=1)
         u[lost] = 0.0
-        state = VehicleState(*(x[:, j::3].ravel() for j in range(3)))
+        state = VehicleState(x[:, 0::3], x[:, 1::3], x[:, 2::3])
         state, self._braking = maps_mod.step_empirical(cfg.throttle_map, cfg.brake_map, state,
-                                                       u.ravel(), self._braking, cfg.tau,
-                                                       cfg.grid.dt)
-        x = np.stack((state.x, state.v, state.a), axis=-1).reshape(x.shape)
-        x[lost] = np.nan
-        return x
+                                                       u, self._braking, cfg.tau, cfg.grid.dt)
+        out = np.empty_like(x)
+        out[:, 0::3], out[:, 1::3], out[:, 2::3] = state.x, state.v, state.a
+        out[lost] = np.nan
+        return out
 
 
 def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.ndarray):
@@ -496,7 +576,7 @@ def _row_states(configs: list[PlatoonConfig], maneuver: Maneuver, weights: np.nd
     grid = config.grid
     v0 = maneuver.initial_velocity
     point_mass = config.model == "point_mass"
-    stepper = _Propagator(configs, weights) if point_mass else _MapStepper(configs)
+    stepper = (_Propagator if point_mass else _MapStepper)(configs, weights)
     x = np.stack([equilibrium_state(cfg, v0) for cfg in configs])
     yield x
     t = 0.0
@@ -541,8 +621,8 @@ def simulate_panels(config: PlatoonConfig, maneuver: Maneuver, panels) -> list[S
     return _collect(cfgs, _row_states(cfgs, maneuver, _row_weights(cfgs)))
 
 
-def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
-                n_realizations: int) -> EnsembleStats:
+def monte_carlo(config: PlatoonConfig, maneuver: Maneuver, n_realizations: int,
+                headways: list[float] | None = None) -> EnsembleStats | list[EnsembleStats]:
     """Seeded ensemble: realization i runs with master_seed + i.
 
     All realizations are stepped together as the rows of one run, each
@@ -552,30 +632,41 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver,
     is constant (within 1e-9 m, see the module docstring).  The gamma system
     to compare the mean with is a separate run,
     ``simulate(replace(config, rates=config.link_rates()), maneuver)``.
+
+    Given ``headways``, one such ensemble runs at each headway, the seeds of
+    all of them stepped as the rows of one run, and the result is the list
+    of their stats in headway order, each bitwise its own call.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    configs = _seed_configs(config, n_realizations)
+    groups = [config] if headways is None else [
+        replace(config, policy=replace(config.policy, h_w=hw)) for hw in headways]
+    configs = [row for cfg in groups for row in _seed_configs(cfg, n_realizations)]
     weights = _row_weights(configs)
-    peaks = np.zeros((n_realizations, config.n_followers))
-    mean_err = np.zeros((config.grid.n_steps + 1, config.n_followers))
+    h_w = np.array([[cfg.policy.h_w] for cfg in configs])
+    peaks = np.zeros((len(configs), config.n_followers))
+    mean_err = np.zeros((len(groups), config.grid.n_steps + 1, config.n_followers))
     states = _row_states(configs, maneuver, weights)
-    # the (steps, R, n_followers) errors of a block of steps at a time, their
-    # rows summed in realization order
-    for k in range(0, len(mean_err), _ERROR_BLOCK):
-        errors = np.array([_row_errors(config, x) for x in islice(states, _ERROR_BLOCK)])
+    # the (steps, R, n_followers) errors of a block of steps at a time, each
+    # ensemble's rows summed in realization order
+    for k in range(0, mean_err.shape[1], _ERROR_BLOCK):
+        errors = np.array([_row_errors(config.policy.d, h_w, x)
+                           for x in islice(states, _ERROR_BLOCK)])
         np.maximum(peaks, np.abs(errors).max(axis=0), out=peaks)
-        for r in range(n_realizations):
-            mean_err[k:k + _ERROR_BLOCK] += errors[:, r]
+        for r in range(len(configs)):
+            mean_err[r // n_realizations, k:k + _ERROR_BLOCK] += errors[:, r]
     mean_err /= n_realizations
-    mean_err = mean_err.T
-    return EnsembleStats(
-        n_realizations=n_realizations,
-        mean_errors=mean_err,
-        peaks=peaks,
-        mean_trajectory_peaks=np.abs(mean_err).max(axis=1),
-        reception_rates=weights.mean(axis=(0, 1)),
-    )
+    stats = []
+    for g, mean in enumerate(mean_err):
+        rows = slice(g * n_realizations, (g + 1) * n_realizations)
+        stats.append(EnsembleStats(
+            n_realizations=n_realizations,
+            mean_errors=mean.T,
+            peaks=peaks[rows],
+            mean_trajectory_peaks=np.abs(mean.T).max(axis=1),
+            reception_rates=weights[:, rows].mean(axis=(0, 1)),
+        ))
+    return stats[0] if headways is None else stats
 
 
 def empirical_string_stability(out: SimOutput) -> tuple[bool, np.ndarray]:

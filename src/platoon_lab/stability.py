@@ -16,6 +16,10 @@ spacing error of every vehicle given the lead vehicle's maneuver energy.
 * Both time-domain constants, the impulse-L1 norm ||h||_1 (the exact
   L-inf -> L-inf gain) and eta = sup_t ||C e^{At}||, come from one blocked
   sampler of C e^{A k dt} (:func:`_response_blocks`).
+
+``scipy.linalg`` (``expm`` and ``solve_continuous_lyapunov``) is imported on
+first use, inside the two functions that call it: loading it takes about a
+quarter of a second and 28 MiB, and no other part of the package needs it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .control import Gains, Scheme, scheme_rates
 
@@ -232,6 +235,8 @@ def _response_blocks(a: np.ndarray, c: np.ndarray, max_dt: float):
             f"{sigma:.3g} 1/s, and {_DECAY_TIMES:g}/sigma at dt = {dt:g} s takes "
             f"{n} samples, more than {_SAMPLE_BUDGET}")
 
+    from scipy.linalg import expm
+
     def blocks():
         block = np.asarray(c, dtype=float).reshape(1, -1)
         power = expm(a * dt)  # always E^(rows of block)
@@ -279,6 +284,8 @@ def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
     b_cat = np.asarray(b_cat, dtype=float).reshape(len(a), -1)
     if not _decay_rate(np.linalg.eigvals(a)) > _MIN_DECAY:
         raise UnstableTransferFunctionError("A is not Hurwitz; Lyapunov equation has no PSD solution")
+    from scipy.linalg import solve_continuous_lyapunov
+
     p = solve_continuous_lyapunov(a, -b_cat @ b_cat.T)
     return 0.5 * (p + p.T)
 

@@ -11,13 +11,15 @@ engine can be checked against an independent formulation.
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
 of the propagator's two steps, the exponential taken once and the Taylor
-action.  The Taylor action (:func:`taylor_action`) takes one term at a time
-and tests the stop rule after each, where the program takes a block of
-terms for all rows and reads each row's stop off it afterwards; it also
-reports the term it stopped at.  Each seed's propagator chooses its step
-from the seed's own table by the batch's rule, so a seed that ran as one
-row of a batch takes the step that batch took (unless its table alone is
-constant), and the batched engine must reproduce it bit for bit.
+action.  Its exponential can be scipy's in place of the program's own, an
+oracle that shares no code with the program's series.  The Taylor action
+(:func:`taylor_action`) takes one term at a time and tests the stop rule
+after each, where the program takes a block of terms for all rows and reads
+each row's stop off it afterwards; it also reports the term it stopped at.
+Each seed's propagator chooses its step from the seed's own table by the
+batch's rule, so a seed that ran as one row of a batch takes the step that
+batch took (unless its table alone is constant), and the batched engine must
+reproduce it bit for bit.
 
 Finally it keeps the Gilbert chain stepped one packet at a time
 (:class:`ChannelState`, :func:`channel_step`), the oracle for the program's
@@ -313,7 +315,11 @@ def taylor_action(prop: _Propagator, x: np.ndarray, u_lead: float,
 
 def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
             link_values: np.ndarray) -> np.ndarray:
-    """One state one step on: the scalar form of ``_Propagator.advance``."""
+    """One state one step on: the scalar form of ``_Propagator.advance``.
+
+    A row whose step-matrix norm calls for scaling (``_Propagator._wide``)
+    takes the program's exponential every step; this loop does not cover it.
+    """
     n = prop.n
     if prop.steps is not None:
         e = prop.steps[0]
@@ -321,16 +327,21 @@ def advance(prop: _Propagator, x: np.ndarray, u_lead: float,
     return taylor_action(prop, x, u_lead, link_values)[0]
 
 
-def run_linear(config, maneuver, weight_table: np.ndarray):
+def run_linear(config, maneuver, weight_table: np.ndarray, scipy_expm: bool = False):
     """Per-seed point-mass loop over one state vector; returns (x, v, a, errors).
 
     The step is the one the (n_links, n_steps) ``weight_table`` chooses.
+    With ``scipy_expm``, a step taken from the exponential takes
+    ``scipy.linalg.expm`` (Pade approximation) in place of the program's own
+    Taylor series.
     """
     grid = config.grid
     steps = grid.n_steps
     n_f = config.n_followers
     x = equilibrium_state(config, maneuver.initial_velocity)
     prop = _Propagator([config], weight_table.T[:, None, :])
+    if scipy_expm and prop.steps is not None:
+        prop.steps = np.array([expm(m) for m in prop._matrices_dt(weight_table[:, :1].T)])
     xs = np.empty((n_f + 1, steps + 1))
     vs = np.empty_like(xs)
     accs = np.empty_like(xs)

@@ -424,6 +424,17 @@ class TestCliExitCodes:
                        "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("setting", ["deterministic_gamma = auto",
+                                         "deterministic_gamma = 0.4"])
+    def test_montecarlo_on_fixed_rates_exit_2(self, tmp_path, capsys, setting):
+        # the ensemble was R copies of the fixed-rate run, compared with
+        # itself as the gamma system (relative gap 1.9e-15 on fig4)
+        text = BASE.replace("[analysis]", "[analysis]\n" + setting)
+        self.assert_one_config_error(capsys, ["run", "montecarlo", "--scenario",
+                                              write(tmp_path, text), "--out",
+                                              str(tmp_path / "o")], "deterministic_gamma")
+        assert not (tmp_path / "o" / "base-montecarlo-report.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_u_clamp_on_point_mass_exit_2(self, tmp_path, capsys, command):
         text = BASE.replace("scheme = cacc", "scheme = cacc\nu_clamp_min = -2\nu_clamp_max = 1")
@@ -738,3 +749,35 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_only_stability_loads_scipy_linalg(tmp_path):
+    # scipy.linalg costs about 0.25 s and 28 MiB of start-up; the point-mass
+    # engine takes its exponential from its own series, so only the
+    # stability analysis (Gramians, sampled responses) imports it
+    short = {"horizon": "3.0", "segments": "0:0, 1:-9, 2:0",
+             "stochastic_seeds": "2", "n_realizations": "2"}
+    for preset in ("paper-fig4", "paper-fig8"):
+        text = preset_text(preset)
+        for key, value in short.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        write(tmp_path, text, f"{preset}.ini")
+    runs = [("headway", "paper-fig8"), ("oracle", "paper-fig8"), ("simulate", "paper-fig8"),
+            ("montecarlo", "paper-fig4"), ("stability", "paper-fig8")]
+    argv = ["|".join(["run", command, "--scenario", str(tmp_path / f"{preset}.ini"),
+                      "--out", str(tmp_path / "o")]) for command, preset in runs]
+    code = ("import sys\n"
+            "from platoon_lab import cli\n"
+            "print('loaded import', 'scipy.linalg' in sys.modules)\n"
+            "for argv in sys.argv[1:]:\n"
+            "    rc = cli.main(argv.split('|'))\n"
+            "    print('loaded', argv.split('|')[1], rc, 'scipy.linalg' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                            text=True, check=True)
+    loaded = [line for line in result.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded import False", "loaded headway 0 False", "loaded oracle 0 False",
+                      "loaded simulate 0 False", "loaded montecarlo 0 False",
+                      "loaded stability 0 True"]

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,11 +10,11 @@ import reference_engine as ref
 from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
-from platoon_lab.scenario import load_scenario
-from platoon_lab.sim import (PlatoonConfig, SimulationDivergedError, _collect,
-                             _link_tables, _offset_vector, _Propagator, _row_states,
-                             _row_weights, _seed_configs, _weight_table,
-                             build_system_matrix,
+from platoon_lab.scenario import load_scenario, parse_scenario_text, preset_text
+from platoon_lab.sim import (EnsembleStats, PlatoonConfig, SimulationDivergedError,
+                             _collect, _link_tables, _MapStepper, _offset_vector,
+                             _Propagator, _row_states, _row_weights, _seed_configs,
+                             _weight_table, build_system_matrix,
                              empirical_string_stability, equilibrium_state,
                              link_decomposition, monte_carlo, simulate, simulate_panels)
 
@@ -277,6 +277,69 @@ class TestEngineExactness:
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-6
 
 
+class TestOwnExponential:
+    """``sim.expm`` (the Taylor series under the action's stop rule, scaled
+    and squared past an infinity norm of ``sim._THETA``) against scipy's
+    Pade ``expm``, and the constant-rate runs that take it against the same
+    runs stepped with scipy's."""
+
+    @staticmethod
+    def step_matrices(cfg):
+        """The gamma, all-ones and all-zeros step matrices of a platoon."""
+        gamma = np.full(cfg.n_links, cfg.link_rates()[0])
+        gamma[cfg.n_followers:] = cfg.link_rates()[1]
+        for w in (gamma, np.ones(cfg.n_links), np.zeros(cfg.n_links)):
+            yield augmented_matrix(cfg, w) * cfg.grid.dt
+
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8"])
+    @pytest.mark.parametrize("large_step", [False, True], ids=["preset_dt", "dt1_tau005"])
+    def test_matches_scipy(self, preset, large_step):
+        # measured: 1.1e-16 of max|E| at the presets' dt, unscaled; at most
+        # 1.7e-14 at dt = 1 s and tau = 0.05 s, after 8 or 9 squarings
+        cfg = load_scenario(preset).config
+        if large_step:
+            cfg = replace(cfg, tau=0.05, grid=TimeGrid(1.0, 2.0))
+        for m in self.step_matrices(cfg):
+            assert (sim_mod._halvings(m) > 0) == large_step
+            want = expm(m)
+            bound = (1e-13 if large_step else 1e-15) * np.abs(want).max()
+            assert np.abs(sim_mod.expm(m) - want).max() <= bound
+
+    def test_overflow_is_quiet(self):
+        # warnings are errors in this suite: a step matrix whose exponential
+        # overflows gives a non-finite result and no numpy warning
+        cfg = load_scenario("paper-fig8").config
+        cfg = replace(cfg, gains=replace(cfg.gains, k_p=1e306))
+        for m in self.step_matrices(cfg):
+            assert not np.isfinite(sim_mod.expm(m)).all()
+
+    def assert_near_scipy_steps(self, out, cfg, maneuver):
+        want = ref.run_linear(cfg, maneuver, _weight_table(cfg), scipy_expm=True)
+        for got, series in zip((out.x, out.v, out.a, out.errors), want):
+            np.testing.assert_allclose(got, series, rtol=0, atol=1e-9)
+
+    def test_gamma_run(self):
+        # the gamma system of `run montecarlo` on fig4 (measured: 9.8e-12 m)
+        scen = load_scenario("paper-fig4")
+        cfg = replace(scen.config, rates=scen.config.link_rates())
+        self.assert_near_scipy_steps(simulate(cfg, scen.maneuver), cfg, scen.maneuver)
+
+    def test_suite_panels(self):
+        # the fig8 suite's panels (measured: 4.3e-11 m, on positions of 738 m)
+        scen, cfgs, outs = stacked_suite("paper-fig8")
+        for cfg, out in zip(cfgs, outs):
+            self.assert_near_scipy_steps(out, cfg, scen.maneuver)
+
+    def test_deterministic_gamma_scenario(self):
+        # `run simulate` on fig4 with deterministic_gamma = auto
+        text = preset_text("paper-fig4").replace("[analysis]",
+                                                 "[analysis]\ndeterministic_gamma = auto")
+        scen = parse_scenario_text(text, master_seed=20201)
+        assert scen.config.rates == scen.config.link_rates() and not scen.suite
+        self.assert_near_scipy_steps(simulate(scen.config, scen.maneuver), scen.config,
+                                     scen.maneuver)
+
+
 class TestBlockedTaylorStep:
     """The Taylor step takes a block of terms for every row and reads each
     row's own stop off it, so each row must stay bitwise the per-term loop
@@ -324,11 +387,41 @@ class TestBlockedTaylorStep:
         assert max(calm) < max(busy) and again == calm
 
     def test_rows_that_reach_the_term_cap(self):
-        # a step matrix of large norm (dt = 1 s, tau = 0.05 s): no row's
-        # terms fall below the tolerance, so every row stops at term 39
+        # a step matrix of large norm (dt = 1 s, tau = 0.05 s): the per-term
+        # loop reaches term 39 unconverged, off by hundreds of times the
+        # result's magnitude, so every row takes its scaled and squared
+        # exponential instead, within 1e-13 of the state's magnitude of
+        # scipy's, and stays bitwise its lone run
         cfg = replace(self.CFG, tau=0.05, grid=TimeGrid(1.0, 2.0))
         batch, lone = self.propagators(cfg)
-        assert self.step(batch, lone, self.MOVING, -3.0) == [39] * 3
+        got = batch.advance(self.MOVING, -3.0, self.W)
+        for r, prop in enumerate(lone):
+            x = self.MOVING[r]
+            e = expm(augmented_matrix(cfg, self.W[r]) * cfg.grid.dt)
+            want = e[:12, :12] @ x + e[:12, 12] * -3.0 + e[:12, 13]
+            capped, stop = ref.taylor_action(prop, x, -3.0, self.W[r])
+            assert stop == 39 and np.abs(capped - want).max() > 100 * np.abs(want).max()
+            np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-13 * np.abs(x).max())
+            np.testing.assert_array_equal(prop.advance(x[None], -3.0, self.W[r:r + 1])[0], got[r])
+
+    def test_wide_and_narrow_rows_in_one_batch(self):
+        # a 60 s headway lifts one row's step-matrix norm past the unscaled
+        # series' range: that row takes its exponential every step, its
+        # batch-mates the Taylor action, and each stays bitwise its lone run
+        wide = replace(self.CFG, policy=replace(self.CFG.policy, h_w=60.0))
+        rows = [self.CFG, wide, self.CFG]
+        table = np.stack([self.W, 1.0 - self.W])
+        batch = _Propagator(rows, table)
+        assert list(batch._wide) == [1] and list(batch._narrow) == [0, 2]
+        got = batch.advance(self.MOVING, -3.0, self.W)
+        for r, cfg in enumerate(rows):
+            lone = _Propagator([cfg], table[:, r:r + 1])
+            np.testing.assert_array_equal(
+                lone.advance(self.MOVING[r:r + 1], -3.0, self.W[r:r + 1])[0], got[r])
+            e = expm(augmented_matrix(cfg, self.W[r]) * cfg.grid.dt)
+            want = e[:12, :12] @ self.MOVING[r] + e[:12, 12] * -3.0 + e[:12, 13]
+            np.testing.assert_allclose(got[r], want, rtol=0,
+                                       atol=1e-13 * np.abs(self.MOVING[r]).max())
 
 
 class TestMonteCarlo:
@@ -363,6 +456,20 @@ class TestMonteCarlo:
         tables = [_link_tables(replace(cfg, master_seed=9 + i), 500) for i in range(4)]
         np.testing.assert_allclose(stats.reception_rates, np.mean(tables, axis=(0, 2)),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("preset", ["paper-fig8", "paper-fig9"])  # point mass, maps
+    def test_headway_ensembles_in_one_batch_are_their_own_calls(self, preset):
+        # a suite's lossy panels run their seeds as the rows of one batch
+        scen = load_scenario(preset, master_seed=31)
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 14.0), rates=None)
+        batched = monte_carlo(cfg, scen.maneuver, 3, headways=[0.45, 0.6, 0.45])
+        assert len(batched) == 3
+        for stats, hw in zip(batched, [0.45, 0.6, 0.45]):
+            lone = monte_carlo(replace(cfg, policy=replace(cfg.policy, h_w=hw)), scen.maneuver, 3)
+            for field in fields(EnsembleStats):
+                np.testing.assert_array_equal(getattr(stats, field.name),
+                                              getattr(lone, field.name))
+        assert not np.array_equal(batched[0].peaks, batched[1].peaks)
 
 
 def assert_ensemble_matches_reference(cfg, maneuver, n_realizations):
@@ -698,6 +805,27 @@ class TestMapEngineMatchesReference:
             for got, want in ((out.x, lone.x), (out.v, lone.v), (out.a, lone.a),
                               (out.errors, lone.errors)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_fixed_law_taken_once_and_bitwise(self):
+        # a constant table (the suite's panels) or links that never reach the
+        # law (ACC) fix every row's law at the start; a sampled CACC table not
+        scen = load_scenario("paper-fig10")
+        cfg = replace(scen.config, grid=TimeGrid(0.01, 2.0))
+        fixed = [replace(cfg, rates=(1.0, 1.0)),
+                 replace(cfg, policy=replace(cfg.policy, h_w=0.6), rates=(0.467, 0.3))]
+        sampled = _seed_configs(replace(cfg, rates=None), 2)
+        acc = _seed_configs(replace(cfg, rates=None, scheme=Scheme.ACC), 2)
+        rng = np.random.default_rng(5)
+        x = np.stack([equilibrium_state(c, 20.0) for c in fixed]) + rng.normal(size=(2, 21))
+        for rows, once in ((fixed, True), (sampled, False), (acc, True)):
+            weights = _row_weights(rows)
+            stepper = _MapStepper(rows, weights)
+            assert (stepper._law is not None) == once
+            each_step = _MapStepper(rows, weights)
+            each_step._law = None
+            for k in range(3):
+                np.testing.assert_array_equal(stepper.advance(x, -2.0, weights[k]),
+                                              each_step.advance(x, -2.0, weights[k]))
 
     @pytest.mark.parametrize("preset", ["paper-fig9", "paper-fig10"])
     def test_stochastic_link_table(self, preset):
