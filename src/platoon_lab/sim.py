@@ -6,14 +6,15 @@ CACC+ law is written once, as the closed-loop matrix A(w) of
 :func:`build_system_matrix` plus the standstill offset c(w); both are affine
 in the link weights w (:func:`link_decomposition`).  Two engines use them,
 each a stepper that takes R states (R, n) one step on, row r under its own
-link weights:
+link weights.  Each stepper reads its rows' laws, in its own layout, off
+one buffer that :class:`_LinkLaw` patches in place at each step's weights;
+the law is fixed, and taken once, when no row's weights on the links that
+reach it change over the run (a gamma run, a lossless channel, ACC).
 
 * point mass (:class:`_Propagator`): the closed loop is linear, so each
   controller step is the exact zero-order-hold solution of the per-step
   constant system, the exponential of an augmented matrix carrying the lead
-  input and the offset.  The step is chosen once from the weights: if no
-  row's weights on the links that reach its matrix change over the run (a
-  gamma run, a lossless channel, ACC), each row takes its exponential once;
+  input and the offset.  A fixed law gives each row its exponential once;
   otherwise every row takes a machine-precision Taylor action on the states,
   each row stopping at its own term whatever its batch-mates need.  One
   Taylor series serves both steps: the exponential (:func:`expm`) and the
@@ -21,9 +22,9 @@ link weights:
   matrix whose norm calls for it is scaled and squared, so neither needs
   scipy.
 * pedal maps (:class:`_MapStepper`): every vehicle's command is read off the
-  acceleration rows of A(w) and c(w) (:func:`cacc_input`), and all vehicles
-  of all rows advance together through the pedal maps and the exact lag
-  update (:func:`platoon_lab.maps.step_empirical`).
+  acceleration rows of tau A(w) and c(w) (:func:`cacc_input`), and all
+  vehicles of all rows advance together through the pedal maps and the
+  exact lag update (:func:`platoon_lab.maps.step_empirical`).
 
 A run's link weights come from one field, :attr:`PlatoonConfig.rates`: None
 samples every link's Gilbert channel (:func:`_link_tables`, which gives each
@@ -250,24 +251,41 @@ def link_decomposition(config: PlatoonConfig):
     return a0, da, c0, dc
 
 
-def _row_laws(configs: list[PlatoonConfig]):
-    """Each row's affine law: the stacked distinct (a0, da, c0, dc) and a row index.
+class _LinkLaw:
+    """Every row's law under its link weights, in one buffer patched in place.
 
-    Rows differ in headway at most, so :func:`link_decomposition` runs once
-    per distinct spacing policy; row r's law is entry ``row_of[r]`` of each
-    stacked part.
+    ``layout`` maps a law's :func:`link_decomposition` (a0, da, c0, dc) to
+    the (base, delta) of the stepper's layout, delta holding one slice per
+    link; it runs once per distinct spacing policy (rows differ in headway
+    at most), and row r's law is distinct law :attr:`row_of` [r].  Each
+    entry of a law depends on one link at most, so :meth:`at` writes
+    base + delta_l * w_l into the entries link l reaches.  The law is
+    :attr:`fixed`, and a stepper takes it once, when no row's weights on the
+    links that reach it change over the run's (n_steps, R, n_links) weights.
     """
-    first: dict = {}
-    row_of = np.array([first.setdefault(cfg.policy, (len(first), cfg))[0] for cfg in configs])
-    laws = (link_decomposition(cfg) for _, cfg in first.values())
-    return tuple(np.stack(part) for part in zip(*laws)), row_of
 
+    def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray, layout):
+        first: dict = {}
+        self.row_of = np.array([first.setdefault(cfg.policy, (len(first), cfg))[0]
+                                for cfg in configs])
+        laws = (layout(*link_decomposition(cfg)) for _, cfg in first.values())
+        base, delta = (np.stack(part) for part in zip(*laws))
+        self._laws = base[self.row_of]
+        delta = delta.reshape(delta.shape[:2] + (-1,))
+        self._link_of, self._idx = np.nonzero(delta.any(axis=0))
+        self._coef = delta[:, self._link_of, self._idx][self.row_of]
+        self._base_at = self._laws.reshape(len(configs), -1)[:, self._idx]
+        reach = delta.any(axis=2)[self.row_of]
+        # min and max over time reduce the table without copying it
+        self.fixed = bool(((weights.min(axis=0) == weights.max(axis=0)) | ~reach).all())
 
-def _fixed_law(weights: np.ndarray, reach: np.ndarray) -> bool:
-    """Whether no row's weights on the links that reach its law change over
-    the (n_steps, R, n_links) ``weights``; ``reach`` (R, n_links) marks them."""
-    # min and max over time reduce the table without copying it
-    return bool(((weights.min(axis=0) == weights.max(axis=0)) | ~reach).all())
+    def at(self, link_values: np.ndarray) -> np.ndarray:
+        """(R, ...) laws under (R, n_links) weights, in the buffer the next call patches."""
+        if self._idx.size:
+            flat = self._laws.reshape(self._laws.shape[0], -1)
+            w = link_values[:, self._link_of].astype(float, copy=False)
+            flat[:, self._idx] = self._base_at + self._coef * w
+        return self._laws
 
 
 def _converged(term_top, sum_top):
@@ -317,15 +335,13 @@ def _zoh(e: np.ndarray, x: np.ndarray, u_lead: float) -> np.ndarray:
 class _Propagator:
     """Exact ZOH update of R platoon states at once, one link pattern per row.
 
-    Row r's augmented matrix [[A, B_lead, c], [0, 0, 0], [0, 0, 0]] is affine
-    in its link weights, so it is its base matrix with the weight-dependent
-    entries patched.  If no row's weights on the links that reach its matrix
-    change over the run's (n_steps, R, n_links) weights, :attr:`steps` holds
-    each row's exponential (:func:`expm`); otherwise it is None and every
-    step takes the Taylor action, exact to machine precision because the
-    per-step matrix norm is at most :data:`_THETA`.  A row whose matrix can
-    exceed that norm under weights in [0, 1] (a large dt / tau) takes its
-    scaled and squared exponential every step instead.
+    Row r reads its augmented matrix [[A, B_lead, c], [0, 0, 0], [0, 0, 0]]
+    times dt off the run's :class:`_LinkLaw`.  If that law is fixed,
+    :attr:`steps` holds each row's exponential (:func:`expm`); otherwise it
+    is None and every step takes the Taylor action, exact to machine
+    precision because the per-step matrix norm is at most :data:`_THETA`.
+    A row whose matrix can exceed that norm under weights in [0, 1] (a large
+    dt / tau) takes its scaled and squared exponential every step instead.
 
     The Taylor action computes terms t_k = M t_{k-1} / k and partial sums
     s_k = s_{k-1} + t_k of every row into preallocated (terms, sums)
@@ -341,26 +357,24 @@ class _Propagator:
         config = configs[0]
         dt = config.grid.dt
         n = self.n = 3 * (config.n_followers + 1)
-        (a0, da, c0, dc), row_of = _row_laws(configs)
-        base = np.zeros((len(a0), n + 2, n + 2))
-        base[:, :n, :n] = a0
-        base[:, 2, n] = 1.0 / config.tau  # lead input enters the lead's lag equation
-        base[:, :n, n + 1] = c0
-        # one matrix buffer; only its weight-dependent entries change per step
-        self._matrices = (base * dt)[row_of]
-        delta = np.zeros(da.shape[:2] + (n + 2, n + 2))
-        delta[:, :, :n, :n] = da
-        delta[:, :, :n, n + 1] = dc
-        delta = (delta * dt).reshape(len(a0), config.n_links, -1)
-        self._link_of, self._idx = np.nonzero(delta.any(axis=0))
-        self._coef = delta[:, self._link_of, self._idx][row_of]
-        self._base_at = self._matrices.reshape(len(configs), -1)[:, self._idx]
-        fixed = _fixed_law(weights, delta.any(axis=2)[row_of])
-        self.steps = self.step_matrix(weights[0]) if fixed else None
+        tops = []  # each law's entrywise bound over weights in [0, 1]
+
+        def augmented(a0, da, c0, dc):
+            base = np.zeros((n + 2, n + 2))
+            base[:n, :n] = a0
+            base[2, n] = 1.0 / config.tau  # lead input enters the lead's lag equation
+            base[:n, n + 1] = c0
+            delta = np.zeros((len(da), n + 2, n + 2))
+            delta[:, :n, :n] = da
+            delta[:, :n, n + 1] = dc
+            base, delta = base * dt, delta * dt
+            tops.append(np.abs(base) + np.abs(delta).sum(axis=0))
+            return base, delta
+
+        self._law = _LinkLaw(configs, weights, augmented)
+        self.steps = self.step_matrix(weights[0]) if self._law.fixed else None
         if self.steps is None:
-            # entrywise bounds on each law's matrix over weights in [0, 1]
-            top = np.abs(base * dt) + np.abs(delta).sum(axis=1).reshape(base.shape)
-            wide = np.array([_halvings(t) > 0 for t in top])[row_of]
+            wide = np.array([_halvings(t) > 0 for t in tops])[self._law.row_of]
             self._wide, self._narrow = np.flatnonzero(wide), np.flatnonzero(~wide)
             # terms buf[k, 0] and partial sums buf[k, 1], k = 0.._MAX_TERMS
             self._buf = np.empty((_MAX_TERMS + 1, 2, len(self._narrow), n + 2))
@@ -368,26 +382,15 @@ class _Propagator:
             self._rows = np.arange(len(self._narrow))
             self._block = 1
 
-    def _matrices_dt(self, link_values: np.ndarray) -> np.ndarray:
-        """(R, n+2, n+2) augmented matrices times dt for (R, n_links) weights.
-
-        The returned buffer is patched in place by the next call.
-        """
-        if self._idx.size:
-            flat = self._matrices.reshape(self._matrices.shape[0], -1)
-            w = link_values[:, self._link_of].astype(float, copy=False)
-            flat[:, self._idx] = self._base_at + self._coef * w
-        return self._matrices
-
     def step_matrix(self, link_values: np.ndarray) -> np.ndarray:
         """(R, n+2, n+2) exponentials of one step under (R, n_links) weights."""
-        return np.array([expm(m) for m in self._matrices_dt(link_values)])
+        return np.array([expm(m) for m in self._law.at(link_values)])
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
         """States (R, n) one step on, row r under the weights link_values[r]."""
         if self.steps is not None:
             return _zoh(self.steps, x, u_lead)
-        m = self._matrices_dt(link_values)
+        m = self._law.at(link_values)
         if not self._wide.size:
             return self._taylor_action(m, x, u_lead)
         out = np.empty_like(x)
@@ -475,14 +478,10 @@ def _row_weights(configs: list[PlatoonConfig]) -> np.ndarray:
     return weights
 
 
-def _spacing_errors(config: PlatoonConfig, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e_i = x_i - x_{i-1} + d + h_w v_i along the vehicle axis (first)."""
-    return x[1:] - x[:-1] + config.policy.d + config.policy.h_w * v[1:]
-
-
-def _row_errors(d: float, h_w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(R, n_followers) spacing errors of (R, n) states, row r at headway h_w[r, 0]."""
-    return x[:, 3::3] - x[:, 0:-3:3] + d + h_w * x[:, 4::3]
+def _spacing_errors(x: np.ndarray, v: np.ndarray, d: float, h_w) -> np.ndarray:
+    """e_i = x_i - x_{i-1} + d + h_w v_i of positions x and speeds v, vehicles
+    along the first axis."""
+    return x[1:] - x[:-1] + d + h_w * v[1:]
 
 
 def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
@@ -496,7 +495,8 @@ def _collect(configs: list[PlatoonConfig], states) -> list[SimOutput]:
     for k, x in enumerate(states):
         block[:, :, :, k] = x.reshape(len(configs), n_veh, 3).transpose(2, 0, 1)
     return [SimOutput(time=grid.times(), x=xs, v=vs, a=accs,
-                      errors=_spacing_errors(cfg, xs, vs), seed=cfg.master_seed)
+                      errors=_spacing_errors(xs, vs, cfg.policy.d, cfg.policy.h_w),
+                      seed=cfg.master_seed)
             for cfg, xs, vs, accs in zip(configs, *block)]
 
 
@@ -524,31 +524,31 @@ class _MapStepper:
     tau * c(w)[3i+2], replaces the lead's with the maneuver, and drives the
     (R, n_vehicles) vehicles of all rows through the pedal maps at once
     (commands held over the step).  Each vehicle keeps its branch flag across
-    steps.  If no row's weights on the links that reach its law change over
-    the run, every row's law is taken once.
+    steps.  A row's acceleration rows tau * A(w) beside c(w) come off the
+    run's :class:`_LinkLaw`, taken once if it is fixed.
     """
 
     def __init__(self, configs: list[PlatoonConfig], weights: np.ndarray):
         config = self._config = configs[0]
-        (a0, da, c0, dc), row_of = _row_laws(configs)
-        dk = (config.tau * da[:, :, 2::3]).reshape(len(a0), config.n_links, -1)
-        self._k0, self._dk = (config.tau * a0[:, 2::3])[row_of], dk[row_of]
-        self._c0, self._dc = c0[row_of], dc[row_of]
-        self._braking = np.zeros((len(configs), config.n_followers + 1), dtype=bool)
-        fixed = _fixed_law(weights, (dk.any(axis=2) | dc.any(axis=2))[row_of])
-        self._law = self._law_at(weights[0]) if fixed else None
+        tau = config.tau
 
-    def _law_at(self, link_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's (gain, offset) of :func:`cacc_input` under (R, n_links) weights."""
-        w = link_values[:, None, :].astype(float, copy=False)
-        gain = self._k0 + np.matmul(w, self._dk).reshape(self._k0.shape)
-        offset = self._config.tau * (self._c0 + np.matmul(w, self._dc)[:, 0])[:, 2::3]
-        return gain, offset
+        def accel_rows(a0, da, c0, dc):
+            return (np.column_stack([tau * a0[2::3], c0[2::3]]),
+                    np.concatenate([tau * da[:, 2::3], dc[:, 2::3, None]], axis=2))
+
+        self._law = _LinkLaw(configs, weights, accel_rows)
+        self._fixed = self._gain_offset(weights[0]) if self._law.fixed else None
+        self._braking = np.zeros((len(configs), config.n_followers + 1), dtype=bool)
+
+    def _gain_offset(self, link_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's (gain, offset) of :func:`cacc_input`; offset = tau * (c0 + w dc)."""
+        law = self._law.at(link_values)
+        return law[:, :, :-1], self._config.tau * law[:, :, -1]
 
     def advance(self, x: np.ndarray, u_lead: float, link_values: np.ndarray) -> np.ndarray:
         """States (R, n) one step on, row r under the weights link_values[r]."""
         cfg = self._config
-        u = cacc_input(*(self._law or self._law_at(link_values)), x)
+        u = cacc_input(*(self._fixed or self._gain_offset(link_values)), x)
         u[:, 0] = u_lead
         if cfg.u_clamp is not None:
             u[:, 1:] = np.minimum(np.maximum(u[:, 1:], cfg.u_clamp[0]), cfg.u_clamp[1])
@@ -643,14 +643,14 @@ def monte_carlo(config: PlatoonConfig, maneuver: Maneuver, n_realizations: int,
         replace(config, policy=replace(config.policy, h_w=hw)) for hw in headways]
     configs = [row for cfg in groups for row in _seed_configs(cfg, n_realizations)]
     weights = _row_weights(configs)
-    h_w = np.array([[cfg.policy.h_w] for cfg in configs])
+    h_w = np.array([cfg.policy.h_w for cfg in configs])
     peaks = np.zeros((len(configs), config.n_followers))
     mean_err = np.zeros((len(groups), config.grid.n_steps + 1, config.n_followers))
     states = _row_states(configs, maneuver, weights)
     # the (steps, R, n_followers) errors of a block of steps at a time, each
     # ensemble's rows summed in realization order
     for k in range(0, mean_err.shape[1], _ERROR_BLOCK):
-        errors = np.array([_row_errors(config.policy.d, h_w, x)
+        errors = np.array([_spacing_errors(x[:, 0::3].T, x[:, 1::3].T, config.policy.d, h_w).T
                            for x in islice(states, _ERROR_BLOCK)])
         np.maximum(peaks, np.abs(errors).max(axis=0), out=peaks)
         for r in range(len(configs)):

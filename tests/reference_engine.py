@@ -301,7 +301,7 @@ def taylor_action(prop: _Propagator, x: np.ndarray, u_lead: float,
     ``prop`` is a one-row propagator, ``link_values`` that row's weights.
     """
     n = prop.n
-    m = prop._matrices_dt(link_values[None])[0]
+    m = prop._law.at(link_values[None])[0]
     vec = np.concatenate([x, [u_lead, 1.0]])
     acc = vec.copy()
     term = vec.copy()
@@ -341,7 +341,7 @@ def run_linear(config, maneuver, weight_table: np.ndarray, scipy_expm: bool = Fa
     x = equilibrium_state(config, maneuver.initial_velocity)
     prop = _Propagator([config], weight_table.T[:, None, :])
     if scipy_expm and prop.steps is not None:
-        prop.steps = np.array([expm(m) for m in prop._matrices_dt(weight_table[:, :1].T)])
+        prop.steps = np.array([expm(m) for m in prop._law.at(weight_table[:, :1].T)])
     xs = np.empty((n_f + 1, steps + 1))
     vs = np.empty_like(xs)
     accs = np.empty_like(xs)

@@ -755,6 +755,28 @@ class TestLinkDecomposition:
             np.testing.assert_allclose(a0 + np.tensordot(w, da, axes=1),
                                        build_system_matrix(cfg, w), rtol=0, atol=1e-14)
             np.testing.assert_allclose(c0 + w @ dc, _offset_vector(cfg, w), rtol=0, atol=1e-14)
+        # both steppers patch each entry of a row's law in place from the one
+        # link it depends on: bitwise the sum over all links, two headways
+        # in one batch, under fractional and binary weights
+        for n_followers in (2, 3, 10):
+            cfg = replace(cfg, n_followers=n_followers)
+            rows = [cfg, replace(cfg, policy=replace(cfg.policy, h_w=1.3))]
+            n, dt, tau = 3 * (n_followers + 1), cfg.grid.dt, cfg.tau
+            for w in (rng.uniform(size=(2, cfg.n_links)),
+                      rng.integers(0, 2, (2, cfg.n_links)).astype(float)):
+                table = np.stack([w, 1.0 - w])  # changing weights: patched every step
+                aug = _Propagator(rows, table)._law.at(w)
+                accel = _MapStepper(rows, table)._law.at(w)
+                for r, row in enumerate(rows):
+                    a0, da, c0, dc = link_decomposition(row)
+                    np.testing.assert_array_equal(
+                        aug[r, :n, :n], a0 * dt + np.tensordot(w[r], da * dt, axes=1))
+                    np.testing.assert_array_equal(aug[r, :n, n + 1],
+                                                  c0 * dt + w[r] @ (dc * dt))
+                    np.testing.assert_array_equal(
+                        accel[r, :, :n],
+                        tau * a0[2::3] + np.tensordot(w[r], tau * da[:, 2::3], axes=1))
+                    np.testing.assert_array_equal(accel[r, :, n], (c0 + w[r] @ dc)[2::3])
 
 
 def assert_matches_reference(cfg, maneuver):
@@ -808,7 +830,7 @@ class TestMapEngineMatchesReference:
 
     def test_fixed_law_taken_once_and_bitwise(self):
         # a constant table (the suite's panels) or links that never reach the
-        # law (ACC) fix every row's law at the start; a sampled CACC table not
+        # law (ACC) fix every row's law at the start; a sampled CACC+ (fig10) table not
         scen = load_scenario("paper-fig10")
         cfg = replace(scen.config, grid=TimeGrid(0.01, 2.0))
         fixed = [replace(cfg, rates=(1.0, 1.0)),
@@ -819,10 +841,13 @@ class TestMapEngineMatchesReference:
         x = np.stack([equilibrium_state(c, 20.0) for c in fixed]) + rng.normal(size=(2, 21))
         for rows, once in ((fixed, True), (sampled, False), (acc, True)):
             weights = _row_weights(rows)
-            stepper = _MapStepper(rows, weights)
-            assert (stepper._law is not None) == once
+            # one decision for both steppers; the point mass takes its
+            # exponentials once under it
+            prop, stepper = _Propagator(rows, weights), _MapStepper(rows, weights)
+            assert prop._law.fixed == stepper._law.fixed == once
+            assert (prop.steps is not None) == (stepper._fixed is not None) == once
             each_step = _MapStepper(rows, weights)
-            each_step._law = None
+            each_step._fixed = None
             for k in range(3):
                 np.testing.assert_array_equal(stepper.advance(x, -2.0, weights[k]),
                                               each_step.advance(x, -2.0, weights[k]))
