@@ -8,9 +8,8 @@ from .control import (Gains, Scheme, SpacingPolicy, min_headway,
 from .dynamics import Maneuver, TimeGrid, VehicleState, step_lag
 from .expectation import (RandomMatrixSpec, check_multilinearity,
                           exact_expected_power, from_platoon)
-from .maps import (MapFormatError, PedalMap, actuate, affine_maps, interp,
-                   invert, step_empirical, synthetic_brake_map,
-                   synthetic_throttle_map)
+from .maps import (MapFormatError, PedalMap, actuate, interp, invert,
+                   step_empirical, synthetic_brake_map, synthetic_throttle_map)
 from .sim import (EnsembleStats, PlatoonConfig, SimOutput,
                   SimulationDivergedError, build_system_matrix,
                   empirical_string_stability, equilibrium_state, monte_carlo,

@@ -46,19 +46,21 @@ def _headway_table(scenario: Scenario) -> dict:
     cfg = scenario.config
     gamma, mu = scenario.analysis_rates
     tau, ka = cfg.tau, cfg.gains.k_a
+
+    def h_min(g: float, m: float) -> float | None:
+        # past A1 = (1 + m) g k_a >= 1 no headway is string stable (see min_headway)
+        return control.min_headway(tau, g, m, ka) if (1.0 + m) * g * ka < 1.0 else None
+
     table = {"gamma": gamma}
     for scheme in Scheme:
-        table[f"h_min_{scheme.value}"] = control.min_headway(
-            tau, *control.scheme_rates(scheme, gamma, gamma), ka)
+        table[f"h_min_{scheme.value}"] = h_min(*control.scheme_rates(scheme, gamma, gamma))
     if mu != gamma:
         table["mu"] = mu
-        table["h_min_cacc_plus_mu"] = control.min_headway(tau, gamma, mu, ka)
+        table["h_min_cacc_plus_mu"] = h_min(gamma, mu)
     table["scheme"] = cfg.scheme.value
     table["configured_headway"] = cfg.policy.h_w
-    g, m = control.scheme_rates(cfg.scheme, gamma, mu)
-    # past A1 = (1 + mu) gamma k_a >= 1 no headway is string stable (see min_headway)
-    table["headway_sufficient"] = ((1.0 + m) * g * ka < 1.0
-                                   and cfg.policy.h_w >= control.min_headway(tau, g, m, ka))
+    h = h_min(*control.scheme_rates(cfg.scheme, gamma, mu))
+    table["headway_sufficient"] = h is not None and cfg.policy.h_w >= h
     return table
 
 
@@ -69,7 +71,9 @@ def cmd_headway(scenario: Scenario, outdir: Path) -> output.RunReport:
     print(f"gamma = {verdicts['gamma']:.4f}")
     for k in ("h_min_acc", "h_min_cacc", "h_min_cacc_plus", "h_min_cacc_plus_mu"):
         if k in verdicts:
-            print(f"{k} = {verdicts[k]:.4f} s")
+            h = verdicts[k]
+            print(f"{k} = none (no string-stable headway at these rates)" if h is None
+                  else f"{k} = {h:.4f} s")
     state = "sufficient" if verdicts["headway_sufficient"] else "insufficient"
     print(f"configured headway {verdicts['configured_headway']:g} s is {state} "
           f"for scheme {verdicts['scheme']}")
@@ -237,7 +241,7 @@ def cmd_oracle(scenario: Scenario, outdir: Path) -> output.RunReport:
     ks = range(1, 7)
     rows = [{"k": k, "holds": holds, "frobenius_gap": gap}
             for k, (holds, gap) in zip(ks, expectation.check_multilinearity(spec, ks))]
-    verdicts = {"n_variables": spec.n_vars, "checks": rows,
+    verdicts = {"n_variables": len(spec.probs), "checks": rows,
                 "identity_holds_all": all(r["holds"] for r in rows)}
     report = output.RunReport("oracle", scenario.config_hash, verdicts)
     prefix = scenario.output.prefix

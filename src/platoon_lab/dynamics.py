@@ -76,10 +76,6 @@ class Maneuver:
                 break
         return u
 
-    @staticmethod
-    def constant_velocity(v0: float) -> "Maneuver":
-        return Maneuver(segments=((0.0, 0.0),), initial_velocity=v0)
-
 
 @dataclass(frozen=True)
 class TimeGrid:

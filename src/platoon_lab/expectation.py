@@ -1,26 +1,26 @@
-"""Exact expectations of powers of random platoon matrices.
+"""Exact expectations of powers of a platoon's random closed-loop matrix.
 
-The closed-loop system matrix is affine in the per-link packet indicators.
-For one-predecessor platoons every entry of every power is multilinear in the
-(mutually independent) indicators, so expectation commutes with powers:
-E[A^k] = (E[A])^k.  Two-predecessor platoons put an indicator on the diagonal
-block, powers pick up squared indicators from k = 3 on, and the identity
-fails.
+The closed-loop matrix A(w) is affine in the per-link packet indicators w,
+which are mutually independent Bernoulli variables at their links' reception
+rates.  For one-predecessor platoons every entry of every power is
+multilinear in them, so expectation commutes with powers: E[A^k] = (E[A])^k.
+Two-predecessor platoons put an indicator on the diagonal block, powers pick
+up squared indicators from k = 3 on, and the identity fails.
 
-E[A^k] is exact without walking all 2^m assignments.  The rows are cut into
-the finest blocks B_i over which A is block lower triangular and each
-variable's coefficient rows lie in one block (one three-row block per vehicle
-on a platoon, one block on a dense spec).  Rows B_i of A then depend only on
-their own variables' assignment s, and the rows above them not at all, so
+E[A^k] is exact without walking all 2^m assignments.  A is block lower
+triangular by vehicle: vehicle i's rows B_i = 3i..3i+2 reach no later
+vehicle's columns, and only its own links (i, i-1) and (i, i-2) enter them.
+Rows B_i of A then depend only on the assignment s of those links, and the
+rows above them not at all, so
 
     C_s(k) = E[(A^k)[B_i, :] | s] = R_s[:, :a] @ E[A^(k-1)][:a] + R_s[:, B_i] @ C_s(k-1)
 
-with R_s = A(s)[B_i, :], a the first row of B_i and C_s(0) = I[B_i]; taking
-blocks top down, E[A^k][B_i] = sum_s p_s C_s(k).  The cost is 2^(m_i) * max(ks)
-small products per block of m_i variables: milliseconds on fig4 (m = 19),
-where the enumeration took a minute and its rounding flipped the k = 2
-verdict.  It agrees with the enumeration to about 1e-14 relative on the
-presets.  MAX_ENUM_VARS bounds the variables of one block.
+with R_s = A(s)[B_i, :], a = 3i and C_s(0) = I[B_i]; taking vehicles front
+to back, E[A^k][B_i] = sum_s p_s C_s(k).  That is at most four assignments
+per vehicle and max(ks) small products each: milliseconds on fig4 (19
+links), where the 2^19 enumeration took a minute and its rounding flipped
+the k = 2 verdict.  It agrees with the enumeration to about 1e-14 relative
+on the presets.
 """
 
 from __future__ import annotations
@@ -34,48 +34,24 @@ import numpy as np
 from .sim import PlatoonConfig, link_decomposition
 
 
-# a block's 2^m assignments are enumerated exactly; refuse beyond this.
-MAX_ENUM_VARS = 20
-
-
 class NonFiniteExpectationError(ArithmeticError):
     """E[A^k] or (E[A])^k, or their Frobenius norms, left the float range."""
 
 
 @dataclass(frozen=True)
 class RandomMatrixSpec:
-    """Matrix affine in named independent Bernoulli variables.
+    """A platoon's closed loop, affine in named independent Bernoulli links.
 
-    A(x) = base + sum_v x_v * coeff[v], with x_v ~ Bernoulli(prob[v]).
+    A(x) = base + sum_v x_v * coeffs[v], with x_v ~ Bernoulli(probs[v]).
+    ``vehicles[i]`` names the links whose coefficients reach vehicle i's rows
+    3i..3i+2, (i, i-1) before (i, i-2); a link with no nonzero coefficient
+    is left out.
     """
 
     base: np.ndarray
     coeffs: dict[str, np.ndarray]
     probs: dict[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "coeffs",
-                           {k: np.asarray(v, dtype=float) for k, v in self.coeffs.items()})
-        if set(self.coeffs) != set(self.probs):
-            raise ValueError("coeffs and probs must name the same variables")
-        for name, p in self.probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"prob[{name}]={p} outside [0, 1]")
-        n = self.base.shape[0]
-        if self.base.shape != (n, n):
-            raise ValueError("base matrix must be square")
-        for name, m in self.coeffs.items():
-            if m.shape != (n, n):
-                raise ValueError(f"coeff[{name}] shape mismatch")
-
-    @property
-    def names(self) -> list[str]:
-        return sorted(self.coeffs)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.coeffs)
+    vehicles: tuple[tuple[str, ...], ...]
 
     def realize(self, assignment: dict[str, float]) -> np.ndarray:
         a = self.base.copy()
@@ -87,56 +63,26 @@ class RandomMatrixSpec:
         return self.realize({name: self.probs[name] for name in self.coeffs})
 
 
-def _row_blocks(spec: RandomMatrixSpec) -> list[tuple[int, int, list[str]]]:
-    """Finest row blocks (start, stop, variable names) of ``spec``.
-
-    Row c starts a block unless a row above it has a nonzero at a column >= c
-    or a variable's coefficient rows straddle c: each row (to its last nonzero
-    column) and each variable (first to last row) is a span no cut may split.
-    Built from boolean masks, so an oversized block is refused before anything
-    matrix-sized exists.  Variables with zero coefficients drop out.
-    """
-    n = spec.base.shape[0]
-    nonzero = spec.base != 0
-    spans = {}
-    for name in spec.names:
-        mask = spec.coeffs[name] != 0
-        nonzero |= mask
-        if (rows := np.flatnonzero(mask.any(axis=1))).size:
-            spans[name] = rows[0], rows[-1]
-    reach = np.where(nonzero.any(axis=1), n - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    for first, last in spans.values():
-        reach[first] = max(reach[first], last)
-    reach = np.maximum.accumulate(reach)
-    bounds = [0, *(c for c in range(1, n) if reach[c - 1] < c), n]
-    blocks = [(start, stop, [name for name, (first, _) in spans.items() if start <= first < stop])
-              for start, stop in zip(bounds, bounds[1:])]
-    if (most := max(len(names) for *_, names in blocks)) > MAX_ENUM_VARS:
-        raise ValueError(f"{most} variables in one block exceed the enumeration limit "
-                         f"{MAX_ENUM_VARS}")
-    return blocks
-
-
 def exact_expected_power(spec: RandomMatrixSpec, ks) -> list[np.ndarray]:
-    """E[A^k] for each exponent in ``ks``, from one block-conditioned recursion.
+    """E[A^k] for each exponent in ``ks``, from one vehicle-conditioned recursion.
 
-    Each block's assignments are walked in ``itertools.product`` order over
-    its variable names, dropping those of probability zero.
+    Each vehicle's assignments are walked in ``itertools.product`` order over
+    its links, dropping those of probability zero.
     """
     ks = list(ks)
     if any(k < 0 for k in ks):
         raise ValueError("exponent must be non-negative")
-    blocks = _row_blocks(spec)
     n = spec.base.shape[0]
     powers = np.zeros((max(ks, default=0) + 1, n, n))
     powers[0] = np.eye(n)
-    for start, stop, names in blocks:
-        for bits in product((0.0, 1.0), repeat=len(names)):
+    for i, links in enumerate(spec.vehicles):
+        start, stop = 3 * i, 3 * i + 3
+        for bits in product((0.0, 1.0), repeat=len(links)):
             pr = math.prod(spec.probs[v] if b else 1.0 - spec.probs[v]
-                           for v, b in zip(names, bits))
+                           for v, b in zip(links, bits))
             if pr == 0.0:
                 continue
-            rows = spec.realize(dict(zip(names, bits)))[start:stop]
+            rows = spec.realize(dict(zip(links, bits)))[start:stop]
             cond = powers[0, start:stop]
             for k in range(1, len(powers)):
                 cond = rows[:, :start] @ powers[k - 1, :start] + rows[:, start:stop] @ cond
@@ -178,6 +124,12 @@ def from_platoon(config: PlatoonConfig) -> RandomMatrixSpec:
     n_f = config.n_followers
     names = ([f"w1_{i}" for i in range(1, n_f + 1)]
              + [f"w2_{i}" for i in range(2, 2 + config.n_second_links)])
+    coeffs = dict(zip(names, da))
     rates = config.link_rates()
-    return RandomMatrixSpec(base=base, coeffs=dict(zip(names, da)),
-                            probs={name: rates[li >= n_f] for li, name in enumerate(names)})
+    # a link with no term in the law (every link of ACC, the (i, i-1) links
+    # at k_a = 0) conditions no vehicle
+    vehicles = tuple(tuple(v for v in (f"w1_{i}", f"w2_{i}") if v in coeffs and coeffs[v].any())
+                     for i in range(n_f + 1))
+    return RandomMatrixSpec(base=base, coeffs=coeffs,
+                            probs={name: rates[li >= n_f] for li, name in enumerate(names)},
+                            vehicles=vehicles)

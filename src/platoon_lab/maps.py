@@ -91,13 +91,6 @@ class PedalMap:
             raise MapFormatError(f"non-numeric cell: {exc}") from exc
         return cls(tuple(pedal), tuple(velocity), tuple(tuple(r) for r in grid))
 
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pedal"] + [repr(v) for v in self.velocity])
-            for p, row in zip(self.pedal, self.accel):
-                w.writerow([repr(p)] + [repr(a) for a in row])
-
 
 def _bracket(axis: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamped cell indices and interpolation weights along one axis."""
@@ -219,17 +212,3 @@ def synthetic_brake_map(pedal_points: int = 11, velocity_points: int = 8,
                for v in vel]
         grid.append(row)
     return PedalMap(tuple(pedal), tuple(vel), tuple(tuple(r) for r in grid))
-
-
-def affine_maps(slope: float = 8.0, offset: float = -4.0,
-                v_max: float = 35.0) -> tuple[PedalMap, PedalMap]:
-    """Identical affine throttle/brake pair a(p, v) = slope*p + offset.
-
-    With these, the inverse-then-forward composition is exact and the map
-    vehicle reproduces the plain lag model; used as a test identity.
-    """
-    pedal = (0.0, 0.5, 1.0)
-    vel = (0.0, v_max / 2.0, v_max)
-    grid = tuple(tuple(slope * p + offset for _ in vel) for p in pedal)
-    m = PedalMap(pedal, vel, grid)
-    return m, m

@@ -30,9 +30,11 @@ and a reception uniform per step.  Fed the same streams, the two must agree
 on every packet.
 
 And it keeps the expectation oracle one assignment at a time
-(:func:`assignments`, :func:`exact_expected_power`): every corner point of
-a random matrix realized on its own and raised to one power, the sum the
-program's single stacked sweep over all exponents must reproduce bitwise.
+(:func:`assignments`, :func:`exact_expected_power`): every one of the 2^m
+corner points of a platoon's m links realized as a whole matrix and raised
+to one power.  It uses none of the vehicle blocks that the program's
+recursion conditions on, and the recursion must agree with it within
+1e-12 relative.
 
 Last, it keeps the response C e^{A k dt} stepped one sample at a time
 (:func:`stepped_response`), the oracle for the blocked sampler behind the
@@ -400,7 +402,7 @@ def monte_carlo(config, maneuver, n_realizations: int):
 
 def assignments(spec):
     """Yield (probability, assignment) over all 2^m corner points of ``spec``."""
-    names = spec.names
+    names = list(spec.probs)
     for bits in product((0.0, 1.0), repeat=len(names)):
         pr = 1.0
         for name, b in zip(names, bits):

@@ -22,12 +22,6 @@ ALLOWED = {
     # maps.actuate clamps to the map's edge rows and calls no kernel behind
     # it (its np.interp counts as a caller of maps.interp, matched by name)
     "invert",
-    # writes a map file in the format scenarios load with throttle_map/brake_map
-    "to_csv",
-    # linear pedal maps: the map engine reduces to the pure lag under them
-    "affine_maps",
-    # the idle maneuver, a natural constructor next to the segment list
-    "constant_velocity",
 }
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_map_csv
 from platoon_lab import cli
 from platoon_lab.channel import GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, min_headway
@@ -158,19 +159,19 @@ class TestScenarioParsing:
 
     def test_config_hash_tracks_map_files(self, tmp_path):
         from platoon_lab.maps import synthetic_brake_map, synthetic_throttle_map
-        synthetic_throttle_map().to_csv(tmp_path / "thr.csv")
-        synthetic_brake_map().to_csv(tmp_path / "brk.csv")
+        write_map_csv(synthetic_throttle_map(), tmp_path / "thr.csv")
+        write_map_csv(synthetic_brake_map(), tmp_path / "brk.csv")
         text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
                             f"throttle_map = {tmp_path / 'thr.csv'}\n"
                             f"brake_map = {tmp_path / 'brk.csv'}")
         a = load_scenario(write(tmp_path, text, "a.ini"))
         assert load_scenario(write(tmp_path, text, "b.ini")).config_hash == a.config_hash
         # same INI text, different throttle-map contents
-        synthetic_throttle_map(pedal_points=9).to_csv(tmp_path / "thr.csv")
+        write_map_csv(synthetic_throttle_map(pedal_points=9), tmp_path / "thr.csv")
         changed = load_scenario(write(tmp_path, text, "c.ini"))
         assert changed.config.throttle_map != a.config.throttle_map
         assert changed.config_hash != a.config_hash
-        synthetic_throttle_map().to_csv(tmp_path / "thr.csv")
+        write_map_csv(synthetic_throttle_map(), tmp_path / "thr.csv")
         assert load_scenario(write(tmp_path, text, "d.ini")).config_hash == a.config_hash
 
 
@@ -688,18 +689,20 @@ class TestCliCommands:
     def test_no_headway_suffices_past_a1_of_one(self, tmp_path, capsys):
         # fig10 at gamma = mu = 1 has A1 = (1 + mu) gamma k_a = 1.5, where
         # min_headway's 0.197 s is no threshold; its 0.3 s headway was once
-        # reported sufficient while |H_p1| = 1.109 exceeds H_p1(0) = 0.5
+        # reported sufficient while |H_p1| = 1.109 exceeds H_p1(0) = 0.5, and
+        # then 0.197 s was still reported as the minimum
         text = preset_text("paper-fig10").replace("[analysis]",
                                                   "[analysis]\ndeterministic_gamma = 1")
         path = write(tmp_path, text)
         for command in ("headway", "stability"):
             assert cli.main(["run", command, "--scenario", path,
                              "--out", str(tmp_path / "o")]) == 0
-        assert ("configured headway 0.3 s is insufficient for scheme cacc_plus"
-                in capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert "configured headway 0.3 s is insufficient for scheme cacc_plus" in out
+        assert "h_min_cacc_plus = none (no string-stable headway at these rates)" in out
         headway, stab = (json.loads((tmp_path / "o" / f"fig10-{c}-report.json").read_text())
                          ["verdicts"] for c in ("headway", "stability"))
-        assert headway["configured_headway"] > headway["h_min_cacc_plus"]
+        assert headway["h_min_cacc_plus"] is stab["h_min_cacc_plus"] is None
         assert headway["headway_sufficient"] is stab["headway_sufficient"] is False
         assert stab["hinf_h_p1"] == pytest.approx(1.109, abs=5e-4)
 

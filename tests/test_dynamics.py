@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import constant_velocity
 from platoon_lab.dynamics import Maneuver, TimeGrid, VehicleState, step_lag
 
 
@@ -130,7 +131,7 @@ class TestManeuver:
 
 class TestLeadTrajectory:
     def test_constant_velocity(self):
-        m = Maneuver.constant_velocity(25.0)
+        m = constant_velocity(25.0)
         traj = lead_trajectory(m, TimeGrid(0.01, 5.0), tau=0.4)
         assert all(s.v == pytest.approx(25.0, abs=1e-12) for s in traj)
 

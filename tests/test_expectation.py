@@ -1,27 +1,35 @@
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import platoon_lab.expectation as expectation_mod
 import reference_engine as ref
 from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import TimeGrid
-from platoon_lab.expectation import (NonFiniteExpectationError, RandomMatrixSpec,
-                                     check_multilinearity, exact_expected_power,
-                                     from_platoon)
+from platoon_lab.expectation import (NonFiniteExpectationError, check_multilinearity,
+                                     exact_expected_power, from_platoon)
 from platoon_lab.scenario import load_scenario
 from platoon_lab.sim import PlatoonConfig, build_system_matrix
 
 
-def platoon_spec(scheme):
-    cfg = PlatoonConfig(
-        n_followers=2, tau=0.4, gains=Gains(0.2, 2.5, 1.0),
+def platoon_config(scheme, n_followers=2, k_a=0.2):
+    return PlatoonConfig(
+        n_followers=n_followers, tau=0.4, gains=Gains(k_a, 2.5, 1.0),
         policy=SpacingPolicy(h_w=0.45, d=5.0), scheme=scheme,
         grid=TimeGrid(0.01, 1.0), channel=GilbertParams(0.2, 0.1, 0.2))
+
+
+def platoon_spec(scheme, **kw):
+    cfg = platoon_config(scheme, **kw)
     return cfg, from_platoon(cfg)
+
+
+def scaled(spec, factor):
+    """The same random matrix times ``factor``: base and every link's coefficients."""
+    return replace(spec, base=factor * spec.base,
+                   coeffs={v: factor * c for v, c in spec.coeffs.items()})
 
 
 class TestRandomMatrixSpec:
@@ -30,44 +38,15 @@ class TestRandomMatrixSpec:
         rng = np.random.default_rng(1)
         for _ in range(5):
             bits = rng.integers(0, 2, cfg.n_links).astype(float)
-            assignment = dict(zip(spec.names, bits[[0, 1, 2]]))
-            # names sort as w1_1, w1_2, w2_2 matching the link ordering
             direct = build_system_matrix(cfg, bits)
             via_spec = spec.realize({"w1_1": bits[0], "w1_2": bits[1], "w2_2": bits[2]})
             np.testing.assert_allclose(via_spec, direct, atol=1e-14)
-            del assignment
 
     def test_mean_matrix_uses_reception_rates(self):
         cfg, spec = platoon_spec(Scheme.CACC)
         g = 1.0 - 0.2 * (1 - 0.2) / 0.3
         np.testing.assert_allclose(spec.mean_matrix(),
                                    build_system_matrix(cfg, np.full(2, g)), atol=1e-14)
-
-    def test_enumeration_limit(self):
-        n = 25
-        spec = RandomMatrixSpec(np.zeros((2, 2)),
-                                {f"v{i}": np.eye(2) for i in range(n)},
-                                {f"v{i}": 0.5 for i in range(n)})
-        with pytest.raises(ValueError, match="enumeration limit"):
-            exact_expected_power(spec, [2])
-
-    @pytest.mark.parametrize("entry", [exact_expected_power, check_multilinearity])
-    def test_enumeration_limit_refused_before_allocating(self, entry):
-        # every coefficient is the same 2 MB array, so the spec itself is
-        # small; a refusal that came after the totals or the mean matrix
-        # would trace at least one matrix-sized allocation
-        big = np.eye(500)
-        n = MAX_VARS + 1
-        spec = RandomMatrixSpec(big, {f"v{i}": big for i in range(n)},
-                                {f"v{i}": 0.5 for i in range(n)})
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="enumeration limit"):
-                entry(spec, range(7))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < big.nbytes
 
 
 class TestExactExpectedPower:
@@ -77,10 +56,11 @@ class TestExactExpectedPower:
                                    atol=1e-14)
 
     def test_deterministic_spec_is_plain_power(self):
-        a = np.array([[0.0, 1.0], [-1.0, -0.5]])
-        spec = RandomMatrixSpec(a, {}, {})
+        # ACC weighs no radioed term, so no vehicle conditions on a link
+        _, spec = platoon_spec(Scheme.ACC)
+        assert spec.vehicles == ((), (), ())
         np.testing.assert_allclose(exact_expected_power(spec, [3])[0],
-                                   np.linalg.matrix_power(a, 3), atol=1e-14)
+                                   np.linalg.matrix_power(spec.base, 3), atol=1e-14)
 
     def test_cacc_identity_k4(self):
         _, spec = platoon_spec(Scheme.CACC)
@@ -109,21 +89,17 @@ class TestMultilinearity:
         for scheme, expected in ((Scheme.CACC, [True] * 6),
                                  (Scheme.CACC_PLUS, [True, True] + [False] * 4)):
             _, spec = platoon_spec(scheme)
-            scaled = RandomMatrixSpec(1e3 * spec.base,
-                                      {v: 1e3 * c for v, c in spec.coeffs.items()},
-                                      spec.probs)
-            checks = check_multilinearity(scaled, range(1, 7))
+            checks = check_multilinearity(scaled(spec, 1e3), range(1, 7))
             assert [holds for holds, _ in checks] == expected, checks
 
     @pytest.mark.parametrize("scale, first_bad", [(1e60, 3), (1e160, 1)])
     def test_powers_out_of_float_range_refused(self, scale, first_bad):
-        # a gap of inf <= 1e-12 * inf once read as "holds".  (E[A])^k stays
-        # finite through k = 5 at 1e60 and k = 1 at 1e160, but its Frobenius
-        # norm overflows from k = 3 and k = 1
-        spec = RandomMatrixSpec(base=scale * np.ones((2, 2)), coeffs={"x": np.eye(2)},
-                                probs={"x": 0.5})
+        # a gap of inf <= 1e-12 * inf once read as "holds".  On the CACC+
+        # platoon (E[A])^k stays finite through k = 5 at 1e60 and k = 1 at
+        # 1e160, but its Frobenius norm overflows from k = 3 and k = 1
+        _, spec = platoon_spec(Scheme.CACC_PLUS)
         with pytest.raises(NonFiniteExpectationError, match=f"k = {first_bad}:"):
-            check_multilinearity(spec, range(1, 7))
+            check_multilinearity(scaled(spec, scale), range(1, 7))
 
     def test_gap_grows_with_power(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)
@@ -188,7 +164,7 @@ class TestExpectedExponential:
         _, spec = platoon_spec(Scheme.CACC_PLUS)
         dt, n = 0.01, 20000
         rng = np.random.default_rng(7)
-        names = spec.names
+        names = list(spec.probs)
         ps = np.array([spec.probs[m] for m in names])
         mc = np.zeros_like(spec.base)
         for _ in range(n):
@@ -208,7 +184,7 @@ class TestExpectedExponential:
         # four sigma, with sigma bounded by the entrywise assignment spread
         _, spec = platoon_spec(Scheme.CACC_PLUS)
         rng = np.random.default_rng(3)
-        names = spec.names
+        names = list(spec.probs)
         ps = np.array([spec.probs[m] for m in names])
         n = 20000
         total = np.zeros_like(spec.base)
@@ -228,15 +204,6 @@ def _all_assignments(spec):
 
 
 KS = range(7)
-MAX_VARS = expectation_mod.MAX_ENUM_VARS
-
-
-def _random_spec(probs, n=4, seed=5):
-    rng = np.random.default_rng(seed)
-    names = [f"v{i}" for i in range(len(probs))]
-    return RandomMatrixSpec(rng.normal(size=(n, n)),
-                            {m: rng.normal(size=(n, n)) for m in names},
-                            dict(zip(names, probs)))
 
 
 def assert_sweep_matches_oracle(spec, ks=KS):
@@ -250,37 +217,29 @@ def assert_sweep_matches_oracle(spec, ks=KS):
         assert gap <= 1e-12 * max(1.0, np.linalg.norm(oracle)), f"k={k} gap={gap}"
 
 
-def _block_spec(seed, straddle=False):
-    """Random block lower-triangular spec: 1-4 blocks of 1-3 rows, 0-2 variables each.
+def _channel(rng):
+    """A Gilbert channel whose reception rate is 0, 1 or drawn at random."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return GilbertParams(1.0, 0.0, 0.0)
+    if kind == 1:
+        return GilbertParams(0.0, 1.0, rng.random())
+    return GilbertParams(*rng.uniform(0.05, 0.95, 3))
 
-    Diagonal blocks of the base are dense, and each variable fills part of
-    its block's rows left of the block's end, so the finest partition is the
-    generated one.  With ``straddle`` one more variable spans the last row
-    of one block and the first row of the next, which merges the two.
-    Returns the spec and the row bounds of its blocks.
-    """
+
+def _random_platoon(seed):
+    """Random platoon: any scheme, 1-5 followers (2-5 for CACC+), k_a = 0
+    in a quarter of the draws, and first and second channels at rates 0, 1
+    or in between."""
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 4, rng.integers(2 if straddle else 1, 5))
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    n = int(bounds[-1])
-    base = np.zeros((n, n))
-    coeffs, probs = {}, {}
-    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        base[start:stop, :stop] = rng.normal(size=(stop - start, stop))
-        for j in range(rng.integers(0, 3)):
-            coeff = np.zeros((n, n))
-            coeff[start:stop, :stop] = rng.normal(size=(stop - start, stop))
-            coeff *= rng.random((n, n)) < 0.6
-            coeff[start, start] = 1.0
-            coeffs[f"b{i}v{j}"] = coeff
-            probs[f"b{i}v{j}"] = rng.choice([0.0, 1.0, rng.random()], p=[0.2, 0.2, 0.6])
-    if straddle:
-        cut = int(rng.choice(bounds[1:-1]))
-        coeff = np.zeros((n, n))
-        coeff[cut - 1, 0] = coeff[cut, 0] = 1.0
-        coeffs["straddle"], probs["straddle"] = coeff, 0.4
-        bounds = bounds[bounds != cut]
-    return RandomMatrixSpec(base, coeffs, probs), bounds.tolist()
+    scheme = list(Scheme)[seed % 3]
+    return PlatoonConfig(
+        n_followers=int(rng.integers(2 if scheme is Scheme.CACC_PLUS else 1, 6)),
+        tau=rng.uniform(0.1, 1.0),
+        gains=Gains(0.0 if rng.random() < 0.25 else rng.uniform(0.05, 1.0),
+                    rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)),
+        policy=SpacingPolicy(h_w=rng.uniform(0.1, 1.5), d=5.0), scheme=scheme,
+        grid=TimeGrid(0.01, 1.0), channel=_channel(rng), channel_second=_channel(rng))
 
 
 class TestSweepMatchesOracle:
@@ -289,39 +248,46 @@ class TestSweepMatchesOracle:
         assert_sweep_matches_oracle(from_platoon(load_scenario(preset).config))
 
     def test_no_variables(self):
-        assert_sweep_matches_oracle(_random_spec([]))
+        _, spec = platoon_spec(Scheme.ACC)
+        assert_sweep_matches_oracle(replace(spec, coeffs={}, probs={}))
 
     def test_certain_and_impossible_variables(self):
         # probabilities 0 and 1 zero out half the corner points each; the
         # sweep must drop the same assignments the oracle skips
-        assert_sweep_matches_oracle(_random_spec([0.0, 0.3, 1.0, 0.6, 0.5]))
+        _, spec = platoon_spec(Scheme.CACC_PLUS, n_followers=3)
+        probs = dict(zip(["w1_1", "w1_2", "w1_3", "w2_2", "w2_3"], [0.0, 0.3, 1.0, 0.6, 0.5]))
+        assert probs.keys() == spec.probs.keys()
+        assert_sweep_matches_oracle(replace(spec, probs=probs))
 
-    @pytest.mark.parametrize("seed", range(24))
-    def test_random_block_specs(self, seed):
-        spec, bounds = _block_spec(seed)
-        assert [b[0] for b in expectation_mod._row_blocks(spec)] == bounds[:-1]
-        assert_sweep_matches_oracle(spec)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_straddling_variable_merges_blocks(self, seed):
-        spec, bounds = _block_spec(100 + seed, straddle=True)
-        blocks = expectation_mod._row_blocks(spec)
-        assert [b[0] for b in blocks] == bounds[:-1]
-        assert any("straddle" in names for _, _, names in blocks)
-        assert_sweep_matches_oracle(spec)
+    @pytest.mark.parametrize("seed", range(36))
+    def test_random_platoons(self, seed):
+        assert_sweep_matches_oracle(from_platoon(_random_platoon(seed)))
 
     def test_platoon_partition_is_vehicle_blocks(self):
-        # leader plus six followers: three rows each, follower i conditioned
-        # on its own links w1_i and (from i = 2) w2_i
-        cfg = PlatoonConfig(
-            n_followers=6, tau=0.4, gains=Gains(0.2, 2.5, 1.0),
-            policy=SpacingPolicy(h_w=0.45, d=5.0), scheme=Scheme.CACC_PLUS,
-            grid=TimeGrid(0.01, 1.0), channel=GilbertParams(0.2, 0.1, 0.2))
-        blocks = expectation_mod._row_blocks(from_platoon(cfg))
-        assert [(start, stop) for start, stop, _ in blocks] == [
-            (3 * i, 3 * i + 3) for i in range(7)]
-        assert [names for _, _, names in blocks] == [
-            [], ["w1_1"], *([f"w1_{i}", f"w2_{i}"] for i in range(2, 7))]
+        # leader plus six followers: follower i conditioned on its own links
+        # w1_i and (from i = 2) w2_i, each where it carries a term of the law
+        cases = {
+            (Scheme.CACC_PLUS, 0.2): [(), ("w1_1",),
+                                      *((f"w1_{i}", f"w2_{i}") for i in range(2, 7))],
+            # at k_a = 0 the (i, i-1) link carries no term, the (i, i-2) link does
+            (Scheme.CACC_PLUS, 0.0): [(), (), *((f"w2_{i}",) for i in range(2, 7))],
+            (Scheme.CACC, 0.2): [(), *((f"w1_{i}",) for i in range(1, 7))],
+            (Scheme.CACC, 0.0): [()] * 7,
+            (Scheme.ACC, 0.2): [()] * 7,
+        }
+        for (scheme, k_a), links in cases.items():
+            spec = from_platoon(platoon_config(scheme, n_followers=6, k_a=k_a))
+            assert list(spec.vehicles) == links, (scheme, k_a)
+            # block lower triangular by vehicle, base and links alike
+            reach = (spec.base != 0) | np.any([c != 0 for c in spec.coeffs.values()], axis=0)
+            rows, cols = np.nonzero(reach)
+            assert (cols // 3 <= rows // 3).all()
+            # a recorded link reaches its vehicle's rows only, the others no row
+            for i, names in enumerate(spec.vehicles):
+                for name in names:
+                    assert (np.flatnonzero(spec.coeffs[name].any(axis=1)) // 3 == i).all()
+            recorded = {name for names in spec.vehicles for name in names}
+            assert not any(spec.coeffs[name].any() for name in set(spec.coeffs) - recorded)
 
     def test_repeated_and_unordered_exponents(self):
         _, spec = platoon_spec(Scheme.CACC_PLUS)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+from helpers import affine_maps, write_map_csv
 from platoon_lab.dynamics import VehicleState, step_lag
-from platoon_lab.maps import (MapFormatError, PedalMap, actuate, affine_maps, interp,
-                              invert, step_empirical, synthetic_brake_map,
-                              synthetic_throttle_map)
+from platoon_lab.maps import (MapFormatError, PedalMap, actuate, interp, invert,
+                              step_empirical, synthetic_brake_map, synthetic_throttle_map)
 
 
 def bilinear_exact_map():
@@ -40,7 +40,7 @@ class TestPedalMap:
     def test_csv_roundtrip(self, tmp_path):
         m = synthetic_throttle_map()
         path = tmp_path / "throttle.csv"
-        m.to_csv(path)
+        write_map_csv(m, path)
         back = PedalMap.from_csv_text(path.read_text(encoding="utf-8"))
         assert back.pedal == m.pedal
         assert back.velocity == m.velocity

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 import platoon_lab.sim as sim_mod
 import reference_engine as ref
+from helpers import constant_velocity
 from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
@@ -119,7 +120,7 @@ class TestConfigValidation:
 class TestSimulate:
     def test_zero_maneuver_stays_at_equilibrium(self):
         cfg = make_config(Scheme.CACC_PLUS, n_followers=3, horizon=5.0)
-        out = simulate(cfg, Maneuver.constant_velocity(25.0))
+        out = simulate(cfg, constant_velocity(25.0))
         assert np.abs(out.errors).max() == 0.0
         assert np.all(out.v == 25.0)
 
@@ -675,14 +676,14 @@ class TestBooleanLinkTables:
 class TestEmpiricalStringStability:
     def test_all_zero_errors_stable(self):
         cfg = make_config(Scheme.CACC, n_followers=3, horizon=5.0)
-        out = simulate(cfg, Maneuver.constant_velocity(25.0))
+        out = simulate(cfg, constant_velocity(25.0))
         ok, peaks = empirical_string_stability(out)
         assert ok
         np.testing.assert_array_equal(peaks, np.zeros(3))
 
     def test_growing_synthetic_peaks_rejected(self):
         cfg = make_config(Scheme.CACC, n_followers=3, horizon=1.0)
-        out = simulate(cfg, Maneuver.constant_velocity(25.0))
+        out = simulate(cfg, constant_velocity(25.0))
         out.errors = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         ok, peaks = empirical_string_stability(out)
         assert not ok
@@ -690,7 +691,7 @@ class TestEmpiricalStringStability:
 
     def test_needs_two_followers(self):
         cfg = make_config(Scheme.CACC, n_followers=1, horizon=1.0)
-        out = simulate(cfg, Maneuver.constant_velocity(25.0))
+        out = simulate(cfg, constant_velocity(25.0))
         with pytest.raises(ValueError):
             empirical_string_stability(out)
 
