@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import control, expectation, output, stability
+from . import __version__, control, expectation, output, stability
 from .control import Scheme
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sim import (SimOutput, SimulationDivergedError, empirical_string_stability,
@@ -40,6 +41,15 @@ def _out_dir(arg: str | None) -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _report(command: str, scenario: Scenario, verdicts: dict) -> output.RunReport:
+    """A report on ``scenario`` with its provenance: the versions that
+    produced it and the master seed (--seed), which the config hash does not
+    cover."""
+    provenance = {"platoon_lab": __version__, "numpy": np.__version__,
+                  "python": platform.python_version(), "seed": scenario.config.master_seed}
+    return output.RunReport(command, scenario.config_hash, verdicts, provenance)
 
 
 def _headway_table(scenario: Scenario) -> dict:
@@ -66,7 +76,7 @@ def _headway_table(scenario: Scenario) -> dict:
 
 def cmd_headway(scenario: Scenario, outdir: Path) -> output.RunReport:
     verdicts = _headway_table(scenario)
-    report = output.RunReport("headway", scenario.config_hash, verdicts)
+    report = _report("headway", scenario, verdicts)
     report.write(outdir / f"{scenario.output.prefix}-headway-report.json")
     print(f"gamma = {verdicts['gamma']:.4f}")
     for k in ("h_min_acc", "h_min_cacc", "h_min_cacc_plus", "h_min_cacc_plus_mu"):
@@ -129,7 +139,7 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> output.RunReport:
     if scenario.config.n_followers < 2:
         raise ScenarioError("simulate judges string stability from the followers' "
                             "peak errors and needs n_followers >= 2")
-    report = output.RunReport("simulate", scenario.config_hash, {})
+    report = _report("simulate", scenario, {})
     if scenario.suite:
         report.verdicts = _run_suite(scenario, outdir, report)
         print("suite verdicts:", ", ".join(
@@ -171,7 +181,7 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     peak_det = float(det_peaks[last])
     # no relative gap to a gamma system with zero peak; JSON has no infinity
     rel_gap = abs(peak_mean - peak_det) / peak_det if peak_det else None
-    report = output.RunReport("montecarlo", scenario.config_hash, {
+    report = _report("montecarlo", scenario, {
         "n_realizations": stats.n_realizations,
         "last_vehicle_peak_of_mean": peak_mean,
         "last_vehicle_gamma_system_peak": peak_det,
@@ -224,7 +234,7 @@ def cmd_stability(scenario: Scenario, outdir: Path) -> output.RunReport:
     # a standstill distance of the peak bound absorbs the worst-case spacing error
     verdicts.update({"j_value": bound.j_value, "m1": bound.m1, "m2": bound.m2,
                      "peak_error_bound": peak, "safe_standstill_distance": peak})
-    report = output.RunReport("stability", scenario.config_hash, verdicts)
+    report = _report("stability", scenario, verdicts)
     report.write(outdir / f"{scenario.output.prefix}-stability-report.json")
     cond = "holds" if ok else "violated"
     print(f"frequency-domain condition {cond}; peak error bound {peak:.3f} m")
@@ -243,7 +253,7 @@ def cmd_oracle(scenario: Scenario, outdir: Path) -> output.RunReport:
             for k, (holds, gap) in zip(ks, expectation.check_multilinearity(spec, ks))]
     verdicts = {"n_variables": len(spec.probs), "checks": rows,
                 "identity_holds_all": all(r["holds"] for r in rows)}
-    report = output.RunReport("oracle", scenario.config_hash, verdicts)
+    report = _report("oracle", scenario, verdicts)
     prefix = scenario.output.prefix
     with open(outdir / f"{prefix}-oracle.csv", "w", encoding="utf-8") as fh:
         fh.write("k,holds,frobenius_gap\n")

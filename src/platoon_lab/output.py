@@ -32,11 +32,14 @@ def _jsonable(obj):
 
 @dataclass
 class RunReport:
-    """What a CLI command concluded and where it put the artifacts."""
+    """What a CLI command concluded, what produced it (``provenance``:
+    package, numpy and python versions, master seed) and where it put the
+    artifacts."""
 
     command: str
     config_hash: str
     verdicts: dict
+    provenance: dict
     artifacts: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:

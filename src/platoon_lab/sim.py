@@ -19,8 +19,9 @@ reach it change over the run (a gamma run, a lossless channel, ACC).
   each row stopping at its own term whatever its batch-mates need.  One
   Taylor series serves both steps: the exponential (:func:`expm`) and the
   action sum its terms under one stop rule (:func:`_converged`), and a step
-  matrix whose norm calls for it is scaled and squared, so neither needs
-  scipy.
+  matrix whose norm calls for it is scaled and squared.  :func:`expm` is the
+  package's one exponential: the stability analysis steps its sampled
+  responses with it too, so no part of the package needs scipy.
 * pedal maps (:class:`_MapStepper`): every vehicle's command is read off the
   acceleration rows of tau A(w) and c(w) (:func:`cacc_input`), and all
   vehicles of all rows advance together through the pedal maps and the
@@ -302,7 +303,8 @@ def _halvings(m: np.ndarray) -> int:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """e^m from its Taylor series: the point-mass step's exponential.
+    """e^m from its Taylor series: the point-mass step's exponential, and
+    the step e^{A dt} of the stability module's response sampler.
 
     The terms t_k = m t_{k-1} / k from t_0 = I are summed up to the first
     that meets the stop rule of the Taylor action (:func:`_converged`),

@@ -12,14 +12,15 @@ spacing error of every vehicle given the lead vehicle's maneuver energy.
 
 * H-infinity norms are exact: the largest |H| over the stationary points of
   |H(j omega)|^2, found as polynomial roots (:func:`hinf_norm`).
-* Gramians come from ``scipy.linalg.solve_continuous_lyapunov``.
+* Gramians solve the Lyapunov equation as one Kronecker linear system
+  (:func:`lyapunov_gramian`).
 * Both time-domain constants, the impulse-L1 norm ||h||_1 (the exact
   L-inf -> L-inf gain) and eta = sup_t ||C e^{At}||, come from one blocked
-  sampler of C e^{A k dt} (:func:`_response_blocks`).
+  sampler of C e^{A k dt} (:func:`_response_blocks`), whose step e^{A dt}
+  is the engine's own exponential (:func:`platoon_lab.sim.expm`).
 
-``scipy.linalg`` (``expm`` and ``solve_continuous_lyapunov``) is imported on
-first use, inside the two functions that call it: loading it takes about a
-quarter of a second and 28 MiB, and no other part of the package needs it.
+Everything here runs on numpy alone; scipy's ``expm`` and
+``solve_continuous_lyapunov`` stay the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Gains, Scheme, scheme_rates
+from .sim import expm
 
 
 class UnstableTransferFunctionError(ValueError):
@@ -235,8 +237,6 @@ def _response_blocks(a: np.ndarray, c: np.ndarray, max_dt: float):
             f"{sigma:.3g} 1/s, and {_DECAY_TIMES:g}/sigma at dt = {dt:g} s takes "
             f"{n} samples, more than {_SAMPLE_BUDGET}")
 
-    from scipy.linalg import expm
-
     def blocks():
         block = np.asarray(c, dtype=float).reshape(1, -1)
         power = expm(a * dt)  # always E^(rows of block)
@@ -276,17 +276,23 @@ def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
     """Solve A P + P A^T + B B^T = 0 for the controllability Gramian P.
 
     ``b_cat`` may stack several input columns; the equation then carries the
-    summed outer products, as the two-predecessor bound requires.  Solved by
-    ``scipy.linalg.solve_continuous_lyapunov`` (Bartels-Stewart), then
-    symmetrized.  Raises for non-Hurwitz A.
+    summed outer products, as the two-predecessor bound requires.  Solved as
+    the linear system (I kron A + A kron I) vec P = -vec(B B^T) by numpy's
+    LAPACK, then symmetrized.  Raises for non-Hurwitz A, before any solve.
+
+    The system is n^2 x n^2, so the solve costs O(n^6): nothing for the
+    n = 3 of every chain :func:`build_error_system` makes (a 9 x 9 system),
+    but a Gramian of the whole 3N-state platoon would call for a
+    Bartels-Stewart (Schur) solve at O(n^3) instead.
     """
     a = np.asarray(a, dtype=float)
     b_cat = np.asarray(b_cat, dtype=float).reshape(len(a), -1)
     if not _decay_rate(np.linalg.eigvals(a)) > _MIN_DECAY:
         raise UnstableTransferFunctionError("A is not Hurwitz; Lyapunov equation has no PSD solution")
-    from scipy.linalg import solve_continuous_lyapunov
-
-    p = solve_continuous_lyapunov(a, -b_cat @ b_cat.T)
+    n = len(a)
+    eye = np.eye(n)
+    p = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye),
+                        -(b_cat @ b_cat.T).reshape(-1)).reshape(n, n)
     return 0.5 * (p + p.T)
 
 

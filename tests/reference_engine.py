@@ -36,9 +36,14 @@ to one power.  It uses none of the vehicle blocks that the program's
 recursion conditions on, and the recursion must agree with it within
 1e-12 relative.
 
-Last, it keeps the response C e^{A k dt} stepped one sample at a time
+Last, it keeps the stability module's numerics on scipy: the response
+C e^{A k dt} stepped one sample at a time with scipy's exponential
 (:func:`stepped_response`), the oracle for the blocked sampler behind the
-stability module's time-domain constants.
+time-domain constants, and the Gramian from scipy's Bartels-Stewart solver
+(:func:`lyapunov_gramian`), the oracle for the program's Kronecker solve.
+With this module's ``expm`` and :func:`lyapunov_gramian` in place of the
+stability module's own, the analysis runs as it did on scipy, and its
+report must agree within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from platoon_lab.channel import ChannelMode, GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
@@ -428,3 +433,10 @@ def stepped_response(a: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndar
     for _ in range(n - 1):
         rows.append(rows[-1] @ step)
     return np.array(rows)
+
+
+def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
+    """P of A P + P A^T + B B^T = 0 from scipy's Bartels-Stewart solver,
+    symmetrized."""
+    p = solve_continuous_lyapunov(a, -b_cat @ b_cat.T)
+    return 0.5 * (p + p.T)

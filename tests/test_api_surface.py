@@ -1,4 +1,5 @@
-"""Every public name in ``platoon_lab`` has a caller in the program itself.
+"""Every public name in ``platoon_lab`` has a caller in the program itself,
+and the program imports nothing beyond the standard library and numpy.
 
 A public top-level function or class, or a public method, must be referenced
 somewhere in ``src/platoon_lab`` outside its own definition; re-exports in
@@ -9,6 +10,7 @@ as used; the check catches API that nothing mentions, not every dead path.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -69,3 +71,23 @@ def test_every_public_name_has_a_caller_in_src():
         "move it into tests/, or delete it")
     # an entry that gained a caller, or was deleted, leaves the list
     assert set(unused) == ALLOWED
+
+
+def test_program_imports_only_stdlib_and_numpy():
+    # scipy is the tests' oracle, not a dependency: every import in src/,
+    # at module level or inside a function (a lazy import on a branch no
+    # command test reaches), must come from the standard library, numpy or
+    # the package itself
+    allowed = set(sys.stdlib_module_names) | {"numpy", "platoon_lab"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside the standard library and numpy: {foreign}"

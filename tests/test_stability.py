@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_lyapunov
 from scipy.signal import ss2tf
 
+import reference_engine as ref
 from designed_gains import designed_kv
+from platoon_lab import cli, stability
 from platoon_lab.control import Gains, Scheme, min_headway
+from platoon_lab.scenario import parse_scenario_text, preset_text
 from platoon_lab.stability import (PeakBound, RationalTF, StateSpace,
                                    UnstableTransferFunctionError,
                                    build_error_system, hinf_norm, impulse_l1_norm,
@@ -375,9 +379,53 @@ class TestLyapunovGramian:
         p_scipy = solve_lyapunov(a, -b @ b.T)
         np.testing.assert_allclose(p_mine, p_scipy, atol=1e-10)
 
-    def test_unstable_rejected(self):
+    def test_unstable_rejected(self, monkeypatch):
+        # before any solve: a call to np.linalg.solve would raise TypeError
+        monkeypatch.setattr(np.linalg, "solve", None)
         with pytest.raises(UnstableTransferFunctionError):
             lyapunov_gramian(np.array([[1.0]]), np.array([[1.0]]))
+        with pytest.raises(UnstableTransferFunctionError):
+            lyapunov_gramian(np.array([[0.0, 1.0], [2.0, -1.0]]), np.eye(2))
+
+
+class TestAgainstScipyOracle:
+    """The analysis on numpy alone against the same analysis on scipy's
+    exponential and Lyapunov solver (``reference_engine``), on every preset
+    under every scheme: each float of the stability report, the l1_* values
+    of :func:`impulse_l1_norm` among them, within 1e-12 relative, and each
+    verdict and H-infinity norm identical."""
+
+    CASES = [(preset, scheme) for preset in ("paper-fig4", "paper-fig8", "paper-fig9",
+                                             "paper-fig10") for scheme in Scheme]
+
+    @staticmethod
+    def scenario(preset, scheme):
+        text = re.sub(r"(?m)^scheme = .*$", f"scheme = {scheme.value}", preset_text(preset))
+        return parse_scenario_text(text, name=preset)
+
+    @pytest.mark.parametrize("preset,scheme", CASES)
+    def test_report_within_1e12(self, preset, scheme, tmp_path, monkeypatch):
+        scenario = self.scenario(preset, scheme)
+        mine = cli.cmd_stability(scenario, tmp_path).verdicts
+        monkeypatch.setattr(stability, "expm", ref.expm)
+        monkeypatch.setattr(stability, "lyapunov_gramian", ref.lyapunov_gramian)
+        want = cli.cmd_stability(scenario, tmp_path).verdicts
+        assert mine.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float) and not key.startswith("hinf"):
+                assert mine[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            else:
+                assert mine[key] == value, key
+
+    @pytest.mark.parametrize("preset,scheme", CASES)
+    def test_both_gramians_within_1e12(self, preset, scheme):
+        scenario = self.scenario(preset, scheme)
+        cfg = scenario.config
+        ss = build_error_system(cfg.gains, cfg.tau, cfg.policy.h_w, scheme,
+                                *scenario.analysis_rates)
+        for a, b in ((ss.a, ss.b), (ss.a.T, ss.c.T)):
+            want = ref.lyapunov_gramian(a, b)
+            assert np.abs(lyapunov_gramian(a, b) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestTfToSs:
