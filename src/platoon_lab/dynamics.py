@@ -30,9 +30,6 @@ class VehicleState:
     v: float
     a: float
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite((self.x, self.v, self.a))))
-
 
 @dataclass(frozen=True)
 class Maneuver:
@@ -104,7 +101,8 @@ class TimeGrid:
 def step_lag(state: VehicleState, u, tau: float, dt: float) -> VehicleState:
     """Advance vehicles by ``dt`` with the commands ``u`` held constant.
 
-    ``state`` and ``u`` are scalars for one vehicle or arrays over vehicles.
+    ``state`` and ``u`` are scalars for one vehicle or arrays over vehicles;
+    a NaN state or command gives a NaN state, which the driver reports.
 
     Exact discretization of x' = v, v' = a, a' = (u - a)/tau:
 
@@ -114,8 +112,6 @@ def step_lag(state: VehicleState, u, tau: float, dt: float) -> VehicleState:
     """
     if tau <= 0 or dt <= 0:
         raise ValueError("tau and dt must be positive")
-    if not (state.is_finite() and np.all(np.isfinite(u))):
-        raise ValueError("non-finite state or command")
     decay = math.exp(-dt / tau)
     rem = 1.0 - decay
     da = state.a - u

@@ -187,11 +187,9 @@ def step_empirical(throttle: PedalMap, brake: PedalMap, state: VehicleState,
     return step_lag(state, achieved, tau, dt), braking
 
 
-def synthetic_throttle_map(pedal_points: int = 11, velocity_points: int = 8,
-                           v_max: float = 35.0) -> PedalMap:
+def synthetic_throttle_map() -> PedalMap:
     """Smooth saturating throttle surface: strong at low speed, fading with v."""
-    pedal = np.linspace(0.0, 1.0, pedal_points)
-    vel = np.linspace(0.0, v_max, velocity_points)
+    pedal, vel = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 35.0, 8)
     grid = []
     for p in pedal:
         row = [(1.0 - np.exp(-3.0 * p)) * (4.6 - 0.075 * v) - (0.12 + 0.0135 * v)
@@ -200,15 +198,13 @@ def synthetic_throttle_map(pedal_points: int = 11, velocity_points: int = 8,
     return PedalMap(tuple(pedal), tuple(vel), tuple(tuple(r) for r in grid))
 
 
-def synthetic_brake_map(pedal_points: int = 11, velocity_points: int = 8,
-                        v_max: float = 35.0, peak_decel: float = 10.8) -> PedalMap:
+def synthetic_brake_map() -> PedalMap:
     """Smooth saturating brake surface (values <= 0, deceleration grows with p)."""
-    pedal = np.linspace(0.0, 1.0, pedal_points)
-    vel = np.linspace(0.0, v_max, velocity_points)
+    pedal, vel = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 35.0, 8)
     norm = 1.0 - np.exp(-2.6)
     grid = []
     for p in pedal:
-        row = [-(0.12 + 0.0135 * v) - peak_decel * (1.0 - np.exp(-2.6 * p)) / norm
+        row = [-(0.12 + 0.0135 * v) - 10.8 * (1.0 - np.exp(-2.6 * p)) / norm
                for v in vel]
         grid.append(row)
     return PedalMap(tuple(pedal), tuple(vel), tuple(tuple(r) for r in grid))

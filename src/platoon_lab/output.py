@@ -82,11 +82,11 @@ def write_peaks_csv(peaks: np.ndarray, path) -> str:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray],
-              title: str = "", ylabel: str = "spacing error (m)") -> str:
-    """Minimal line plot: one polyline per named series, axes and labels."""
+def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray], title: str) -> str:
+    """Minimal line plot of spacing errors: one polyline per named series."""
     width, height = 840, 480
     ml, mr, mt, mb = 64, 160, 40, 48
     pw, ph = width - ml - mr, height - mt - mb
@@ -108,7 +108,8 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">'
+        f'{title.translate(_XML_ESCAPES)}</text>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
     ]
@@ -128,7 +129,7 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray],
         parts.append(f'<line x1="{ml + pw + 10}" y1="{ly - 4}" x2="{ml + pw + 34}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + pw + 40}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{label.translate(_XML_ESCAPES)}</text>')
     for frac in (0.0, 0.5, 1.0):
         tv = t0 + frac * (t1 - t0)
         parts.append(f'<text x="{sx(tv):.1f}" y="{mt + ph + 18}" font-family="sans-serif" '
@@ -139,7 +140,8 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray],
     parts.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle">time (s)</text>')
     parts.append(f'<text x="16" y="{mt + ph / 2:.0f}" font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {mt + ph / 2:.0f})" text-anchor="middle">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {mt + ph / 2:.0f})" '
+                 'text-anchor="middle">spacing error (m)</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -345,6 +346,8 @@ def parse_scenario_text(text: str, name: str = "scenario",
         raise ScenarioError(str(exc)) from exc
 
     out = values["output"]
+    if out["prefix"] and ("/" in out["prefix"] or os.sep in out["prefix"]):
+        raise ScenarioError(f"[output] prefix = {out['prefix']!r} must be a name, not a path")
     out = OutputOptions(prefix=out["prefix"] or name, csv=out["csv"], svg=out["svg"])
 
     canonical = [f"{section}.{key}={raw[section][key]}"

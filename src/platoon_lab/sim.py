@@ -11,21 +11,23 @@ one buffer that :class:`_LinkLaw` patches in place at each step's weights;
 the law is fixed, and taken once, when no row's weights on the links that
 reach it change over the run (a gamma run, a lossless channel, ACC).
 
-* point mass (:class:`_Propagator`): the closed loop is linear, so each
-  controller step is the exact zero-order-hold solution of the per-step
-  constant system, the exponential of an augmented matrix carrying the lead
-  input and the offset.  A fixed law gives each row its exponential once;
-  otherwise every row takes a machine-precision Taylor action on the states,
-  each row stopping at its own term whatever its batch-mates need.  One
-  Taylor series serves both steps: the exponential (:func:`expm`) and the
-  action sum its terms under one stop rule (:func:`_converged`), and a step
-  matrix whose norm calls for it is scaled and squared.  :func:`expm` is the
-  package's one exponential: the stability analysis steps its sampled
-  responses with it too, so no part of the package needs scipy.
+* point mass (:class:`_Propagator`): the feedback acts continuously, and the
+  closed loop is linear, so each controller step is the exact zero-order-hold
+  solution of the per-step constant system, the exponential of an augmented
+  matrix carrying the lead input and the offset.  A fixed law gives each row
+  its exponential once; otherwise every row takes a machine-precision Taylor
+  action on the states, each row stopping at its own term whatever its
+  batch-mates need.  One Taylor series serves both steps: the exponential
+  (:func:`expm`) and the action sum its terms under one stop rule
+  (:func:`_converged`), and a step matrix whose norm calls for it is scaled
+  and squared.  :func:`expm` is the package's one exponential: the stability
+  analysis steps its sampled responses with it too, so no part of the package
+  needs scipy.
 * pedal maps (:class:`_MapStepper`): every vehicle's command is read off the
-  acceleration rows of tau A(w) and c(w) (:func:`cacc_input`), and all
-  vehicles of all rows advance together through the pedal maps and the
-  exact lag update (:func:`platoon_lab.maps.step_empirical`).
+  acceleration rows of tau A(w) and c(w) (:func:`cacc_input`) at the start
+  of the step, held over it (sampled-data control) and clamped to the maps'
+  authority: all vehicles of all rows advance together through the pedal
+  maps and the exact lag update (:func:`platoon_lab.maps.step_empirical`).
 
 A run's link weights come from one field, :attr:`PlatoonConfig.rates`: None
 samples every link's Gilbert channel (:func:`_link_tables`, which gives each
@@ -554,15 +556,11 @@ class _MapStepper:
         u[:, 0] = u_lead
         if cfg.u_clamp is not None:
             u[:, 1:] = np.minimum(np.maximum(u[:, 1:], cfg.u_clamp[0]), cfg.u_clamp[1])
-        # an overflowed law: the row's state is non-finite, which the driver reports
-        lost = np.isnan(u).any(axis=1)
-        u[lost] = 0.0
         state = VehicleState(x[:, 0::3], x[:, 1::3], x[:, 2::3])
         state, self._braking = maps_mod.step_empirical(cfg.throttle_map, cfg.brake_map, state,
                                                        u, self._braking, cfg.tau, cfg.grid.dt)
         out = np.empty_like(x)
         out[:, 0::3], out[:, 1::3], out[:, 2::3] = state.x, state.v, state.a
-        out[lost] = np.nan
         return out
 
 

@@ -55,7 +55,8 @@ def _decay_rate(poles: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Rational transfer function as coefficient tuples, descending powers of s."""
+    """Strictly proper rational transfer function, as all that
+    :func:`build_error_system` makes are: coefficient tuples, descending powers of s."""
 
     num: tuple[float, ...]
     den: tuple[float, ...]
@@ -72,8 +73,8 @@ class RationalTF:
         object.__setattr__(self, "den", den)
         if den[0] == 0.0:
             raise ValueError("denominator is identically zero")
-        if len(num) > len(den):
-            raise ValueError("transfer function must be proper")
+        if len(num) >= len(den):
+            raise ValueError("transfer function must be strictly proper")
 
     def __call__(self, s):
         return np.polyval(self.num, s) / np.polyval(self.den, s)
@@ -86,12 +87,6 @@ class RationalTF:
 
     def dc_gain(self) -> float:
         return float(self.num[-1] / self.den[-1])
-
-    def hf_gain(self) -> float:
-        """|H(j inf)|: ratio of leading coefficients for biproper, else 0."""
-        if len(self.num) == len(self.den):
-            return abs(self.num[0] / self.den[0])
-        return 0.0
 
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.num)
@@ -164,12 +159,13 @@ def hinf_norm(tf: RationalTF) -> float:
     """sup over omega >= 0 of |H(j omega)|, from its exact stationary points.
 
     With x = omega^2, |H(j omega)|^2 = N(x) / D(x), whose derivative vanishes
-    only at roots of N'D - N D'.  The norm is the largest |H| at omega = 0,
-    in the omega -> inf limit and at omega = sqrt(Re x) for every root x with
-    Re x > 0 (complex roots too, so a double root split by rounding is not
-    missed).  Each candidate is a value of |H|, so the result is exact up to
-    rounding: within 1e-12 relative of a zoomed dense grid on CACC, CACC+
-    and biproper functions, far inside the 1e-6 a grid check may hold it to.
+    only at roots of N'D - N D'.  The norm is the largest |H| at omega = 0
+    and at omega = sqrt(Re x) for every root x with Re x > 0 (complex roots
+    too, so a double root split by rounding is not missed; a first-order H
+    has none), as a strictly proper H vanishes at omega -> inf.  Each
+    candidate is a value of |H|, so the result is exact up to rounding:
+    within 1e-12 relative of a zoomed dense grid on CACC and CACC+
+    functions, far inside the 1e-6 a grid check may hold it to.
     """
     if tf.is_zero():
         return 0.0
@@ -180,7 +176,7 @@ def hinf_norm(tf: RationalTF) -> float:
     stationary = np.roots(np.polysub(np.polymul(np.polyder(n), d),
                                      np.polymul(n, np.polyder(d))))
     mags = np.abs(tf(1j * np.sqrt(stationary.real[stationary.real > 0.0])))
-    return float(max(abs(tf.dc_gain()), tf.hf_gain(), *mags))
+    return float(max([abs(tf.dc_gain()), *mags]))
 
 
 def string_stable_sum(norms) -> tuple[bool, float]:
@@ -193,25 +189,15 @@ def string_stable_sum(norms) -> tuple[bool, float]:
     return margin >= -1e-9, margin
 
 
-def tf_to_ss(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Observable-canonical realization (A, B, C, D) of a proper rational TF."""
+def tf_to_ss(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observable-canonical realization (A, B, C) of a strictly proper TF."""
     den = np.asarray(tf.den, dtype=float)
-    num = np.zeros_like(den)
-    num[len(den) - len(tf.num):] = tf.num
-    num = num / den[0]
-    den = den / den[0]
-    d = num[0]
-    num = num[1:] - d * den[1:]  # strictly proper remainder
     n = len(den) - 1
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), float(d)
-    a = np.zeros((n, n))
-    a[:, 0] = -den[1:]
-    a[:-1, 1:] = np.eye(n - 1)
-    b = num.reshape(-1, 1)
-    c = np.zeros((1, n))
-    c[0, 0] = 1.0
-    return a, b, c, float(d)
+    b = np.zeros((n, 1))
+    b[n - len(tf.num):, 0] = tf.num
+    a = np.eye(n, k=1)
+    a[:, 0] = -den[1:] / den[0]
+    return a, b / den[0], np.eye(1, n)
 
 
 def _response_blocks(a: np.ndarray, c: np.ndarray, max_dt: float):
@@ -250,26 +236,24 @@ def _response_blocks(a: np.ndarray, c: np.ndarray, max_dt: float):
     return dt, blocks()
 
 
-def impulse_l1_norm(tf: RationalTF, dt: float = 1e-3) -> float:
+def impulse_l1_norm(tf: RationalTF) -> float:
     """L1 norm of the impulse response h, the exact L-inf -> L-inf gain of H.
 
     The trapezoid rule on |h(t)| = |C e^{At} B| sampled by
-    :func:`_response_blocks` (every dt s over 40 decay times; the tail past
-    them is below e^{-40}), plus |D| for a biproper H.  The quadrature error
-    is O(dt^2), within 1e-6 relative at the default dt on the CACC and CACC+
-    functions.  Raises UnstableTransferFunctionError as the sampler does.
+    :func:`_response_blocks` (every 1e-3 s at most, over 40 decay times; the
+    tail past them is below e^{-40}).  The quadrature error is O(dt^2),
+    within 1e-6 relative on the CACC and CACC+ functions.  Raises
+    UnstableTransferFunctionError as the sampler does.
     """
-    a, b, c, d = tf_to_ss(tf)
-    if a.shape[0] == 0:
-        return abs(d)
-    dt, blocks = _response_blocks(a, c, dt)
+    a, b, c = tf_to_ss(tf)
+    dt, blocks = _response_blocks(a, c, 1e-3)
     total = last = 0.0
     for block in blocks:
         h = np.abs(block @ b[:, 0])
         total += float(h.sum())
         last = float(h[-1])
     first = abs(float(c[0] @ b[:, 0]))
-    return abs(d) + dt * (total - 0.5 * (first + last))
+    return dt * (total - 0.5 * (first + last))
 
 
 def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
@@ -282,8 +266,8 @@ def lyapunov_gramian(a: np.ndarray, b_cat: np.ndarray) -> np.ndarray:
 
     The system is n^2 x n^2, so the solve costs O(n^6): nothing for the
     n = 3 of every chain :func:`build_error_system` makes (a 9 x 9 system),
-    but a Gramian of the whole 3N-state platoon would call for a
-    Bartels-Stewart (Schur) solve at O(n^3) instead.
+    but a Gramian of the whole 3N-state platoon would need its block
+    structure: numpy has no Schur factorization for a Bartels-Stewart solve.
     """
     a = np.asarray(a, dtype=float)
     b_cat = np.asarray(b_cat, dtype=float).reshape(len(a), -1)
@@ -332,7 +316,7 @@ def build_error_system(gains: Gains, tau: float, h_w: float, scheme: Scheme,
         tfs += (RationalTF((mu * ka, mu * kv, mu * kp), den),)
     lead_tf = RationalTF((gamma * ka * h_w - tau, gamma * ka + kv * h_w - 1.0),
                          _denominator(gains, tau, h_w, 0.0))
-    a, _, c, _ = tf_to_ss(tfs[0])
+    a, _, c = tf_to_ss(tfs[0])
     b = np.column_stack([tf_to_ss(tf)[1] for tf in tfs])
     return StateSpace(a=a, b=b, c=c, lead_tf=lead_tf, tfs=tfs)
 

@@ -91,3 +91,53 @@ def test_program_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, f"imports outside the standard library and numpy: {foreign}"
+
+
+
+# Defaulted parameters no call in src/ sets, each with its reason to stay.
+ALLOWED_DEFAULTS = {
+    # the console-script entry point: the installed `platoon-lab` script calls
+    # main() with no argument, and tests pass their own argv
+    "cli.main(argv)",
+}
+
+
+def _defaulted(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of ``node`` that has a default;
+    the position among positional parameters, None for keyword-only ones."""
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+    first = len(positional) - len(node.args.defaults)
+    return ([(name, first + i) for i, name in enumerate(positional[first:])]
+            + [(a.arg, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+               if d is not None])
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    # a default that no call in the program overrides is a constant in
+    # disguise.  Calls match definitions by name, as above; a call through
+    # an attribute (obj.method(...)) writes its positions after self, and a
+    # call that spreads *args or **kwargs counts as setting every parameter.
+    modules = _modules()
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for module, tree in modules.items():
+        methods = {id(member) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for member in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            shift = 1 if id(node) in methods else 0
+            for param, position in _defaulted(node):
+                if not any(any(k.arg in (param, None) for k in call.keywords)
+                           or any(isinstance(a, ast.Starred) for a in call.args)
+                           or (position is not None and len(call.args) > position - shift)
+                           for call in calls.get(node.name, [])):
+                    unset.add(f"{module}.{node.name}({param})")
+    assert unset == ALLOWED_DEFAULTS, (
+        f"defaulted parameters no call in src/ sets: {sorted(unset - ALLOWED_DEFAULTS)}; "
+        "make each a constant or pass it from a caller")

@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -169,7 +170,9 @@ class TestScenarioParsing:
         a = load_scenario(write(tmp_path, text, "a.ini"))
         assert load_scenario(write(tmp_path, text, "b.ini")).config_hash == a.config_hash
         # same INI text, different throttle-map contents
-        write_map_csv(synthetic_throttle_map(pedal_points=9), tmp_path / "thr.csv")
+        base = synthetic_throttle_map()
+        write_map_csv(replace(base, accel=tuple(tuple(1.01 * a for a in row)
+                                                for row in base.accel)), tmp_path / "thr.csv")
         changed = load_scenario(write(tmp_path, text, "c.ini"))
         assert changed.config.throttle_map != a.config.throttle_map
         assert changed.config_hash != a.config_hash
@@ -241,6 +244,17 @@ class TestCliExitCodes:
         self.assert_one_config_error(capsys, ["run", "headway", "--scenario",
                                               write(tmp_path, BASE), "--out",
                                               str(tmp_path / "o")], "output directory")
+
+    @pytest.mark.parametrize("prefix", ["sub/run", "../escaped"])
+    def test_prefix_with_a_path_separator_exit_2(self, tmp_path, capsys, prefix):
+        # once a FileNotFoundError traceback (sub/run), or a report written
+        # beside --out with exit 0 (../escaped)
+        text = BASE.replace("prefix = base", f"prefix = {prefix}")
+        (tmp_path / "scen").mkdir()
+        scenario = write(tmp_path / "scen", text)
+        self.assert_one_config_error(capsys, ["run", "headway", "--scenario", scenario,
+                                              "--out", str(tmp_path / "o")], "[output] prefix")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scen", "scen.ini"]
 
     @pytest.mark.parametrize("setting, key", [
         ("mu = 1.5", "mu"),
@@ -643,6 +657,21 @@ class TestCliCommands:
             assert set(entry) == {"link", "reception_rate", "gamma_of"}
             assert 0.0 <= entry["reception_rate"] <= 1.0
             assert entry["gamma_of"] == pytest.approx(0.4667, abs=1e-4)
+
+    def test_markup_in_the_scenario_name_gives_well_formed_svgs(self, tmp_path):
+        # the name enters every SVG title; unescaped, "&" and "<" made
+        # documents that XML parsers refuse
+        text = BASE.replace("svg = false", "svg = true").replace(
+            "horizon = 20.0", "horizon = 8.0\nn_realizations = 2")
+        path = write(tmp_path, text, "a&b<c.ini")
+        for command in ("simulate", "montecarlo"):
+            assert cli.main(["run", command, "--scenario", path,
+                             "--out", str(tmp_path / "o")]) == 0
+        svgs = sorted((tmp_path / "o").glob("*.svg"))
+        assert [p.name for p in svgs] == ["base-ensemble.svg", "base-run-errors.svg"]
+        for svg in svgs:
+            title = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+            assert title.text.startswith("a&b<c")
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write(tmp_path, BASE)

@@ -101,13 +101,21 @@ def test_against_fine_euler_over_long_horizon():
     assert abs(coarse.a - fine.a) < 1e-3
 
 
-def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        step_lag(VehicleState(0.0, 0.0, float("nan")), 0.0, 0.4, 0.01)
-    with pytest.raises(ValueError):
-        step_lag(VehicleState(0.0, 0.0, 0.0), float("inf"), 0.4, 0.01)
+def test_nonfinite_propagates_and_bad_lag_rejected():
+    # a NaN state or command gives a NaN state, quietly: the simulation
+    # driver's divergence rule reports it, at the step it appears
+    for state, u in ((VehicleState(0.0, 0.0, float("nan")), 0.0),
+                     (VehicleState(0.0, 0.0, 0.0), float("nan"))):
+        new = step_lag(state, u, 0.4, 0.01)
+        assert math.isnan(new.x) and math.isnan(new.a)
+    # one NaN command among many touches its own vehicle only
+    new = step_lag(VehicleState(np.zeros(3), np.ones(3), np.zeros(3)),
+                   np.array([0.5, np.nan, -0.5]), 0.4, 0.01)
+    assert np.isnan(new.v).tolist() == [False, True, False]
     with pytest.raises(ValueError):
         step_lag(VehicleState(0.0, 0.0, 0.0), 0.0, -0.4, 0.01)
+    with pytest.raises(ValueError):
+        step_lag(VehicleState(0.0, 0.0, 0.0), 0.0, 0.4, 0.0)
 
 
 class TestManeuver:

@@ -1,12 +1,14 @@
 """SVG output against the scalar point formatter it replaced."""
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 import pytest
 
 from platoon_lab import output
 
 
-def scalar_svg(time, series, title="", ylabel="spacing error (m)") -> str:
+def scalar_svg(time, series, title) -> str:
     """The SVG text with every polyline point mapped and formatted one at a time."""
     width, height = 840, 480
     ml, mr, mt, mb = 64, 160, 40, 48
@@ -29,7 +31,7 @@ def scalar_svg(time, series, title="", ylabel="spacing error (m)") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
     ]
@@ -47,7 +49,7 @@ def scalar_svg(time, series, title="", ylabel="spacing error (m)") -> str:
         parts.append(f'<line x1="{ml + pw + 10}" y1="{ly - 4}" x2="{ml + pw + 34}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + pw + 40}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{escape(label)}</text>')
     for frac in (0.0, 0.5, 1.0):
         tv = t0 + frac * (t1 - t0)
         parts.append(f'<text x="{sx(tv):.1f}" y="{mt + ph + 18}" font-family="sans-serif" '
@@ -58,7 +60,8 @@ def scalar_svg(time, series, title="", ylabel="spacing error (m)") -> str:
     parts.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle">time (s)</text>')
     parts.append(f'<text x="16" y="{mt + ph / 2:.0f}" font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {mt + ph / 2:.0f})" text-anchor="middle">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {mt + ph / 2:.0f})" '
+                 'text-anchor="middle">spacing error (m)</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -78,6 +81,8 @@ CASES = {
     # than palette colors
     "ints": (np.linspace(5.0, 17.5, 6007),
              {f"s{i}": np.arange(6007) % (i + 3) - i for i in range(12)}),
+    # XML markup in the series names (and the title, in every case)
+    "markup": (np.linspace(0.0, 1.0, 11), {"e<1> & e2": np.arange(11.0), "a>b": -np.ones(11)}),
 }
 
 
@@ -85,5 +90,5 @@ CASES = {
 def test_svg_bytes_match_scalar_formatter(tmp_path, case):
     time, series = CASES[case]
     path = tmp_path / "plot.svg"
-    output.write_svg(path, time, series, title="t", ylabel="y")
-    assert path.read_bytes() == scalar_svg(time, series, title="t", ylabel="y").encode()
+    output.write_svg(path, time, series, title="t & <u>")
+    assert path.read_bytes() == scalar_svg(time, series, title="t & <u>").encode()

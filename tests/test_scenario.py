@@ -228,3 +228,13 @@ def test_pedal_map_file_needs_the_map_model(key):
     with pytest.raises(ScenarioError, match=re.escape(f"throttle_map / brake_map need the "
                                                       "empirical (pedal-map) model")):
         load(with_keys({("platoon", key): "/no/such/map.csv"}))
+
+
+@pytest.mark.parametrize("prefix", ["sub/run", "../escaped", "/abs"])
+def test_output_prefix_is_a_file_name(prefix):
+    # the prefix starts each output's name inside --out: a separator once
+    # sent a run into a missing subdirectory (a traceback) or out of --out
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"[output] prefix = {prefix!r} must be a name, not a path")):
+        load(with_keys({("output", "prefix"): prefix}))
+    assert load(with_keys({("output", "prefix"): "run..1"})).output.prefix == "run..1"

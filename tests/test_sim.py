@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import platoon_lab.sim as sim_mod
 import reference_engine as ref
-from helpers import constant_velocity
+from helpers import affine_maps, constant_velocity
 from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import Maneuver, TimeGrid
@@ -880,6 +880,33 @@ class TestMapEngineMatchesReference:
         assert free.v.min() < -1.0 and out.v.min() == 0.0
         assert free.a[1:].min() < -5.0 and out.a[1:].min() >= -4.0 - 1e-9
         assert out.a[0].min() < -8.0  # the lead's maneuver is not clamped
+
+
+class TestEnginesConverge:
+    """The two engines model different controllers: the point-mass feedback
+    acts continuously, the map engine holds each command over the step.
+    Under maps that never clamp (authority +-100 m/s^2), the gap between them
+    on a preset's gamma system is first order in dt: each halving of the step
+    halves it (measured ratios 2.02-2.10; fig4 0.0635 -> 0.0302 -> 0.0148 m)."""
+
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",
+                                        "paper-fig10"])
+    def test_gap_halves_with_the_step(self, preset):
+        scen = load_scenario(preset)
+        thr, brk = affine_maps(slope=200.0, offset=-100.0)
+        gamma = replace(scen.config, rates=scen.config.link_rates())
+        gaps = []
+        for dt in (0.01, 0.005, 0.0025):
+            grid = TimeGrid(dt, 30.0)
+            point_mass = replace(gamma, grid=grid, model="point_mass",
+                                 throttle_map=None, brake_map=None)
+            maps = replace(point_mass, model="empirical", throttle_map=thr, brake_map=brk)
+            e_pm = simulate(point_mass, scen.maneuver).errors
+            e_map = simulate(maps, scen.maneuver).errors
+            gaps.append(float(np.abs(e_map - e_pm).max()))
+        assert 0.0 < gaps[-1] < gaps[0] < 0.1, gaps
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.8 <= coarse / fine <= 2.2, gaps
 
 
 class TestOneDivergenceRule:
