@@ -8,8 +8,9 @@ as CSV series, SVG plots and a report.json; a summary goes to stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 4 analysis error (non-Hurwitz dynamics, error dynamics decaying too slowly
-for the time-domain constants: slowest decay rate below about 1e-2 1/s, or
-an oracle whose E[A^k] or (E[A])^k is not finite).
+for the time-domain constants: slowest decay rate below about 1e-2 1/s, an
+H-infinity norm whose |H(j omega)|^2 overflows the float range, or an oracle
+whose E[A^k] or (E[A])^k is not finite).
 """
 
 from __future__ import annotations
@@ -94,15 +95,14 @@ def _write_run_outputs(scenario: Scenario, out: SimOutput, outdir: Path,
                        label: str, report: output.RunReport):
     prefix = scenario.output.prefix
     if scenario.output.csv:
-        p = output.write_timeseries_csv(out, outdir / f"{prefix}-{label}-timeseries.csv")
-        report.artifacts.append(p)
-        p = output.write_peaks_csv(out.peak_errors(), outdir / f"{prefix}-{label}-peaks.csv")
-        report.artifacts.append(p)
+        report.artifacts += [
+            output.write_timeseries_csv(out, outdir / f"{prefix}-{label}-timeseries.csv"),
+            output.write_peaks_csv(out.peak_errors(), outdir / f"{prefix}-{label}-peaks.csv")]
     if scenario.output.svg:
         series = {f"e{i + 1}": out.errors[i] for i in range(out.errors.shape[0])}
-        p = output.write_svg(outdir / f"{prefix}-{label}-errors.svg", out.time, series,
-                             title=f"{scenario.name} {label}: spacing errors")
-        report.artifacts.append(p)
+        report.artifacts.append(output.write_svg(
+            outdir / f"{prefix}-{label}-errors.svg", out.time, series,
+            title=f"{scenario.name} {label}: spacing errors"))
 
 
 def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> dict:
@@ -192,14 +192,10 @@ def cmd_montecarlo(scenario: Scenario, outdir: Path) -> output.RunReport:
     })
     prefix = scenario.output.prefix
     if scenario.output.csv:
-        n_f = stats.mean_errors.shape[0]
+        header = ["t"] + [f"{k}_e{i + 1}" for k in ("mean", "det") for i in range(cfg.n_followers)]
         table = np.column_stack((det.time, stats.mean_errors.T, det.errors.T))
-        with open(outdir / f"{prefix}-ensemble.csv", "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(f"mean_e{i + 1}" for i in range(n_f))
-                     + "," + ",".join(f"det_e{i + 1}" for i in range(n_f)) + "\n")
-            for row in table:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
-        report.artifacts.append(str(outdir / f"{prefix}-ensemble.csv"))
+        report.artifacts.append(output.write_table(
+            outdir / f"{prefix}-ensemble.csv", header, map(np.ndarray.tolist, table), "\n"))
     if scenario.output.svg:
         p = output.write_svg(outdir / f"{prefix}-ensemble.svg", det.time,
                              {"ensemble mean (last)": stats.mean_errors[last],
@@ -255,11 +251,9 @@ def cmd_oracle(scenario: Scenario, outdir: Path) -> output.RunReport:
                 "identity_holds_all": all(r["holds"] for r in rows)}
     report = _report("oracle", scenario, verdicts)
     prefix = scenario.output.prefix
-    with open(outdir / f"{prefix}-oracle.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,holds,frobenius_gap\n")
-        for r in rows:
-            fh.write(f"{r['k']},{int(r['holds'])},{repr(r['frobenius_gap'])}\n")
-    report.artifacts.append(str(outdir / f"{prefix}-oracle.csv"))
+    report.artifacts.append(output.write_table(
+        outdir / f"{prefix}-oracle.csv", ["k", "holds", "frobenius_gap"],
+        ((r["k"], int(r["holds"]), r["frobenius_gap"]) for r in rows), "\n"))
     report.write(outdir / f"{prefix}-oracle-report.json")
     for r in rows:
         print(f"k={r['k']}: E[A^k] == (E[A])^k -> {r['holds']} (gap {r['frobenius_gap']:.3e})")
@@ -310,7 +304,7 @@ def main(argv=None) -> int:
     except SimulationDivergedError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (stability.UnstableTransferFunctionError,
+    except (stability.UnstableTransferFunctionError, stability.NormOverflowError,
             expectation.NonFiniteExpectationError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

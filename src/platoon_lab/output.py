@@ -1,20 +1,35 @@
-"""Result serialization: canonical CSV series, peak tables, SVG plots, reports.
+"""Result serialization: every artifact a command writes leaves through :func:`_write`.
 
-CSV is the canonical format; floats are written with ``repr`` so parsing the
-file back recovers bit-identical values and identical runs produce
-byte-identical files.  The SVG writer is a tiny hand-rolled polyline plotter
-so plotting needs no extra dependency.
+Simulate's ``*-timeseries.csv`` and ``*-peaks.csv`` end their lines in CRLF;
+``*-ensemble.csv``, ``*-oracle.csv``, every ``*.svg`` and every ``*report.json``
+in LF.  Files are UTF-8 with no newline translation, so their bytes are the
+same on every platform.  Table cells are written with ``repr``, so a CSV
+parses back to bit-identical values.  The SVG plotter is hand-rolled.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .sim import SimOutput
+
+
+def _write(path, parts) -> str:
+    """Write the text ``parts`` to ``path``, one at a time and exactly as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(parts)
+    return str(path)
+
+
+def write_table(path, header, rows, newline) -> str:
+    """CSV of the ``header`` names, then the ``rows`` (streamed sequences of ints
+    and floats, each cell written with ``repr``); ``newline`` ends every line."""
+    lines = (",".join(map(repr, row)) + newline for row in rows)
+    return _write(path, itertools.chain((",".join(header) + newline,), lines))
 
 
 def _jsonable(obj):
@@ -46,11 +61,8 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=_jsonable)
 
     def write(self, path) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-        self.artifacts.append(str(path))
-        return str(path)
+        self.artifacts.append(_write(path, (self.to_json(), "\n")))
+        return self.artifacts[-1]
 
 
 def write_timeseries_csv(out: SimOutput, path) -> str:
@@ -63,21 +75,12 @@ def write_timeseries_csv(out: SimOutput, path) -> str:
         if i >= 1:
             header.append(f"e{i}")
             columns.append(out.errors[i - 1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in np.column_stack(columns):
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
-    return str(path)
+    return write_table(path, header, map(np.ndarray.tolist, np.column_stack(columns)), "\r\n")
 
 
 def write_peaks_csv(peaks: np.ndarray, path) -> str:
     """Per-follower peak |e_i| table."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle", "peak_abs_error"])
-        for i, p in enumerate(peaks, start=1):
-            w.writerow([str(i), repr(float(p))])
-    return str(path)
+    return write_table(path, ["vehicle", "peak_abs_error"], enumerate(peaks.tolist(), 1), "\r\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -117,12 +120,13 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray], title: str)
     if y0 < 0.0 < y1:
         parts.append(f'<line x1="{ml}" y1="{sy(0):.2f}" x2="{ml + pw}" y2="{sy(0):.2f}" '
                      f'stroke="#cccccc" stroke-dasharray="4 4"/>')
-    # polyline coordinates as arrays, through the same sx/sy arithmetic
+    # polyline coordinates as arrays, through the same sx/sy arithmetic; the
+    # shared x's are formatted once, into a template each series fills with its y's
     stride = max(1, len(time) // 2000)
     xs = sx(np.asarray(time, dtype=float)[::stride]).tolist()
+    points = " ".join(f"{x:.2f},%.2f" for x in xs)
     for j, (label, vals) in enumerate(series.items()):
-        ys = sy(np.asarray(vals, dtype=float)[::stride]).tolist()
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        pts = points % tuple(sy(np.asarray(vals, dtype=float)[::stride]).tolist())
         color = _PALETTE[j % len(_PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4" points="{pts}"/>')
         ly = mt + 16 + 18 * j
@@ -143,7 +147,4 @@ def write_svg(path, time: np.ndarray, series: dict[str, np.ndarray], title: str)
                  f'transform="rotate(-90 16 {mt + ph / 2:.0f})" '
                  'text-anchor="middle">spacing error (m)</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
-    return str(path)
+    return _write(path, ("\n".join(parts), "\n"))

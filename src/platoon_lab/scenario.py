@@ -105,10 +105,7 @@ def _deterministic_gamma(raw: str) -> float | str:
 
 def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
     segs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         if ":" not in chunk:
             raise ScenarioError(f"segment {chunk!r} must look like 'start:accel'")
         t, a = chunk.split(":", 1)
@@ -121,10 +118,7 @@ def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
 
 def _parse_panels(text: str) -> list[Panel]:
     panels = []
-    for i, chunk in enumerate(text.split(",")):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for i, chunk in enumerate(filter(None, map(str.strip, text.split(","))), start=1):
         try:
             mode, hw = chunk.split(":", 1)
             mode = mode.strip().lower()
@@ -135,7 +129,7 @@ def _parse_panels(text: str) -> list[Panel]:
             raise ScenarioError(f"panel mode {mode!r} must be 'ideal' or 'lossy'")
         if not 0.0 < hw_f < math.inf:  # NaN fails too
             raise ScenarioError(f"panel headway {hw_f} must be positive and finite")
-        panels.append(Panel(label=f"panel{i + 1}-{mode}-h{hw_f:g}", mode=mode, headway=hw_f))
+        panels.append(Panel(label=f"panel{i}-{mode}-h{hw_f:g}", mode=mode, headway=hw_f))
     return panels
 
 

@@ -38,6 +38,10 @@ class UnstableTransferFunctionError(ValueError):
     """Raised when a computation requires a Hurwitz denominator and gets none."""
 
 
+class NormOverflowError(ArithmeticError):
+    """Raised when the polynomials behind a norm overflow the float range."""
+
+
 # Dynamics decaying at or below this rate (1/s) count as unstable.
 _MIN_DECAY = 1e-9
 # C e^{At} is sampled over 40 decay times of its slowest mode, with at most
@@ -49,7 +53,7 @@ _BLOCK = 1 << 12
 
 def _decay_rate(poles: np.ndarray) -> float:
     """Slowest decay rate sigma = -max Re(pole), inf without poles; the
-    dynamics are Hurwitz when sigma > _MIN_DECAY."""
+    state-space constants take dynamics as Hurwitz when sigma > _MIN_DECAY."""
     return -float(np.max(poles.real)) if poles.size else math.inf
 
 
@@ -79,11 +83,15 @@ class RationalTF:
     def __call__(self, s):
         return np.polyval(self.num, s) / np.polyval(self.den, s)
 
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den)
-
     def is_hurwitz(self) -> bool:
-        return _decay_rate(self.poles()) > _MIN_DECAY
+        """Routh-Hurwitz test on the coefficients; np.roots misplaces roots when they are huge."""
+        sign, upper, lower = math.copysign(1.0, self.den[0]), self.den[0::2], self.den[1::2]
+        while lower:
+            if not sign * lower[0] > 0.0:
+                return False
+            upper, lower = lower, [u - upper[0] / lower[0] * v
+                                   for u, v in zip(upper[1:], [*lower[1:], 0.0])]
+        return True
 
     def dc_gain(self) -> float:
         return float(self.num[-1] / self.den[-1])
@@ -172,10 +180,13 @@ def hinf_norm(tf: RationalTF) -> float:
     if not tf.is_hurwitz():
         raise UnstableTransferFunctionError(
             f"denominator {tf.den} is not Hurwitz; H-infinity norm undefined")
-    n, d = _squared_magnitude(tf.num), _squared_magnitude(tf.den)
-    stationary = np.roots(np.polysub(np.polymul(np.polyder(n), d),
-                                     np.polymul(n, np.polyder(d))))
-    mags = np.abs(tf(1j * np.sqrt(stationary.real[stationary.real > 0.0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, d = _squared_magnitude(tf.num), _squared_magnitude(tf.den)
+        stationary = np.polysub(np.polymul(np.polyder(n), d), np.polymul(n, np.polyder(d)))
+    if not np.isfinite(stationary).all():
+        raise NormOverflowError(f"|H(j omega)|^2 of {tf.num} / {tf.den} overflows the float range")
+    x = np.roots(stationary).real
+    mags = np.abs(tf(1j * np.sqrt(x[x > 0.0])))
     return float(max([abs(tf.dc_gain()), *mags]))
 
 

@@ -1,5 +1,6 @@
 """Every public name in ``platoon_lab`` has a caller in the program itself,
-and the program imports nothing beyond the standard library and numpy.
+the program imports nothing beyond the standard library and numpy, and only
+``output`` opens files for writing.
 
 A public top-level function or class, or a public method, must be referenced
 somewhere in ``src/platoon_lab`` outside its own definition; re-exports in
@@ -92,6 +93,36 @@ def test_program_imports_only_stdlib_and_numpy():
                         if name.split(".")[0] not in allowed]
     assert not foreign, f"imports outside the standard library and numpy: {foreign}"
 
+
+def _file_writes(tree):
+    """(line, call) of every call that opens a file for writing: an open() or
+    Path.open() whose mode is not a literal without "w", "a", "x" or "+", and
+    every write_text / write_bytes."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno, node
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), p.open(mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value)):
+                yield node.lineno, node
+
+
+def test_only_output_writes_files():
+    # one writer fixes every artifact's encoding and line endings: text mode
+    # without newline="" would translate each "\n" to the platform's ending
+    modules = _modules()
+    elsewhere = [f"{module}.py:{line}" for module, tree in modules.items()
+                 if module != "output" for line, _ in _file_writes(tree)]
+    assert not elsewhere, f"files written outside output.py: {elsewhere}"
+    writes = list(_file_writes(modules["output"]))
+    assert len(writes) == 1, f"output.py opens files for writing at {[w[0] for w in writes]}"
+    newline = [k.value for k in writes[0][1].keywords if k.arg == "newline"]
+    assert len(newline) == 1 and isinstance(newline[0], ast.Constant) and newline[0].value == ""
 
 
 # Defaulted parameters no call in src/ sets, each with its reason to stay.

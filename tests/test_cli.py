@@ -402,6 +402,20 @@ class TestCliExitCodes:
         assert err.startswith("simulation diverged: state became non-finite at step ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",
+                                        "paper-fig10"])
+    def test_overflowing_norm_exit_4_without_warnings(self, tmp_path, capsys, preset):
+        # the denominator is Hurwitz by Routh (a1 a2 > a0 a3), but np.roots
+        # once put a root at 0 and read it "not Hurwitz"; |H(j omega)|^2 then
+        # overflows, and the norm is refused in one line
+        text = re.sub(r"(?m)^k_p = .*$", "k_p = 1e306", preset_text(preset))
+        rc = cli.main(["run", "stability", "--scenario", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"analysis error: \|H\(j omega\)\|\^2 of \(.*\) / \(.*\) "
+                            r"overflows the float range\n", err), err
+
     @pytest.mark.parametrize("command", ["headway", "simulate", "montecarlo",
                                          "stability", "oracle"])
     @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",

@@ -1,11 +1,17 @@
-"""SVG output against the scalar point formatter it replaced."""
+"""Every artifact's bytes against scalar formatters written out here: the
+SVG point formatter the plot writer replaced, and each CSV table formatted
+one cell at a time (CRLF for simulate's two tables, LF for the others)."""
 
+from dataclasses import replace
 from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
-from platoon_lab import output
+from platoon_lab import cli, output
+from platoon_lab.expectation import check_multilinearity, from_platoon
+from platoon_lab.scenario import load_scenario
+from platoon_lab.sim import SimOutput, monte_carlo, simulate
 
 
 def scalar_svg(time, series, title) -> str:
@@ -92,3 +98,96 @@ def test_svg_bytes_match_scalar_formatter(tmp_path, case):
     path = tmp_path / "plot.svg"
     output.write_svg(path, time, series, title="t & <u>")
     assert path.read_bytes() == scalar_svg(time, series, title="t & <u>").encode()
+
+
+def scalar_table(header, rows, newline) -> bytes:
+    """The table with each cell converted by ``repr`` of its float, one at a time."""
+    lines = [",".join(header)] + [",".join(c if isinstance(c, str) else repr(float(c))
+                                           for c in row) for row in rows]
+    return "".join(line + newline for line in lines).encode()
+
+
+def _sim_output(rng) -> SimOutput:
+    n_veh, steps = 4, 37
+    x, v, a = (rng.normal(scale=s, size=(n_veh, steps)) for s in (1e3, 30.0, 1e-3))
+    x[0, :3] = (-0.0, 5e-324, 1e300)  # signed zero, subnormal, huge
+    return SimOutput(time=np.arange(steps) * 0.01, x=x, v=v, a=a,
+                     errors=rng.normal(size=(n_veh - 1, steps)), seed=0)
+
+
+def test_timeseries_csv_bytes(tmp_path):
+    out = _sim_output(np.random.default_rng(11))
+    header, rows = ["t"], []
+    for i in range(out.x.shape[0]):
+        header += [f"x{i}", f"v{i}", f"a{i}"] + ([f"e{i}"] if i else [])
+    for k, t in enumerate(out.time):
+        row = [t]
+        for i in range(out.x.shape[0]):
+            row += [out.x[i, k], out.v[i, k], out.a[i, k]] + ([out.errors[i - 1, k]] if i else [])
+        rows.append(row)
+    path = tmp_path / "ts.csv"
+    assert output.write_timeseries_csv(out, path) == str(path)
+    assert path.read_bytes() == scalar_table(header, rows, "\r\n")
+
+
+def test_peaks_csv_bytes(tmp_path):
+    peaks = np.abs(_sim_output(np.random.default_rng(12)).errors).max(axis=1)
+    path = tmp_path / "peaks.csv"
+    output.write_peaks_csv(peaks, path)
+    assert path.read_bytes() == scalar_table(
+        ["vehicle", "peak_abs_error"], [(str(i), p) for i, p in enumerate(peaks, 1)], "\r\n")
+
+
+SCENARIO = """
+[platoon]
+n_followers = 3
+tau = 0.4
+k_a = 0.2
+k_v = 2.5
+k_p = 1.0
+headway = 0.6
+scheme = cacc_plus
+
+[channel]
+p_gb = 0.2
+q_bg = 0.1
+r_recv_bad = 0.2
+
+[maneuver]
+initial_velocity = 25.0
+segments = 0:0, 0.5:-3, 1.5:0
+
+[analysis]
+horizon = 3.0
+n_realizations = 3
+
+[output]
+prefix = run
+svg = false
+"""
+
+
+def _run(tmp_path, command):
+    path = tmp_path / "run.ini"
+    path.write_text(SCENARIO)
+    assert cli.main(["run", command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    return load_scenario(str(path), master_seed=cli.DEFAULT_SEED)
+
+
+def test_ensemble_csv_bytes(tmp_path):
+    scen = _run(tmp_path, "montecarlo")
+    cfg, n_f = scen.config, scen.config.n_followers
+    stats = monte_carlo(cfg, scen.maneuver, scen.analysis.n_realizations)
+    det = simulate(replace(cfg, rates=cfg.link_rates()), scen.maneuver)
+    header = (["t"] + [f"mean_e{i}" for i in range(1, n_f + 1)]
+              + [f"det_e{i}" for i in range(1, n_f + 1)])
+    rows = [[t, *stats.mean_errors[:, k], *det.errors[:, k]] for k, t in enumerate(det.time)]
+    assert (tmp_path / "run-ensemble.csv").read_bytes() == scalar_table(header, rows, "\n")
+
+
+def test_oracle_csv_bytes(tmp_path):
+    scen = _run(tmp_path, "oracle")
+    checks = check_multilinearity(from_platoon(scen.config), range(1, 7))
+    rows = [(str(k), str(int(holds)), gap) for k, (holds, gap) in enumerate(checks, 1)]
+    assert (tmp_path / "run-oracle.csv").read_bytes() == scalar_table(
+        ["k", "holds", "frobenius_gap"], rows, "\n")

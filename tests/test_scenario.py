@@ -238,3 +238,12 @@ def test_output_prefix_is_a_file_name(prefix):
                        match=re.escape(f"[output] prefix = {prefix!r} must be a name, not a path")):
         load(with_keys({("output", "prefix"): prefix}))
     assert load(with_keys({("output", "prefix"): "run..1"})).output.prefix == "run..1"
+
+
+@pytest.mark.parametrize("panels", ["ideal:0.45,,lossy:0.6", " ,ideal:0.45, lossy:0.6",
+                                    "ideal:0.45, lossy:0.6,"])
+def test_panels_are_numbered_among_panels(panels):
+    # the labels name the suite's output files; an empty chunk once took a
+    # number, giving panel1 and panel3, or panel2 for the first panel
+    labels = [p.label for p in load(with_keys({("suite", "panels"): panels})).suite]
+    assert labels == ["panel1-ideal-h0.45", "panel2-lossy-h0.6"]

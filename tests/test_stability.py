@@ -47,6 +47,38 @@ class TestRationalTF:
         assert RationalTF((1.0,), (1.0, 2.0, 1.0)).is_hurwitz()
         assert not RationalTF((1.0,), (1.0, -2.0, 1.0)).is_hurwitz()
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_routh_agrees_with_the_roots(self, degree):
+        # every root at least 0.1 from the imaginary axis, so rounding in
+        # np.roots cannot move one across it; every other polynomial has one
+        # real root or complex pair mirrored into the right half-plane
+        rng = np.random.default_rng(4200 + degree)
+        verdicts = []
+        for trial in range(200):
+            groups = []  # real roots and complex-conjugate pairs
+            while sum(map(len, groups)) < degree:
+                real, imag = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+                if sum(map(len, groups)) + 2 <= degree and rng.random() < 0.5:
+                    groups.append([complex(real, imag), complex(real, -imag)])
+                else:
+                    groups.append([complex(real)])
+            if trial % 2:
+                k = rng.integers(len(groups))
+                groups[k] = [-r.conjugate() for r in groups[k]]
+            den = (rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+                   * np.poly([r for group in groups for r in group]).real)
+            stable = bool(np.roots(den).real.max() < 0.0)
+            assert RationalTF((1.0,), den).is_hurwitz() is stable, den
+            verdicts.append(stable)
+        assert verdicts.count(True) == verdicts.count(False) == 100
+
+    def test_routh_decides_huge_coefficients(self):
+        # fig8's CACC+ denominator at k_p = 1e306: a1 a2 > a0 a3, so Hurwitz,
+        # while np.roots puts a root at exactly 0
+        den = (0.4, 1.0, 8.700000000000001e305, 1.466666666666667e306)
+        assert RationalTF((1.0,), den).is_hurwitz()
+        assert not RationalTF((1.0,), (0.4, 1.0, 5.8e305, 1.466666666666667e306)).is_hurwitz()
+
 
 class TestBuildCaccTf:
     def test_dc_gain_is_one(self):
@@ -147,6 +179,15 @@ class TestHinfNorm:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableTransferFunctionError):
             hinf_norm(RationalTF((1.0,), (1.0, -1.0)))
+
+    def test_overflowing_squared_magnitude_refused(self):
+        # Hurwitz, but |D(j omega)|^2 has k_p^2 ~ 1e612 among its coefficients;
+        # np.roots once raised LinAlgError on them after a RuntimeWarning
+        tf = RationalTF((0.09333333333333334, 2.5, 1e306),
+                        (0.4, 1.0, 8.700000000000001e305, 1.466666666666667e306))
+        with pytest.raises(stability.NormOverflowError, match=re.escape(
+                f"|H(j omega)|^2 of {tf.num} / {tf.den} overflows the float range")):
+            hinf_norm(tf)
 
     def test_tight_at_hmin_for_designed_gains(self):
         # the closed-form minimum headway is exactly the string-stability
