@@ -11,9 +11,8 @@ from .expectation import (RandomMatrixSpec, check_multilinearity,
 from .maps import (MapFormatError, PedalMap, actuate, interp, invert,
                    step_empirical, synthetic_brake_map, synthetic_throttle_map)
 from .sim import (EnsembleStats, PlatoonConfig, SimOutput,
-                  SimulationDivergedError, build_system_matrix,
-                  empirical_string_stability, equilibrium_state, monte_carlo,
-                  simulate, simulate_panels)
+                  SimulationDivergedError, empirical_string_stability,
+                  equilibrium_state, monte_carlo, simulate, simulate_panels)
 from .stability import (PeakBound, RationalTF, StateSpace,
                         UnstableTransferFunctionError, build_error_system,
                         hinf_norm, impulse_l1_norm, lyapunov_gramian,

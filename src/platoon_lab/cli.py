@@ -115,7 +115,7 @@ def _run_suite(scenario: Scenario, outdir: Path, report: output.RunReport) -> di
     # every lossy panel's stochastic seeds, stepped as one batch
     n_seeds = scenario.analysis.stochastic_seeds
     headways = [panel.headway for panel in scenario.suite if panel.mode == "lossy"]
-    seeds = iter(monte_carlo(replace(cfg, rates=None), scenario.maneuver, n_seeds, headways)
+    seeds = iter(monte_carlo(cfg, scenario.maneuver, n_seeds, headways)
                  if n_seeds > 0 and headways else ())
     verdicts: dict = {"panels": []}
     for panel, (gamma, _), out in zip(scenario.suite, rates, outs):
@@ -139,6 +139,10 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> output.RunReport:
     if scenario.config.n_followers < 2:
         raise ScenarioError("simulate judges string stability from the followers' "
                             "peak errors and needs n_followers >= 2")
+    if scenario.suite and scenario.config.rates is not None:
+        # each panel runs at its own rates and the seeds sample the channels
+        raise ScenarioError("a [suite] sets each panel's link rates, but [analysis] "
+                            "deterministic_gamma fixes them; remove it")
     report = _report("simulate", scenario, {})
     if scenario.suite:
         report.verdicts = _run_suite(scenario, outdir, report)

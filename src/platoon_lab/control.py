@@ -6,10 +6,11 @@ predecessor.  Radar terms (relative position and velocity of the immediate
 predecessor) are always available; anything radioed is gated by the packet
 reception indicator of the corresponding link.  ACC is just CACC with the
 radio permanently down.  The control law itself is written once, as the
-closed-loop matrix of :func:`platoon_lab.sim.build_system_matrix`.  The
-analysis reads each scheme at the rates of :func:`scheme_rates` (ACC is
-CACC+ with both links off, CACC with the second one off), so one formula,
-:func:`min_headway`, gives every scheme's minimum headway.
+closed loop's affine split in the link weights
+(:func:`platoon_lab.sim.link_decomposition`).  The analysis reads each
+scheme at the rates of :func:`scheme_rates` (ACC is CACC+ with both links
+off, CACC with the second one off), so one formula, :func:`min_headway`,
+gives every scheme's minimum headway.
 """
 
 from __future__ import annotations

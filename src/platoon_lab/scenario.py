@@ -239,12 +239,14 @@ def _channel(params: tuple, suffix: str) -> GilbertParams:
         raise ScenarioError(f"[channel] {message}") from exc
 
 
-def _load_map(platoon: dict, key: str, default, digests: list) -> maps_mod.PedalMap:
-    """Pedal map from the CSV file named by ``key``, else the synthetic one."""
+def _load_map(platoon: dict, key: str, default, digests: list,
+              directory: Path | None) -> maps_mod.PedalMap:
+    """Pedal map from the CSV file named by ``key``, a relative name taken
+    from ``directory`` (None: the working directory), else the synthetic one."""
     if platoon[key] is None:
         return default()
     try:
-        data = Path(platoon[key]).read_bytes()
+        data = Path(directory or "", platoon[key]).read_bytes()
         pmap = maps_mod.PedalMap.from_csv_text(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, maps_mod.MapFormatError) as exc:
         raise ScenarioError(f"cannot load pedal map: {exc}") from exc
@@ -267,15 +269,17 @@ def load_scenario(source: str, master_seed: int | None = None) -> Scenario:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {source!r}: {exc}") from exc
-        name = path.stem
+        name, directory = path.stem, path.parent
     else:
         text = preset_text(source)
-        name = source.removesuffix(".ini")
-    return parse_scenario_text(text, name=name, master_seed=master_seed)
+        name, directory = source.removesuffix(".ini"), None
+    return parse_scenario_text(text, name=name, master_seed=master_seed, directory=directory)
 
 
-def parse_scenario_text(text: str, name: str = "scenario",
-                        master_seed: int | None = None) -> Scenario:
+def parse_scenario_text(text: str, name: str = "scenario", master_seed: int | None = None,
+                        directory: Path | None = None) -> Scenario:
+    """A scenario from INI ``text``; relative pedal-map file names are taken
+    from ``directory``, the scenario file's own (None: the working directory)."""
     raw = _read(text)
     values = _values(raw)
     plat, chan, ana = values["platoon"], values["channel"], values["analysis"]
@@ -283,8 +287,10 @@ def parse_scenario_text(text: str, name: str = "scenario",
     throttle = brake = None
     map_digests = []  # the map files' contents enter the config hash
     if plat["model"] == "empirical":
-        throttle = _load_map(plat, "throttle_map", maps_mod.synthetic_throttle_map, map_digests)
-        brake = _load_map(plat, "brake_map", maps_mod.synthetic_brake_map, map_digests)
+        throttle = _load_map(plat, "throttle_map", maps_mod.synthetic_throttle_map,
+                             map_digests, directory)
+        brake = _load_map(plat, "brake_map", maps_mod.synthetic_brake_map, map_digests,
+                          directory)
     elif plat["throttle_map"] is not None or plat["brake_map"] is not None:
         raise ScenarioError("throttle_map / brake_map need the empirical (pedal-map) model")
     u_clamp = _together(plat, ("u_clamp_min", "u_clamp_max"),
@@ -309,8 +315,9 @@ def parse_scenario_text(text: str, name: str = "scenario",
     analysis_rates = (gamma, mu_default if mu is None else mu)
     lows = {"n_realizations": 1, "stochastic_seeds": 0, "alpha_star": 0.0, "w0_l2": 0.0}
     for key, low in lows.items():
-        if not ana[key] >= low:  # NaN fails too
-            raise ScenarioError(f"[analysis] {key} = {ana[key]} must be at least {low}")
+        if not low <= ana[key] < math.inf:  # NaN fails too
+            raise ScenarioError(f"[analysis] {key} = {ana[key]} must be finite "
+                                f"and at least {low}")
     analysis = AnalysisOptions(**{key: ana[key] for key in lows})
 
     try:

@@ -2,9 +2,9 @@
 equivalents, and Monte Carlo ensembles.
 
 The platoon state is X = (x_0, v_0, a_0, ..., x_N, v_N, a_N).  The ACC / CACC /
-CACC+ law is written once, as the closed-loop matrix A(w) of
-:func:`build_system_matrix` plus the standstill offset c(w); both are affine
-in the link weights w (:func:`link_decomposition`).  Two engines use them,
+CACC+ law is written once, affine in the link weights w: the closed-loop
+matrix A(w) = a0 + sum_l w_l da[l] and the standstill offset
+c(w) = c0 + sum_l w_l dc[l] (:func:`link_decomposition`).  Two engines use them,
 each a stepper that takes R states (R, n) one step on, row r under its own
 link weights.  Each stepper reads its rows' laws, in its own layout, off
 one buffer that :class:`_LinkLaw` patches in place at each step's weights;
@@ -118,8 +118,8 @@ class PlatoonConfig:
             raise ValueError(f"master_seed {self.master_seed} must be non-negative")
         if not 0.0 < self.tau < math.inf:  # NaN fails too
             raise ValueError("tau must be positive and finite")
-        # every coefficient of the law (build_system_matrix, _offset_vector)
-        # is one of these over tau, all non-negative, so the largest decides
+        # every coefficient of the law (link_decomposition) is one of these
+        # over tau, all non-negative, so the largest decides
         g, hw = self.gains, self.policy.h_w
         law = (g.k_a, g.k_v, g.k_p, g.k_v + 2.0 * g.k_p * hw, 2.0 * g.k_p * self.policy.d)
         if not math.isfinite(max(law) / self.tau):
@@ -181,76 +181,38 @@ class EnsembleStats:
     reception_rates: np.ndarray         # (n_links,) mean of each link's weights
 
 
-def build_system_matrix(config: PlatoonConfig, link_values) -> np.ndarray:
-    """Closed-loop system matrix A(w) in (x, v, a)-per-vehicle ordering.
-
-    ``link_values`` holds one weight per link, first-predecessor links
-    (i = 1..N) first, then second-predecessor links (i = 2..N) for CACC+.
-    Binary weights give a stochastic realization; fractional weights give the
-    fixed-rate (gamma, mu) system.  ACC zeroes the radio terms regardless.
-    """
-    w = np.asarray(link_values, dtype=float)
-    if w.shape != (config.n_links,):
-        raise ValueError(f"expected {config.n_links} link values, got {w.shape}")
-    n_f = config.n_followers
-    tau, g = config.tau, config.gains
-    ka, kv, kp = g.k_a, g.k_v, g.k_p
-    hw = config.policy.h_w
-    n = 3 * (n_f + 1)
-    a = np.zeros((n, n))
-    for i in range(n_f + 1):
-        b = 3 * i
-        a[b, b + 1] = 1.0
-        a[b + 1, b + 2] = 1.0
-        a[b + 2, b + 2] = -1.0 / tau
-    radio = 0.0 if config.scheme is Scheme.ACC else 1.0
-    for i in range(1, n_f + 1):
-        b = 3 * i
-        p = 3 * (i - 1)
-        a[b + 2, p] += kp / tau
-        a[b + 2, p + 1] += kv / tau
-        a[b + 2, p + 2] += radio * w[i - 1] * ka / tau
-        a[b + 2, b] += -kp / tau
-        a[b + 2, b + 1] += -(kv + kp * hw) / tau
-        if config.scheme is Scheme.CACC_PLUS and i >= 2:
-            q = 3 * (i - 2)
-            w2 = w[n_f + i - 2]
-            a[b + 2, q] += w2 * kp / tau
-            a[b + 2, q + 1] += w2 * kv / tau
-            a[b + 2, q + 2] += w2 * ka / tau
-            a[b + 2, b] += -w2 * kp / tau
-            a[b + 2, b + 1] += -w2 * (kv + 2.0 * kp * hw) / tau
-    return a
-
-
-def _offset_vector(config: PlatoonConfig, link_values) -> np.ndarray:
-    """Constant forcing from the standstill distance d in the control law."""
-    n_f = config.n_followers
-    kp = config.gains.k_p
-    d = config.policy.d
-    tau = config.tau
-    c = np.zeros(3 * (n_f + 1))
-    w = np.asarray(link_values, dtype=float)
-    for i in range(1, n_f + 1):
-        c[3 * i + 2] += -kp * d / tau
-        if config.scheme is Scheme.CACC_PLUS and i >= 2:
-            c[3 * i + 2] += -w[n_f + i - 2] * kp * 2.0 * d / tau
-    return c
-
-
 def link_decomposition(config: PlatoonConfig):
-    """Affine split of the closed loop in the link weights.
+    """The closed loop, affine in the link weights w, in (x, v, a)-per-vehicle
+    ordering: A(w) = a0 + sum_l w_l da[l] and the standstill offset
+    c(w) = c0 + sum_l w_l dc[l].
 
-    Returns (a0, da, c0, dc) with A(w) = a0 + sum_l w_l da[l] and
-    c(w) = c0 + sum_l w_l dc[l], exact because both are affine in w;
-    da has shape (n_links, n, n) and dc (n_links, n).
+    Link l = i - 1 carries (i, i-1) for i = 1..N, then for CACC+ link
+    l = N + i - 2 carries (i, i-2) for i = 2..N.  Binary weights give a
+    stochastic realization; fractional weights give the fixed-rate
+    (gamma, mu) system.  ACC radios nothing, so its da is zero.  Returns
+    (a0, da, c0, dc); da has shape (n_links, n, n) and dc (n_links, n).
     """
-    zeros = np.zeros(config.n_links)
-    a0 = build_system_matrix(config, zeros)
-    c0 = _offset_vector(config, zeros)
-    units = np.eye(config.n_links)
-    da = np.array([build_system_matrix(config, u) - a0 for u in units])
-    dc = np.array([_offset_vector(config, u) - c0 for u in units])
+    n_f, tau, g = config.n_followers, config.tau, config.gains
+    hw, d = config.policy.h_w, config.policy.d
+    n = 3 * (n_f + 1)
+    a0, c0 = np.zeros((n, n)), np.zeros(n)
+    da, dc = np.zeros((config.n_links, n, n)), np.zeros((config.n_links, n))
+    lag = np.arange(0, n, 3)
+    a0[lag, lag + 1] = a0[lag + 1, lag + 2] = 1.0
+    a0[lag + 2, lag + 2] = -1.0 / tau
+    for i in range(1, n_f + 1):
+        row, p = 3 * i + 2, 3 * (i - 1)  # follower i's acceleration, its predecessor
+        # radar: the predecessor's position and speed against i's own
+        a0[row, p:p + 2] = g.k_p / tau, g.k_v / tau
+        a0[row, row - 2:row] = -g.k_p / tau, -(g.k_v + g.k_p * hw) / tau
+        c0[row] = -g.k_p * d / tau
+        if config.scheme is not Scheme.ACC:
+            da[i - 1, row, p + 2] = g.k_a / tau
+        if config.scheme is Scheme.CACC_PLUS and i >= 2:
+            link, q = n_f + i - 2, 3 * (i - 2)
+            da[link, row, q:q + 3] = g.k_p / tau, g.k_v / tau, g.k_a / tau
+            da[link, row, row - 2:row] = -g.k_p / tau, -(g.k_v + 2.0 * g.k_p * hw) / tau
+            dc[link, row] = -g.k_p * 2.0 * d / tau
     return a0, da, c0, dc
 
 

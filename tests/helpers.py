@@ -1,14 +1,26 @@
 """Constructors the tests share that the program itself never needs.
 
-A pedal-map file writer in the format scenarios load with ``throttle_map``
-and ``brake_map``, the affine map pair under which the map engine reduces to
-the pure lag, and the idle maneuver.
+The closed loop A(w), c(w) at given link weights, a pedal-map file writer in
+the format scenarios load with ``throttle_map`` and ``brake_map``, the affine
+map pair under which the map engine reduces to the pure lag, and the idle
+maneuver.
 """
 
 import csv
 
+import numpy as np
+
 from platoon_lab.dynamics import Maneuver
 from platoon_lab.maps import PedalMap
+from platoon_lab.sim import link_decomposition
+
+
+def closed_loop(config, link_values) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-loop matrix A(w) = a0 + w . da and offset c(w) = c0 + w . dc
+    at one weight per link (the link order of ``link_decomposition``)."""
+    w = np.asarray(link_values, dtype=float)
+    a0, da, c0, dc = link_decomposition(config)
+    return a0 + np.tensordot(w, da, axes=1), c0 + w @ dc
 
 
 def write_map_csv(pmap: PedalMap, path):

@@ -1,12 +1,13 @@
 """Scalar reference engines for both platoon models (test oracles).
 
-The program writes the ACC / CACC / CACC+ law once, as the closed-loop matrix
-of ``platoon_lab.sim.build_system_matrix``, and drives the map-model platoon
-from it with an array-valued actuator that clamps each command to its branch's
-authority.  This module keeps the law written out term by term, the map
-lookups in plain Python, and the per-vehicle invert-then-interp actuator
-(:func:`actuate`) and loop that the array engine replaced, so that the array
-engine can be checked against an independent formulation.
+The program writes the ACC / CACC / CACC+ law once, as the closed loop's
+affine split in the link weights (``platoon_lab.sim.link_decomposition``),
+and drives the map-model platoon from it with an array-valued actuator that
+clamps each command to its branch's authority.  This module keeps the law
+written out term by term, the map lookups in plain Python, and the
+per-vehicle invert-then-interp actuator (:func:`actuate`) and loop that the
+array engine replaced, so that the array engine can be checked against an
+independent formulation.
 
 It also keeps the per-seed point-mass loop that the batched ensemble engine
 replaced: one state vector, one realization at a time, with the scalar form
@@ -36,6 +37,15 @@ to one power.  It uses none of the vehicle blocks that the program's
 recursion conditions on, and the recursion must agree with it within
 1e-12 relative.
 
+It also keeps the map engine as the linear recursion it is while no
+command is clamped (:func:`run_map_recursion`): the actuator then returns
+each command unchanged and the lag holds it exactly, so one step is
+x_{k+1} = M x_k + f + b u_lead with M = Phi + Gamma K and f = Gamma tau c(w).
+K is tau times the acceleration rows of A(w), plus I on each a_i, with the
+lead's row zeroed.  Phi and Gamma are one vehicle's hold, taken from scipy's
+exponential of the augmented lag (:func:`lag_hold`), and the recursion uses
+none of the program's actuator, lag step, command evaluation or map stepper.
+
 Last, it keeps the stability module's numerics on scipy: the response
 C e^{A k dt} stepped one sample at a time with scipy's exponential
 (:func:`stepped_response`), the oracle for the blocked sampler behind the
@@ -60,7 +70,7 @@ from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import VehicleState, step_lag
 from platoon_lab.maps import COAST_HYSTERESIS, PedalMap
 from platoon_lab.sim import (SimulationDivergedError, _Propagator, _weight_table,
-                             equilibrium_state)
+                             equilibrium_state, link_decomposition)
 
 
 @dataclass(frozen=True)
@@ -298,6 +308,43 @@ def run_reference(config, maneuver, weight_table: np.ndarray):
             raise SimulationDivergedError(k, top)
         t += grid.dt
     return xs, vs, accs, errs
+
+
+def lag_hold(tau: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Gamma) of one vehicle's (x, v, a) over dt with its command held:
+    e^{[[A, B], [0, 0]] dt} for x' = v, v' = a, a' = (u - a) / tau."""
+    m = np.zeros((4, 4))
+    m[0, 1] = m[1, 2] = 1.0
+    m[2, 2], m[2, 3] = -1.0 / tau, 1.0 / tau
+    e = expm(m * dt)
+    return e[:3, :3], e[:3, 3]
+
+
+def run_map_recursion(config, maneuver, weight_table: np.ndarray):
+    """The map-model platoon as x_{k+1} = M_k x_k + f_k + b u_lead, one M_k
+    per step under the (n_links, n_steps) ``weight_table``; returns
+    (x, v, a, errors).  Exact only while no command reaches the maps' edges."""
+    grid, tau = config.grid, config.tau
+    n_veh = config.n_followers + 1
+    phi, gam = lag_hold(tau, grid.dt)
+    phi, gam = np.kron(np.eye(n_veh), phi), np.kron(np.eye(n_veh), gam[:, None])
+    a0, da, c0, dc = link_decomposition(config)
+    x = equilibrium_state(config, maneuver.initial_velocity)
+    states = [x]
+    t = 0.0
+    for k, w in enumerate(weight_table.T.astype(float)):
+        if k == 0 or (w != weight_table[:, k - 1]).any():
+            gain = tau * (a0 + np.tensordot(w, da, axes=1))[2::3]
+            gain[np.arange(n_veh), np.arange(2, 3 * n_veh, 3)] += 1.0
+            gain[0] = 0.0
+            m, f = phi + gam @ gain, gam @ (tau * (c0 + w @ dc)[2::3])
+        x = m @ x + f + gam[:, 0] * maneuver.accel_at(t)
+        states.append(x)
+        t += grid.dt
+    states = np.array(states).T
+    xs, vs = states[0::3], states[1::3]
+    errs = xs[1:] - xs[:-1] + config.policy.d + config.policy.h_w * vs[1:]
+    return xs, vs, states[2::3], errs
 
 
 def taylor_action(prop: _Propagator, x: np.ndarray, u_lead: float,

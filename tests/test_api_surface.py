@@ -172,3 +172,44 @@ def test_every_defaulted_parameter_is_set_in_src():
     assert unset == ALLOWED_DEFAULTS, (
         f"defaulted parameters no call in src/ sets: {sorted(unset - ALLOWED_DEFAULTS)}; "
         "make each a constant or pass it from a caller")
+
+
+# Functions of src/ that read a gain (k_a, k_v, k_p), each with its reason.
+GAIN_READERS = {
+    # validation
+    "control.Gains.__post_init__", "sim.PlatoonConfig.__post_init__",
+    # the control law itself, written once as its affine split
+    "sim.link_decomposition",
+    # the chain's transfer functions, a second transcription of the law
+    "stability._denominator", "stability.build_error_system",
+    # k_a alone sets the minimum headway h_min
+    "cli._headway_table",
+}
+
+
+def _gain_reads(tree, prefix: str):
+    """Qualified name of the function around each read of .k_a, .k_v or .k_p;
+    a read outside any function is named by its module alone."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr in ("k_a", "k_v", "k_p")
+                        and isinstance(child.ctx, ast.Load)):
+                    yield scope
+                yield from walk(child, scope)
+    yield from walk(tree, prefix)
+
+
+def test_one_place_writes_the_control_law():
+    # the law's coefficients come from link_decomposition alone; any other
+    # function that reads a gain is a second copy of the law, unless it is
+    # listed above with its reason
+    readers = {scope for module, tree in _modules().items()
+               for scope in _gain_reads(tree, module)}
+    assert readers <= GAIN_READERS, (
+        f"gains read outside the allow-list: {sorted(readers - GAIN_READERS)}; "
+        "take the law from sim.link_decomposition")
+    # an entry that stopped reading gains leaves the list
+    assert readers == GAIN_READERS

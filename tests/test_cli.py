@@ -20,7 +20,7 @@ from platoon_lab import cli
 from platoon_lab.channel import GilbertParams, gamma_of
 from platoon_lab.control import Gains, Scheme, min_headway
 from platoon_lab.output import write_timeseries_csv
-from platoon_lab.scenario import ScenarioError, load_scenario, preset_text
+from platoon_lab.scenario import ScenarioError, load_scenario, parse_scenario_text, preset_text
 from platoon_lab.sim import empirical_string_stability, simulate
 from platoon_lab.stability import build_error_system, hinf_norm, peak_output_bound
 
@@ -295,20 +295,23 @@ class TestCliExitCodes:
         ("dt = inf", "simulate"),
         ("w0_l2 = -1", "stability"),
         ("w0_l2 = nan", "stability"),
+        ("w0_l2 = inf", "stability"),
         ("alpha_star = -0.5", "stability"),
+        ("alpha_star = inf", "stability"),
         ("n_realizations = 0", "montecarlo"),
         ("stochastic_seeds = -1", "simulate"),
     ])
     def test_bad_analysis_value_exit_2(self, tmp_path, capsys, setting, command):
         # each value once loaded and then crashed in the command, or went
-        # through: stochastic_seeds < 0 was ignored, w0_l2 = nan gave NaN bounds
+        # through: stochastic_seeds < 0 was ignored, w0_l2 = nan gave NaN
+        # bounds, and an infinite w0_l2 or alpha_star a report with
+        # "peak_error_bound": Infinity, which is not JSON
         key = setting.split()[0]
         lines = [line for line in BASE.splitlines() if not line.startswith(key + " =")]
         text = "\n".join(lines).replace("[analysis]", "[analysis]\n" + setting)
-        rc = cli.main(["run", command, "--scenario", write(tmp_path, text),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert key in capsys.readouterr().err
+        self.assert_one_config_error(capsys, ["run", command, "--scenario", write(tmp_path, text),
+                                              "--out", str(tmp_path / "o")], key)
+        assert not list((tmp_path / "o").glob("*.json"))
 
     @pytest.mark.parametrize("old, new, command, key", [
         ("k_v = 2.5", "k_v = nan", "stability", "k_v"),
@@ -465,6 +468,30 @@ class TestCliExitCodes:
                                               write(tmp_path, text), "--out",
                                               str(tmp_path / "o")], "deterministic_gamma")
         assert not (tmp_path / "o" / "base-montecarlo-report.json").exists()
+
+    def test_suite_with_fixed_rates_exit_2_before_simulating(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # each panel runs at its own rates and the seeds sample the channels,
+        # so the key was read by nothing: fig8 with deterministic_gamma = 0.9
+        # exited 0, its lossy panels at gamma 0.4667
+        text = preset_text("paper-fig8").replace("[analysis]",
+                                                 "[analysis]\ndeterministic_gamma = 0.9")
+        path = write(tmp_path, text)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the scenario")
+
+        for name in ("simulate", "simulate_panels", "monte_carlo"):
+            monkeypatch.setattr(cli, name, no_run)
+        self.assert_one_config_error(capsys, ["run", "simulate", "--scenario", path, "--out",
+                                              str(tmp_path / "o")], "deterministic_gamma")
+        assert list((tmp_path / "o").iterdir()) == []
+        # the analyses still read the key
+        for command in ("headway", "stability"):
+            assert cli.main(["run", command, "--scenario", path,
+                             "--out", str(tmp_path / "o")]) == 0
+        headway = json.loads((tmp_path / "o" / "fig8-headway-report.json").read_text())
+        assert headway["verdicts"]["gamma"] == 0.9
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_u_clamp_on_point_mass_exit_2(self, tmp_path, capsys, command):
@@ -802,6 +829,54 @@ class TestCliCommands:
         assert len(csvs) == 6
         for name in csvs:
             assert (tmp_path / "mu" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_every_report_is_strict_json(self, tmp_path):
+        # JSON has no NaN or Infinity; a report that wrote either would not
+        # parse elsewhere.  The presets are cut short to keep this quick.
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        short = {"horizon": "3.0", "segments": "0:0, 1:-9, 2:0",
+                 "stochastic_seeds": "2", "n_realizations": "2"}
+        for preset in ("paper-fig4", "paper-fig8", "paper-fig9", "paper-fig10"):
+            text = preset_text(preset)
+            for key, value in short.items():
+                text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            path = write(tmp_path, text, f"{preset}.ini")
+            out = tmp_path / preset
+            for command in ("headway", "simulate", "montecarlo", "stability", "oracle"):
+                assert cli.main(["run", command, "--scenario", path, "--out", str(out)]) == 0
+            reports = sorted(out.glob("*.json"))
+            assert len(reports) == 5, preset
+            for report in reports:
+                json.loads(report.read_text(encoding="utf-8"), parse_constant=reject)
+
+    def test_relative_map_paths_follow_the_scenario_file(self, tmp_path, monkeypatch):
+        # scen/s.ini names maps/thr.csv: it ran from scen/ only, and from a
+        # sibling directory exited 2 with "No such file or directory"
+        from platoon_lab.maps import synthetic_throttle_map
+        (tmp_path / "scen" / "maps").mkdir(parents=True)
+        (tmp_path / "other").mkdir()
+        write_map_csv(synthetic_throttle_map(), tmp_path / "scen" / "maps" / "thr.csv")
+        text = BASE.replace("scheme = cacc", "scheme = cacc\nmodel = empirical\n"
+                            "throttle_map = maps/thr.csv").replace(
+            "horizon = 20.0", "horizon = 2.0")
+        write(tmp_path / "scen", text, "s.ini")
+        reports = []
+        for cwd, scenario in (("scen", "s.ini"), ("other", "../scen/s.ini"), (".", "scen/s.ini")):
+            monkeypatch.chdir(tmp_path / cwd)
+            assert cli.main(["run", "simulate", "--scenario", scenario,
+                             "--out", str(tmp_path / "o" / cwd)]) == 0, cwd
+            reports.append(json.loads((tmp_path / "o" / cwd / "base-report.json").read_text()))
+        # the config hash covers the map file's contents, wherever it is read from
+        assert len({r["config_hash"] for r in reports}) == 1
+        assert len({json.dumps(r["verdicts"]) for r in reports}) == 1
+        # text without a file takes relative names from the working directory
+        with pytest.raises(ScenarioError, match="cannot load pedal map"):
+            parse_scenario_text(text)
+        monkeypatch.chdir(tmp_path / "scen")
+        assert (parse_scenario_text(text).config.throttle_map
+                == load_scenario(str(tmp_path / "scen" / "s.ini")).config.throttle_map)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATOON_LAB_OUT", str(tmp_path / "envout"))

@@ -5,13 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 import reference_engine as ref
+from helpers import closed_loop
 from platoon_lab.channel import GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
 from platoon_lab.dynamics import TimeGrid
 from platoon_lab.expectation import (NonFiniteExpectationError, check_multilinearity,
                                      exact_expected_power, from_platoon)
 from platoon_lab.scenario import load_scenario
-from platoon_lab.sim import PlatoonConfig, build_system_matrix
+from platoon_lab.sim import PlatoonConfig
 
 
 def platoon_config(scheme, n_followers=2, k_a=0.2):
@@ -38,7 +39,7 @@ class TestRandomMatrixSpec:
         rng = np.random.default_rng(1)
         for _ in range(5):
             bits = rng.integers(0, 2, cfg.n_links).astype(float)
-            direct = build_system_matrix(cfg, bits)
+            direct = closed_loop(cfg, bits)[0]
             via_spec = spec.realize({"w1_1": bits[0], "w1_2": bits[1], "w2_2": bits[2]})
             np.testing.assert_allclose(via_spec, direct, atol=1e-14)
 
@@ -46,7 +47,7 @@ class TestRandomMatrixSpec:
         cfg, spec = platoon_spec(Scheme.CACC)
         g = 1.0 - 0.2 * (1 - 0.2) / 0.3
         np.testing.assert_allclose(spec.mean_matrix(),
-                                   build_system_matrix(cfg, np.full(2, g)), atol=1e-14)
+                                   closed_loop(cfg, np.full(2, g))[0], atol=1e-14)
 
 
 class TestExactExpectedPower:

@@ -7,15 +7,14 @@ from scipy.linalg import expm
 
 import platoon_lab.sim as sim_mod
 import reference_engine as ref
-from helpers import affine_maps, constant_velocity
+from helpers import affine_maps, closed_loop, constant_velocity
 from platoon_lab.channel import ChannelMode, GilbertParams
 from platoon_lab.control import Gains, Scheme, SpacingPolicy
-from platoon_lab.dynamics import Maneuver, TimeGrid
+from platoon_lab.dynamics import Maneuver, TimeGrid, VehicleState
 from platoon_lab.scenario import load_scenario, parse_scenario_text, preset_text
 from platoon_lab.sim import (EnsembleStats, PlatoonConfig, SimulationDivergedError,
-                             _collect, _link_tables, _MapStepper, _offset_vector,
-                             _Propagator, _row_states, _row_weights, _seed_configs,
-                             _weight_table, build_system_matrix,
+                             _collect, _link_tables, _MapStepper, _Propagator,
+                             _row_states, _row_weights, _seed_configs, _weight_table,
                              empirical_string_stability, equilibrium_state,
                              link_decomposition, monte_carlo, simulate, simulate_panels)
 
@@ -69,28 +68,23 @@ class TestBuildSystemMatrix:
         cfg = make_config(Scheme.CACC)
         ka, kv, kp = 0.2, 2.5, 1.0
         for w in ((1.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
-            got = build_system_matrix(cfg, np.array(w))
+            got = closed_loop(cfg, w)[0]
             want = hand_built_cacc_matrix(ka, kv, kp, 0.4, 0.6, *w)
             np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_all_dropped_cacc_equals_acc(self):
         cfg = make_config(Scheme.CACC)
         acc = make_config(Scheme.ACC)
-        np.testing.assert_allclose(build_system_matrix(cfg, np.zeros(2)),
-                                   build_system_matrix(acc, np.ones(2)), atol=1e-15)
+        np.testing.assert_allclose(closed_loop(cfg, np.zeros(2))[0],
+                                   closed_loop(acc, np.ones(2))[0], atol=1e-15)
 
     def test_matches_printed_cacc_plus_matrix(self):
         cfg = make_config(Scheme.CACC_PLUS)
         ka, kv, kp = 0.2, 2.5, 1.0
         for w in ((1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.4670, 0.4670, 0.2)):
-            got = build_system_matrix(cfg, np.array(w))
+            got = closed_loop(cfg, w)[0]
             want = hand_built_cacc_plus_matrix(ka, kv, kp, 0.4, 0.6, *w)
             np.testing.assert_allclose(got, want, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        cfg = make_config(Scheme.CACC_PLUS)
-        with pytest.raises(ValueError):
-            build_system_matrix(cfg, np.ones(2))  # CACC+ with 2 followers has 3 links
 
 
 class TestConfigValidation:
@@ -195,12 +189,12 @@ class TestSimulate:
 
 def augmented_matrix(cfg, w):
     """[[A, B_lead, c], [0, 0, 0], [0, 0, 0]]: the exact ZOH carrier of one step."""
-    a = build_system_matrix(cfg, w)
+    a, c = closed_loop(cfg, w)
     n = a.shape[0]
     m = np.zeros((n + 2, n + 2))
     m[:n, :n] = a
     m[2, n] = 1.0 / cfg.tau
-    m[:n, n + 1] = _offset_vector(cfg, w)
+    m[:n, n + 1] = c
     return m
 
 
@@ -240,8 +234,7 @@ class TestEngineExactness:
         man = Maneuver(((0.0, 0.0), (1.0, -3.0), (2.0, 0.0)), 20.0)
         g = 0.467
         out = simulate(replace(cfg, rates=(g, g)), man)
-        a = build_system_matrix(cfg, np.full(2, g))
-        c = _offset_vector(cfg, np.full(2, g))
+        a, c = closed_loop(cfg, np.full(2, g))
         b = np.zeros(9)
         b[2] = 1.0 / cfg.tau
         x = equilibrium_state(cfg, 20.0)
@@ -751,11 +744,32 @@ class TestLinkDecomposition:
         a0, da, c0, dc = link_decomposition(cfg)
         assert da.shape == (cfg.n_links,) + a0.shape
         assert dc.shape == (cfg.n_links,) + c0.shape
+        # every follower's row of A(w) X + c(w) is its scalar law written
+        # term by term, (u - a_i) / tau, under the weights of its links;
+        # the lead's rows are the bare lag chain
         rng = np.random.default_rng(12)
+        gains, policy, n_f = cfg.gains, cfg.policy, cfg.n_followers
         for w in (rng.uniform(size=cfg.n_links), rng.integers(0, 2, cfg.n_links).astype(float)):
-            np.testing.assert_allclose(a0 + np.tensordot(w, da, axes=1),
-                                       build_system_matrix(cfg, w), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(c0 + w @ dc, _offset_vector(cfg, w), rtol=0, atol=1e-14)
+            a, c = a0 + np.tensordot(w, da, axes=1), c0 + w @ dc
+            for _ in range(5):
+                x = rng.normal(scale=3.0, size=a0.shape[0])
+                rates = a @ x + c
+                veh = [VehicleState(*x[3 * i:3 * i + 3]) for i in range(n_f + 1)]
+                for i in range(1, n_f + 1):
+                    if scheme is Scheme.ACC:
+                        u = ref.acc_input(veh[i], veh[i - 1], gains, policy)
+                    elif scheme is Scheme.CACC:
+                        u = ref.cacc_input(veh[i], veh[i - 1], w[i - 1], gains, policy)
+                    elif i == 1:
+                        u = ref.first_follower_input(veh[1], veh[0], w[0], gains, policy)
+                    else:
+                        u = ref.cacc_plus_input(veh[i], veh[i - 1], veh[i - 2], w[i - 1],
+                                                w[n_f + i - 2], gains, policy)
+                    np.testing.assert_allclose(rates[3 * i + 2], (u - veh[i].a) / cfg.tau,
+                                               rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(rates[0::3], x[1::3])
+                np.testing.assert_array_equal(rates[1::3], x[2::3])
+                np.testing.assert_allclose(rates[2], -x[2] / cfg.tau, rtol=1e-12, atol=0)
         # both steppers patch each entry of a row's law in place from the one
         # link it depends on: bitwise the sum over all links, two headways
         # in one batch, under fractional and binary weights
@@ -778,6 +792,42 @@ class TestLinkDecomposition:
                         accel[r, :, :n],
                         tau * a0[2::3] + np.tensordot(w[r], tau * da[:, 2::3], axes=1))
                     np.testing.assert_array_equal(accel[r, :, n], (c0 + w[r] @ dc)[2::3])
+
+    @pytest.mark.parametrize("preset, h_w", [("paper-fig4", 0.45), ("paper-fig8", 0.45),
+                                             ("paper-fig8", 0.6), ("paper-fig9", 0.45),
+                                             ("paper-fig9", 0.6), ("paper-fig10", 0.3),
+                                             ("paper-fig10", 0.4)])
+    def test_coefficients_are_the_printed_ones(self, preset, h_w):
+        # each coefficient is written as printed, not recovered from A(w)
+        # by differencing: that subtraction once rounded 5 entries of da and
+        # 5 of dc at fig10's gains, by up to 1.8e-15 and 7.1e-15
+        cfg = load_scenario(preset).config
+        cfg = replace(cfg, policy=replace(cfg.policy, h_w=h_w))
+        tau, d, g = cfg.tau, cfg.policy.d, cfg.gains
+        ka, kv, kp = g.k_a, g.k_v, g.k_p
+        n_f, n = cfg.n_followers, 3 * (cfg.n_followers + 1)
+        a0, da, c0, dc = link_decomposition(cfg)
+        want_a0, want_c0 = np.zeros((n, n)), np.zeros(n)
+        want_da, want_dc = np.zeros_like(da), np.zeros_like(dc)
+        for i in range(n_f + 1):
+            want_a0[3 * i, 3 * i + 1] = want_a0[3 * i + 1, 3 * i + 2] = 1.0
+            want_a0[3 * i + 2, 3 * i + 2] = -1.0 / tau
+        for i in range(1, n_f + 1):
+            r, p = 3 * i + 2, 3 * (i - 1)
+            want_a0[r, p], want_a0[r, p + 1] = kp / tau, kv / tau
+            want_a0[r, 3 * i], want_a0[r, 3 * i + 1] = -kp / tau, -(kv + kp * h_w) / tau
+            want_c0[r] = -kp * d / tau
+            if cfg.scheme is not Scheme.ACC:
+                want_da[i - 1, r, p + 2] = ka / tau
+            if cfg.scheme is Scheme.CACC_PLUS and i >= 2:
+                link, q = n_f + i - 2, 3 * (i - 2)
+                want_da[link, r, q], want_da[link, r, q + 1] = kp / tau, kv / tau
+                want_da[link, r, q + 2] = ka / tau
+                want_da[link, r, 3 * i] = -kp / tau
+                want_da[link, r, 3 * i + 1] = -(kv + 2 * kp * h_w) / tau
+                want_dc[link, r] = -kp * 2 * d / tau
+        for got, want in ((a0, want_a0), (da, want_da), (c0, want_c0), (dc, want_dc)):
+            np.testing.assert_array_equal(got, want)
 
 
 def assert_matches_reference(cfg, maneuver):
@@ -880,6 +930,31 @@ class TestMapEngineMatchesReference:
         assert free.v.min() < -1.0 and out.v.min() == 0.0
         assert free.a[1:].min() < -5.0 and out.a[1:].min() >= -4.0 - 1e-9
         assert out.a[0].min() < -8.0  # the lead's maneuver is not clamped
+
+
+class TestMapEngineIsItsLinearRecursion:
+    """Under maps that never clamp (authority +-100 m/s^2) the map engine is
+    the exact linear recursion x_{k+1} = M x_k + f + b u_lead of
+    ``reference_engine.run_map_recursion``: equal to rounding (measured
+    3.2e-12 to 1.9e-11 m over these 20 s runs), held within 1e-9 m."""
+
+    @pytest.mark.parametrize("weights", ["gamma", "sampled"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("preset", ["paper-fig4", "paper-fig8", "paper-fig9",
+                                        "paper-fig10"])
+    def test_equals_recursion(self, preset, scheme, weights):
+        scen = load_scenario(preset, master_seed=20201)
+        thr, brk = affine_maps(slope=200.0, offset=-100.0)
+        cfg = replace(scen.config, scheme=scheme, grid=TimeGrid(0.01, 20.0),
+                      model="empirical", throttle_map=thr, brake_map=brk)
+        cfg = replace(cfg, rates=cfg.link_rates() if weights == "gamma" else None)
+        table = _weight_table(cfg)
+        if weights == "sampled":
+            assert 0.0 < table.mean() < 1.0  # one M per step
+        out = simulate(cfg, scen.maneuver)
+        x, v, a, e = ref.run_map_recursion(cfg, scen.maneuver, table)
+        for got, want in ((out.x, x), (out.v, v), (out.a, a), (out.errors, e)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 class TestEnginesConverge:
